@@ -463,7 +463,6 @@ def cmd_register(args) -> int:
         parameterization=args.parameterization,
         squarings=args.squarings,
         update_smoothing_sigma=args.sigma,
-        seed=args.seed,
     )
     if args.init:
         init = scale_field_units(read_field(args.init), args.units)

@@ -195,16 +195,7 @@ def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
     _check_dims(fixed_labels, warped_labels)
     if spacing is None:
         spacing = fixed_labels.spacing
-    label = int(label)
-    in_fixed = bool(np.any(fixed_labels.data == label))
-    in_warped = bool(np.any(warped_labels.data == label))
-    if not in_fixed and not in_warped:
-        return None
-    if in_fixed != in_warped:
-        return _diagonal_mm(fixed_labels.dims, spacing)
-    ca = _boundary_coords_by_label(fixed_labels.data, {label})[label]
-    cb = _boundary_coords_by_label(warped_labels.data, {label})[label]
-    return _hd95_from_coords(ca, cb, spacing)
+    return _hd95_many(fixed_labels, warped_labels, [label], spacing)[int(label)]
 
 
 def _hd95_many(fixed_labels: Volume, warped_labels: Volume, labels, spacing):
@@ -387,18 +378,42 @@ def _box_count(dims, r: int) -> np.ndarray:
     return per_axis[0][:, None, None] * per_axis[1][None, :, None] * per_axis[2][None, None, :]
 
 
-def _lncc_terms(a: np.ndarray, b: np.ndarray, window: int):
-    r = window // 2
-    n = _box_count(a.shape, r)
-    sa = _box_sum(a, r)
-    sb = _box_sum(b, r)
-    saa = _box_sum(a * a, r)
-    sbb = _box_sum(b * b, r)
-    sab = _box_sum(a * b, r)
-    cross = sab - sa * sb / n
-    va = saa - sa * sa / n + LNCC_EPS
-    vb = sbb - sb * sb / n + LNCC_EPS
-    return n, cross, va, vb
+class _LnccTerms:
+    """Window sums of a fixed image, reused for every image compared with it
+    (``metrics.lncc`` and the optimizer's iterations)."""
+
+    def __init__(self, fdata: np.ndarray, window: int):
+        self.fdata = fdata
+        self.r = window // 2
+        self.n = _box_count(fdata.shape, self.r)
+        self.sa = _box_sum(fdata, self.r)
+        self.abar = self.sa / self.n
+        self.va = _box_sum(fdata * fdata, self.r) - self.sa * self.abar + LNCC_EPS
+
+    def value(self, w: np.ndarray) -> float:
+        sb = _box_sum(w, self.r)
+        vb = _box_sum(w * w, self.r) - sb * sb / self.n + LNCC_EPS
+        cross = _box_sum(self.fdata * w, self.r) - self.abar * sb
+        return float(np.mean(cross / np.sqrt(self.va * vb)))
+
+    def value_and_adjoint(self, w: np.ndarray):
+        """LNCC mean and its exact derivative with respect to ``w``."""
+        sb = _box_sum(w, self.r)
+        bbar = sb / self.n
+        vb = _box_sum(w * w, self.r) - sb * bbar + LNCC_EPS
+        cross = _box_sum(self.fdata * w, self.r) - self.sa * bbar
+        inv_sqrt = 1.0 / np.sqrt(self.va * vb)
+        ncc = cross * inv_sqrt
+        value = float(np.mean(ncc))
+
+        beta = ncc / vb
+        dw = (
+            self.fdata * _box_sum(inv_sqrt, self.r)
+            - _box_sum(inv_sqrt * self.abar, self.r)
+            - w * _box_sum(beta, self.r)
+            + _box_sum(beta * bbar, self.r)
+        ) / self.fdata.size
+        return value, dw
 
 
 def lncc(a: Volume, b: Volume, window: int = 9) -> float:
@@ -412,9 +427,7 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
     ad = np.asarray(a.data, dtype=np.float64)
-    bd = np.asarray(b.data, dtype=np.float64)
-    _, cross, va, vb = _lncc_terms(ad, bd, window)
-    return float(np.mean(cross / np.sqrt(va * vb)))
+    return _LnccTerms(ad, window).value(np.asarray(b.data, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from functools import lru_cache
-
 from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
-from .metrics import LNCC_EPS, _box_count, _box_sum
+from .metrics import _LnccTerms
 from .volio import DisplacementField, Volume
-from .warp import _corner_flat_indices, _trilinear, identity_grid
+from .warp import _corner_flat_indices, _exp, _trilinear, _warp, identity_grid
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
@@ -55,7 +53,6 @@ class RegConfig:
     squarings: int = 7
     update_smoothing_sigma: float = 1.0
     tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self):
         if self.levels < 1:
@@ -76,30 +73,6 @@ class RegConfig:
             raise ValueError(f"parameterization must be '{DISPLACEMENT}' or '{SVF}'")
         if self.squarings < 0 or self.update_smoothing_sigma < 0:
             raise ValueError("squarings and update_smoothing_sigma must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# velocity exponential (optimizer-internal float32 variant)
-
-
-@lru_cache(maxsize=4)
-def _grid32(dims: tuple) -> np.ndarray:
-    g = identity_grid(dims).astype(np.float32)
-    g.setflags(write=False)
-    return g
-
-
-def _exp_velocity(v: np.ndarray, squarings: int) -> np.ndarray:
-    """Scaling-and-squaring in float32: same algorithm as warp.exp_svf,
-    narrowed for the optimizer's inner loop where memory bandwidth is the
-    bottleneck and 1e-5 voxel noise is far below registration accuracy."""
-    dims = v.shape[:3]
-    u = (v * float(2.0**-squarings)).astype(np.float32)
-    grid = _grid32(dims).reshape(-1, 3)
-    for _ in range(squarings):
-        pts = grid + u.reshape(-1, 3)
-        u = u + _trilinear(u, pts).reshape(u.shape)
-    return u.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -148,53 +121,6 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
     return warped.reshape(dims), grad.reshape(dims + (3,))
 
 
-def _warp_only(mdata: np.ndarray, u: np.ndarray) -> np.ndarray:
-    dims = u.shape[:3]
-    pts = (identity_grid(dims) + u).reshape(-1, 3)
-    return _trilinear(mdata, pts).reshape(dims)
-
-
-# ---------------------------------------------------------------------------
-# LNCC similarity with adjoint
-
-
-class _LnccTerms:
-    """Window sums of the fixed image, reused across optimizer iterations."""
-
-    def __init__(self, fdata: np.ndarray, window: int):
-        self.fdata = fdata
-        self.r = window // 2
-        self.n = _box_count(fdata.shape, self.r)
-        self.sa = _box_sum(fdata, self.r)
-        self.abar = self.sa / self.n
-        self.va = _box_sum(fdata * fdata, self.r) - self.sa * self.abar + LNCC_EPS
-
-    def value(self, w: np.ndarray) -> float:
-        sb = _box_sum(w, self.r)
-        vb = _box_sum(w * w, self.r) - sb * sb / self.n + LNCC_EPS
-        cross = _box_sum(self.fdata * w, self.r) - self.abar * sb
-        return float(np.mean(cross / np.sqrt(self.va * vb)))
-
-    def value_and_adjoint(self, w: np.ndarray):
-        """LNCC mean and its exact derivative with respect to the warped image."""
-        sb = _box_sum(w, self.r)
-        bbar = sb / self.n
-        vb = _box_sum(w * w, self.r) - sb * bbar + LNCC_EPS
-        cross = _box_sum(self.fdata * w, self.r) - self.sa * bbar
-        inv_sqrt = 1.0 / np.sqrt(self.va * vb)
-        ncc = cross * inv_sqrt
-        value = float(np.mean(ncc))
-
-        beta = ncc / vb
-        dw = (
-            self.fdata * _box_sum(inv_sqrt, self.r)
-            - _box_sum(inv_sqrt * self.abar, self.r)
-            - w * _box_sum(beta, self.r)
-            + _box_sum(beta * bbar, self.r)
-        ) / self.fdata.size
-        return value, dw
-
-
 # ---------------------------------------------------------------------------
 # diffusion regularizer
 
@@ -238,7 +164,7 @@ def _diffusion_value(u: np.ndarray) -> float:
 
 
 def _loss_only(terms: _LnccTerms, mdata, u, lam) -> float:
-    w = _warp_only(mdata, u)
+    w = _warp(mdata, u)
     loss = -terms.value(w)
     if lam > 0:
         loss += lam * _diffusion_value(u)
@@ -312,6 +238,12 @@ def _smooth_update(g: np.ndarray, sigma: float) -> np.ndarray:
 # optimization loop
 
 
+def _to_field(state: np.ndarray, cfg: RegConfig) -> np.ndarray:
+    """The displacement an optimizer state stands for: the state itself, or
+    in SVF mode its scaling-and-squaring exponential (warp.exp_svf's)."""
+    return _exp(state, cfg.squarings) if cfg.parameterization == SVF else state
+
+
 def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     """Line-searched gradient descent at one pyramid level.
 
@@ -321,13 +253,8 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     converges early once three consecutive accepted steps each improve the
     loss by less than cfg.tol relative.
     """
-    svf = cfg.parameterization == SVF
     terms = _LnccTerms(fdata, cfg.lncc_window)
-
-    def to_field(s):
-        return _exp_velocity(s, cfg.squarings) if svf else s
-
-    u = to_field(state)
+    u = _to_field(state, cfg)
     loss = _loss_only(terms, mdata, u, cfg.lambda_diffusion)
     if not np.isfinite(loss):
         raise DivergedLoss(f"initial loss is {loss}")
@@ -346,7 +273,7 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
         trial = step
         for _ in range(30):
             cand_state = state - trial * direction
-            cand_u = to_field(cand_state)
+            cand_u = _to_field(cand_state, cfg)
             cand_loss = _loss_only(terms, mdata, cand_u, cfg.lambda_diffusion)
             if np.isfinite(cand_loss) and cand_loss <= loss:
                 accepted = True
@@ -392,8 +319,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
         if level + 1 < cfg.levels:
             state = _upsample_state(state, f_pyr[level + 1].shape)
 
-    u = _exp_velocity(state, cfg.squarings) if cfg.parameterization == SVF else state
-    return DisplacementField(header=fixed.header, data=u), trace
+    return DisplacementField(header=fixed.header, data=_to_field(state, cfg)), trace
 
 
 def instance_optimize(
@@ -418,5 +344,4 @@ def instance_optimize(
         raise NonFiniteData("image intensities must be finite")
     state = np.asarray(init.data, dtype=np.float64).copy()
     state, _ = _optimize_level(fdata, mdata, state, cfg.iters_per_level[-1], cfg)
-    u = _exp_velocity(state, cfg.squarings) if cfg.parameterization == SVF else state
-    return DisplacementField(header=fixed.header, data=u)
+    return DisplacementField(header=fixed.header, data=_to_field(state, cfg))

@@ -77,23 +77,27 @@ def _corner_flat_indices(points: np.ndarray, dims) -> tuple:
 def _trilinear(data: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3) points.
 
-    Gathers the 8 cell corners through flat indices (cheaper than triple
-    fancy indexing) and blends with lerps, which stay exact at f == 0.
+    Gathers the 8 cell corners through flat indices with ``np.take`` (cheaper
+    than fancy indexing, same values) and blends with lerps, which stay exact
+    at f == 0 and on constant data.
     """
     dims = data.shape[:3]
     base, dx, dy, dz, f = _corner_flat_indices(points, dims)
     flat = np.ascontiguousarray(data).reshape((dims[0] * dims[1] * dims[2], -1))
     fx, fy, fz = f[:, 0, None], f[:, 1, None], f[:, 2, None]
 
+    def corner(idx):
+        return np.take(flat, idx, axis=0)
+
     bxy = base + dx + dy
-    c00 = flat[base]
-    c00 += (flat[base + dx] - c00) * fx
-    c10 = flat[base + dy]
-    c10 += (flat[bxy] - c10) * fx
-    c01 = flat[base + dz]
-    c01 += (flat[base + dx + dz] - c01) * fx
-    c11 = flat[base + dy + dz]
-    c11 += (flat[bxy + dz] - c11) * fx
+    c00 = corner(base)
+    c00 += (corner(base + dx) - c00) * fx
+    c10 = corner(base + dy)
+    c10 += (corner(bxy) - c10) * fx
+    c01 = corner(base + dz)
+    c01 += (corner(base + dx + dz) - c01) * fx
+    c11 = corner(base + dy + dz)
+    c11 += (corner(bxy + dz) - c11) * fx
     c00 += (c10 - c00) * fy
     c01 += (c11 - c01) * fy
     c00 += (c01 - c00) * fz
@@ -126,6 +130,22 @@ def sample_trilinear(obj, points):
     return out[0] if single else out
 
 
+def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid."""
+    dims = u.shape[:3]
+    pos = (identity_grid(dims) + u).reshape(-1, 3)
+    return _trilinear(data, pos).reshape(dims + data.shape[3:])
+
+
+def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
+    """Scaling and squaring on arrays: u = v / 2**squarings, then
+    ``squarings`` times u = u + u(x + u(x)), i.e. u composed with itself."""
+    u = v / float(2**squarings)
+    for _ in range(squarings):
+        u = u + _warp(u, u)
+    return u
+
+
 def _check_same_dims(a, b) -> None:
     if a.header.dims != b.header.dims:
         raise DimMismatch(f"grid dims differ: {a.header.dims} vs {b.header.dims}")
@@ -138,10 +158,8 @@ def compose(phi_outer: DisplacementField, phi_inner: DisplacementField) -> Displ
     with the outer field sampled trilinearly (clamped at the border).
     """
     _check_same_dims(phi_outer, phi_inner)
-    dims = phi_inner.header.dims
     u_in = np.asarray(phi_inner.data, dtype=np.float64)
-    pos = (identity_grid(dims) + u_in).reshape(-1, 3)
-    u_out_at = _trilinear(np.asarray(phi_outer.data, dtype=np.float64), pos).reshape(dims + (3,))
+    u_out_at = _warp(np.asarray(phi_outer.data, dtype=np.float64), u_in)
     return DisplacementField(header=phi_inner.header, data=u_in + u_out_at)
 
 
@@ -149,9 +167,7 @@ def warp_image(moving: Volume, phi: DisplacementField) -> Volume:
     """Backward-warp a scalar volume: out(x) = moving(x + u(x)) trilinearly."""
     if moving.kind != "scalar":
         raise UnsupportedLayout("warp_image expects a scalar volume; use warp_labels for labels")
-    dims = phi.header.dims
-    pos = (identity_grid(dims) + np.asarray(phi.data, dtype=np.float64)).reshape(-1, 3)
-    out = _trilinear(np.asarray(moving.data, dtype=np.float64), pos).reshape(dims)
+    out = _warp(np.asarray(moving.data, dtype=np.float64), np.asarray(phi.data, dtype=np.float64))
     return Volume(header=phi.header, kind="scalar", data=out)
 
 
@@ -184,10 +200,7 @@ def exp_svf(v: VelocityField, squarings: int = 7) -> DisplacementField:
     vdata = np.asarray(v.data, dtype=np.float64)
     if not np.all(np.isfinite(vdata)):
         raise NonFiniteVelocity("velocity field contains non-finite components")
-    u = DisplacementField(header=v.header, data=vdata / float(2**squarings))
-    for _ in range(squarings):
-        u = compose(u, u)
-    return u
+    return DisplacementField(header=v.header, data=_exp(vdata, squarings))
 
 
 def ic_residual(

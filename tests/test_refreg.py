@@ -6,6 +6,7 @@ from regeval.metrics import evaluate_pair, ndv
 from regeval.refreg import RegConfig, instance_optimize, loss_and_grad, register
 from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
 from regeval.volio import AffineHeader, DisplacementField, Volume
+from regeval.warp import VelocityField, exp_svf
 
 
 def random_pair(rng, dims):
@@ -126,6 +127,15 @@ class TestInstanceOptimize:
             small_pair.fixed_image, small_pair.moving_image, zero, cfg
         )
         assert np.array_equal(from_register.data, from_instance.data)
+
+    def test_svf_field_is_exp_svf_of_state(self, small_pair):
+        # with no iterations the velocity is the init itself, so the result
+        # must be warp.exp_svf's exponential of it, bit for bit
+        cfg = RegConfig(levels=1, iters_per_level=(0,), parameterization="svf")
+        init = small_pair.truth
+        out = instance_optimize(small_pair.fixed_image, small_pair.moving_image, init, cfg)
+        expected = exp_svf(VelocityField(header=init.header, data=init.data), cfg.squarings)
+        assert np.array_equal(out.data, expected.data)
 
     def test_truth_init_does_not_worsen(self, small_pair):
         cfg = RegConfig(levels=1, iters_per_level=(10,))

@@ -46,9 +46,14 @@ def smooth_velocity(dims, seed, amplitude, sigma=4.0, window="smoothstep") -> Ve
 
 
 class TestSampleTrilinear:
-    def test_constant_field_anywhere(self):
-        fld = constant_field((8, 8, 8), (1.0, 2.0, 3.0))
-        assert np.allclose(sample_trilinear(fld, (0.3, 5.7, 2.2)), (1.0, 2.0, 3.0))
+    def test_constant_field_anywhere(self, rng):
+        # lerps return a constant exactly, inside the grid and beyond it;
+        # this keeps TRE of the truth and of pure translations at exactly 0
+        vec = np.array([0.1, -2.7, 1.0 / 3.0])
+        fld = constant_field((8, 8, 8), vec)
+        assert np.array_equal(sample_trilinear(fld, (0.3, 5.7, 2.2)), vec)
+        pts = rng.uniform(-3.0, 10.0, size=(2000, 3))
+        assert np.all(sample_trilinear(fld, pts) == vec)
 
     def test_linear_field_reproduced(self):
         dims = (8, 8, 8)
@@ -186,6 +191,15 @@ class TestExpSvf:
         u = exp_svf(v, squarings=6).data
         interior = u[2:-4, 1:-1, 1:-1]
         assert np.max(np.abs(interior - np.array([1.0, 0.0, 0.0]))) < 1e-9
+
+    def test_equals_repeated_self_composition(self):
+        dims = (12, 12, 12)
+        v = smooth_velocity(dims, seed=5, amplitude=3.0)
+        squarings = 5
+        u = DisplacementField(header=v.header, data=v.data / 2**squarings)
+        for _ in range(squarings):
+            u = compose(u, u)
+        assert np.array_equal(exp_svf(v, squarings=squarings).data, u.data)
 
     def test_against_euler_flow_oracle(self):
         dims = (32, 32, 32)
