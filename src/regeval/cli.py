@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import tempfile
 import time
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ranking, refreg, stats, synth
-from .errors import MissingMethods, RegEvalError, UnpairedCases
+from .errors import IoFailure, MissingMethods, RegEvalError, UnpairedCases
 from .metrics import PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
@@ -94,7 +95,11 @@ def read_manifest(path) -> list[Job]:
     base = Path(path).parent
     jobs: list[Job] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
             raise UnpairedCases(
@@ -173,6 +178,16 @@ def _eval_one(args: tuple) -> tuple[str, str, str | None]:
         return job.method, job.pair_id, f"{type(exc).__name__}: {exc}"
 
 
+def cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, not the machine's)."""
+    return len(os.sched_getaffinity(0))
+
+
+def worker_count(requested: int, n_jobs: int) -> int:
+    """Eval processes worth starting: no more than the jobs or the usable CPUs."""
+    return min(requested, n_jobs, cpu_count())
+
+
 def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
     for failures.  Output bytes are independent of the worker count."""
@@ -180,6 +195,7 @@ def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     work = [(job, str(out), units) for job in job_list]
+    jobs = worker_count(jobs, len(work))
     if jobs <= 1:
         results = [_eval_one(w) for w in work]
     else:

@@ -37,7 +37,7 @@ class InvalidLabelData(RegEvalError):
 
 
 class IoFailure(RegEvalError):
-    """Write failed at the OS level."""
+    """Reading or writing a file failed at the OS level (or a gzip stream is corrupt)."""
 
 
 class MalformedRow(RegEvalError):

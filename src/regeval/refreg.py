@@ -28,7 +28,7 @@ from scipy.ndimage import gaussian_filter
 from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
 from .metrics import _LnccTerms
 from .volio import DisplacementField, Volume
-from .warp import _corner_flat_indices, _exp, _trilinear, _warp, identity_grid
+from .warp import _exp, _trilinear, _warp, _warp_with_grad, identity_grid
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
@@ -73,52 +73,6 @@ class RegConfig:
             raise ValueError(f"parameterization must be '{DISPLACEMENT}' or '{SVF}'")
         if self.squarings < 0 or self.update_smoothing_sigma < 0:
             raise ValueError("squarings and update_smoothing_sigma must be >= 0")
-
-
-# ---------------------------------------------------------------------------
-# warp with spatial gradient
-
-
-def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
-    """Warped image w(x) = M(x + u(x)) and the trilinear spatial gradient
-    dM/dp at the sample positions (zero along axes that were clamped)."""
-    dims = u.shape[:3]
-    pts = (identity_grid(dims) + u).reshape(-1, 3)
-    base, dx, dy, dz, f = _corner_flat_indices(pts, mdata.shape)
-    flat = np.ascontiguousarray(mdata).ravel()
-    fx, fy, fz = f[:, 0], f[:, 1], f[:, 2]
-    v000 = flat[base]
-    v100 = flat[base + dx]
-    v010 = flat[base + dy]
-    v110 = flat[base + dx + dy]
-    v001 = flat[base + dz]
-    v101 = flat[base + dx + dz]
-    v011 = flat[base + dy + dz]
-    v111 = flat[base + dx + dy + dz]
-
-    c00 = v000 + (v100 - v000) * fx
-    c10 = v010 + (v110 - v010) * fx
-    c01 = v001 + (v101 - v001) * fx
-    c11 = v011 + (v111 - v011) * fx
-    c0 = c00 + (c10 - c00) * fy
-    c1 = c01 + (c11 - c01) * fy
-    warped = c0 + (c1 - c0) * fz
-
-    gx = ((v100 - v000) * (1 - fy) + (v110 - v010) * fy) * (1 - fz) + (
-        (v101 - v001) * (1 - fy) + (v111 - v011) * fy
-    ) * fz
-    gy = ((v010 - v000) * (1 - fx) + (v110 - v100) * fx) * (1 - fz) + (
-        (v011 - v001) * (1 - fx) + (v111 - v101) * fx
-    ) * fz
-    gz = ((v001 - v000) * (1 - fx) + (v101 - v100) * fx) * (1 - fy) + (
-        (v011 - v010) * (1 - fx) + (v111 - v110) * fx
-    ) * fy
-
-    n = np.asarray(mdata.shape, dtype=np.float64) - 1.0
-    inside = (pts >= 0.0) & (pts <= n)
-    grad = np.stack([gx, gy, gz], axis=-1)
-    grad *= inside
-    return warped.reshape(dims), grad.reshape(dims + (3,))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -183,10 +184,11 @@ class LandmarkSet:
 
 
 def _read_file_bytes(path) -> bytes:
-    raw = Path(path).read_bytes()
-    if raw[:2] == GZIP_MAGIC:
-        raw = gzip.decompress(raw)
-    return raw
+    try:
+        raw = Path(path).read_bytes()
+        return gzip.decompress(raw) if raw[:2] == GZIP_MAGIC else raw
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
 
 
 def _parse_header(raw: bytes):
@@ -257,9 +259,9 @@ def read_nifti(path):
         raise UnsupportedLayout("vector payload must be float32 or float64")
 
     n_values = int(np.prod(spatial)) * (3 if is_field else 1)
+    if not (np.isfinite(vox_offset) and vox_offset >= HEADER_SIZE):
+        raise BadMagic(f"vox_offset {vox_offset} is not a finite offset past the header")
     offset = int(vox_offset)
-    if offset < HEADER_SIZE:
-        raise BadMagic(f"vox_offset {vox_offset} points inside the header")
     payload = raw[offset : offset + n_values * dtype.itemsize]
     if len(payload) < n_values * dtype.itemsize:
         raise TruncatedPayload(

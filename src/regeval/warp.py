@@ -57,52 +57,91 @@ def identity_grid(dims) -> np.ndarray:
     return _cached_grid(tuple(int(d) for d in dims))
 
 
-def _corner_flat_indices(points: np.ndarray, dims) -> tuple:
-    """Flat base index, per-axis flat strides toward the upper corner, and
-    fractional weights; everything clamped to the grid."""
-    n = np.asarray(dims, dtype=points.dtype) - 1
-    p = np.clip(points, 0, n)
-    i0 = p.astype(np.int32)  # p >= 0, so truncation is floor
-    f = p - i0
-    i1 = np.minimum(i0 + 1, np.asarray(dims, dtype=np.int32) - 1)
-    sx = dims[1] * dims[2]
-    sy = dims[2]
-    base = (i0[:, 0] * sx + i0[:, 1] * sy) + i0[:, 2]
-    dx = (i1[:, 0] - i0[:, 0]) * sx
-    dy = (i1[:, 1] - i0[:, 1]) * sy
-    dz = i1[:, 2] - i0[:, 2]
-    return base, dx, dy, dz, f
+# Points per kernel block: its float64 temporaries (256 KiB each) stay near L2 size.
+_BLOCK = 1 << 15
 
 
-def _trilinear(data: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3) points.
+def _blocks(n: int, fn) -> None:
+    """Run ``fn(lo, hi)`` over [0, n) in blocks of _BLOCK points, in order."""
+    for lo in range(0, n, _BLOCK):
+        fn(lo, min(lo + _BLOCK, n))
 
-    Gathers the 8 cell corners through flat indices with ``np.take`` (cheaper
-    than fancy indexing, same values) and blends with lerps, which stay exact
-    at f == 0 and on constant data.
-    """
+
+def _corners(points: np.ndarray, dims) -> tuple:
+    """Flat indices of the 8 cell corners around (n, 3) points, clamped to the
+    grid and x-major from v000 to v111, and the fractional weight per axis.
+    Works one axis at a time: numpy loops slowly over a trailing axis of 3."""
+    strides = (dims[1] * dims[2], dims[2], 1)
+    base, steps, f = 0, [], []
+    for axis in range(3):
+        p = np.clip(points[:, axis], 0, dims[axis] - 1)
+        i0 = p.astype(np.int32)  # p >= 0, so truncation is floor
+        f.append(p - i0)
+        steps.append((i0 < dims[axis] - 1) * strides[axis])
+        base = base + i0 * strides[axis]
+    dx, dy, dz = steps
+    return [base + d for d in (0, dx, dy, dx + dy, dz, dx + dz, dy + dz, dx + dy + dz)], f
+
+
+def _blend(v: list, fx, fy, fz) -> np.ndarray:
+    """Trilinear blend of the corners from ``_corners``, by lerps in place
+    (which stay exact at f == 0 and on constant data); consumes ``v``."""
+    for c in (0, 2, 4, 6):
+        v[c] += (v[c + 1] - v[c]) * fx
+    v[0] += (v[2] - v[0]) * fy
+    v[4] += (v[6] - v[4]) * fy
+    v[0] += (v[4] - v[0]) * fz
+    return v[0]
+
+
+def _trilinear(data: np.ndarray, points: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+    """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3)
+    points, plus ``shift`` (n, 3) when given.  Every output element sees the
+    same float operations for any block split (``_blocks``)."""
     dims = data.shape[:3]
-    base, dx, dy, dz, f = _corner_flat_indices(points, dims)
-    flat = np.ascontiguousarray(data).reshape((dims[0] * dims[1] * dims[2], -1))
-    fx, fy, fz = f[:, 0, None], f[:, 1, None], f[:, 2, None]
+    planes = np.moveaxis(data.reshape(dims + (-1,)), 3, 0)
+    planes = np.ascontiguousarray(planes).reshape(len(planes), -1)
+    out = np.empty((len(points), len(planes)), dtype=planes.dtype)
 
-    def corner(idx):
-        return np.take(flat, idx, axis=0)
+    def block(lo, hi):
+        pts = points[lo:hi] if shift is None else points[lo:hi] + shift[lo:hi]
+        idx, (fx, fy, fz) = _corners(pts, dims)
+        for c, plane in enumerate(planes):
+            out[lo:hi, c] = _blend([np.take(plane, i) for i in idx], fx, fy, fz)
 
-    bxy = base + dx + dy
-    c00 = corner(base)
-    c00 += (corner(base + dx) - c00) * fx
-    c10 = corner(base + dy)
-    c10 += (corner(bxy) - c10) * fx
-    c01 = corner(base + dz)
-    c01 += (corner(base + dx + dz) - c01) * fx
-    c11 = corner(base + dy + dz)
-    c11 += (corner(bxy + dz) - c11) * fx
-    c00 += (c10 - c00) * fy
-    c01 += (c11 - c01) * fy
-    c00 += (c01 - c00) * fz
-    out = c00
+    _blocks(len(points), block)
     return out[:, 0] if data.ndim == 3 else out
+
+
+def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
+    """Warped image w(x) = M(x + u(x)) and the trilinear spatial gradient
+    dM/dp at the sample positions (zero along axes that were clamped)."""
+    dims = u.shape[:3]
+    grid, shift = identity_grid(dims).reshape(-1, 3), u.reshape(-1, 3)
+    flat = np.ascontiguousarray(mdata).ravel()
+    n = np.asarray(mdata.shape, dtype=np.float64) - 1.0
+    warped, grad = np.empty(len(grid)), np.empty((len(grid), 3))
+
+    def block(lo, hi):
+        pts = grid[lo:hi] + shift[lo:hi]
+        idx, (fx, fy, fz) = _corners(pts, mdata.shape)
+        v = [np.take(flat, i) for i in idx]
+        v000, v100, v010, v110, v001, v101, v011, v111 = v
+        gx = ((v100 - v000) * (1 - fy) + (v110 - v010) * fy) * (1 - fz) + (
+            (v101 - v001) * (1 - fy) + (v111 - v011) * fy
+        ) * fz
+        gy = ((v010 - v000) * (1 - fx) + (v110 - v100) * fx) * (1 - fz) + (
+            (v011 - v001) * (1 - fx) + (v111 - v101) * fx
+        ) * fz
+        gz = ((v001 - v000) * (1 - fx) + (v101 - v100) * fx) * (1 - fy) + (
+            (v011 - v010) * (1 - fx) + (v111 - v110) * fx
+        ) * fy
+        for axis, g in enumerate((gx, gy, gz)):
+            grad[lo:hi, axis] = g * ((pts[:, axis] >= 0.0) & (pts[:, axis] <= n[axis]))
+        warped[lo:hi] = _blend(v, fx, fy, fz)
+
+    _blocks(len(grid), block)
+    return warped.reshape(dims), grad.reshape(dims + (3,))
 
 
 def sample_trilinear(obj, points):
@@ -133,8 +172,8 @@ def sample_trilinear(obj, points):
 def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid."""
     dims = u.shape[:3]
-    pos = (identity_grid(dims) + u).reshape(-1, 3)
-    return _trilinear(data, pos).reshape(dims + data.shape[3:])
+    grid = identity_grid(dims).reshape(-1, 3)
+    return _trilinear(data, grid, u.reshape(-1, 3)).reshape(dims + data.shape[3:])
 
 
 def _exp(v: np.ndarray, squarings: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import csv
+import gzip
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,77 @@ class TestEval:
         per_label, mean = dsc(fixed, moving, labels)
         assert report.dsc_per_label == per_label
         assert report.dsc_mean == mean
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize(
+        "requested, n_jobs, cpus, want",
+        [(8, 3, 2, 2), (8, 3, 64, 3), (2, 10, 64, 2), (1, 10, 4, 1), (4, 0, 4, 0)],
+    )
+    def test_clamped_to_jobs_and_cpus(self, monkeypatch, requested, n_jobs, cpus, want):
+        monkeypatch.setattr(cli, "cpu_count", lambda: cpus)
+        assert cli.worker_count(requested, n_jobs) == want
+
+    def test_eval_starts_clamped_pool(self, cohort, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs the jobs in this process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "cpu_count", lambda: 4)
+        out = tmp_path / "reports"
+        assert cli.main(["--jobs", "1000", "--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
+        assert sizes == [4]
+        assert len(sorted(out.glob("*__*.json"))) == 6
+
+
+class TestUnreadableInputs:
+    """A bad input path or NIfTI header is a usage error (exit 2), never a traceback."""
+
+    @staticmethod
+    def field_file(path):
+        fld = DisplacementField(header=AffineHeader.isotropic((4, 4, 4)), data=np.zeros((4, 4, 4, 3)))
+        write_nifti(fld, path)
+        return path
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "truncated_gzip"])
+    def test_unreadable_path_exits_2(self, tmp_path, capsys, kind):
+        good = self.field_file(tmp_path / "good.nii")
+        bad = tmp_path / "bad.nii.gz"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "truncated_gzip":
+            blob = gzip.compress(good.read_bytes())
+            bad.write_bytes(blob[: len(blob) // 2])
+        assert cli.main(["ic", str(bad), str(good)]) == 2
+        assert f"could not read {bad}" in capsys.readouterr().err
+
+    def test_missing_manifest_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert cli.main(["--out", str(tmp_path / "r"), "eval", str(missing)]) == 2
+        assert f"could not read {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf")])
+    def test_non_finite_vox_offset_exits_2(self, tmp_path, capsys, vox_offset):
+        good = self.field_file(tmp_path / "good.nii")
+        raw = bytearray(good.read_bytes())
+        struct.pack_into("<f", raw, 108, vox_offset)
+        bad = tmp_path / "bad.nii"
+        bad.write_bytes(bytes(raw))
+        assert cli.main(["ic", str(good), str(bad)]) == 2
+        assert "vox_offset" in capsys.readouterr().err
 
 
 class TestRank:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.ndimage import gaussian_filter
 
 from regeval import errors, warp
@@ -82,6 +85,100 @@ class TestSampleTrilinear:
         data[3, :, :, 0] = 7.0
         fld = field_from(data)
         assert np.allclose(sample_trilinear(fld, (99.0, 2.0, 2.0)), (7.0, 0.0, 0.0))
+
+
+B = warp._BLOCK
+
+
+def one_block(data, pts):
+    """The kernel with every point in a single inline block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(warp, "_BLOCK", len(pts) + 1)
+        return warp._trilinear(data, pts)
+
+
+def whole_array_lerps(data, pts):
+    """Trilinear lerps along x, then y, then z over all points at once, with
+    fancy indexing: the arithmetic the blocked kernel must keep bit for bit."""
+    top = np.array(data.shape[:3]) - 1
+    p = np.clip(pts, 0, top)
+    i0 = np.floor(p).astype(np.intp)
+    i1 = np.minimum(i0 + 1, top)
+    f = p - i0
+    fx, fy, fz = (f[:, a].reshape((-1,) + (1,) * (data.ndim - 3)) for a in range(3))
+
+    def at(cx, cy, cz):
+        return data[(i1 if cx else i0)[:, 0], (i1 if cy else i0)[:, 1], (i1 if cz else i0)[:, 2]]
+
+    def lerp(a, b, t):
+        return a + (b - a) * t
+
+    c0 = lerp(lerp(at(0, 0, 0), at(1, 0, 0), fx), lerp(at(0, 1, 0), at(1, 1, 0), fx), fy)
+    c1 = lerp(lerp(at(0, 0, 1), at(1, 0, 1), fx), lerp(at(0, 1, 1), at(1, 1, 1), fx), fy)
+    return lerp(c0, c1, fz)
+
+
+class TestBlockedKernel:
+    """The kernel runs in blocks of points; no output bit may depend on the
+    block split."""
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 7])
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_equals_one_block(self, n, channels, order):
+        rng = np.random.default_rng(n)
+        data = np.asarray(rng.standard_normal((9, 10, 11) + channels), order=order)
+        pts = rng.uniform(-2.0, 12.0, size=(n, 3))
+        got = warp._trilinear(data, pts)
+        assert got.shape == (n,) + channels
+        assert np.array_equal(got, one_block(data, pts))
+
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_matches_whole_array_lerps(self, rng, channels):
+        data = rng.standard_normal((9, 10, 11) + channels)
+        pts = rng.uniform(-2.0, 12.0, size=(2 * B + 7, 3))
+        assert np.array_equal(warp._trilinear(data, pts), whole_array_lerps(data, pts))
+
+    def test_warp_with_grad_value_matches_whole_array_lerps(self, rng):
+        u = rng.standard_normal((40, 41, 42, 3)) * 3.0
+        img = rng.standard_normal((40, 41, 42))
+        pts = (warp.identity_grid(img.shape) + u).reshape(-1, 3)
+        warped, _ = warp._warp_with_grad(img, u)
+        assert np.array_equal(warped.ravel(), whole_array_lerps(img, pts))
+
+    def test_warp_and_grad_equal_one_block_bytewise(self, monkeypatch, rng):
+        u = rng.standard_normal((40, 41, 42, 3)) * 3.0  # two full blocks and a tail
+        img = rng.standard_normal((40, 41, 42))
+        runs = []
+        for block in (B, u[..., 0].size + 1):
+            monkeypatch.setattr(warp, "_BLOCK", block)
+            runs.append([a.tobytes() for a in (warp._warp(u, u), *warp._warp_with_grad(img, u))])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * B, 2 * B + 7])
+    def test_blocks_tile_the_range_once(self, n):
+        spans = []
+        warp._blocks(n, lambda lo, hi: spans.append((lo, hi)))
+        assert [lo for lo, _ in spans] == list(range(0, n, B))
+        assert all(hi == min(lo + B, n) for lo, hi in spans)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pts=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 50), st.just(3)),
+            elements=st.floats(-4.0, 12.0, allow_nan=False),
+        ),
+        block=st.integers(1, 9),
+    )
+    def test_any_split_is_bitwise_equal(self, pts, block):
+        # in-grid and out-of-grid points of a 6x7x8 grid, split into tiny blocks
+        data = np.random.default_rng(3).standard_normal((6, 7, 8, 3))
+        want = one_block(data, pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(warp, "_BLOCK", block)
+            got = warp._trilinear(data, pts)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCompose:
