@@ -30,7 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from . import ranking, refreg, stats, synth
-from .errors import IoFailure, MissingMethods, RegEvalError, UnpairedCases
+from .errors import (
+    BadParams,
+    IoFailure,
+    MalformedReport,
+    MissingMethods,
+    RegEvalError,
+    UnpairedCases,
+)
 from .metrics import PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
@@ -213,12 +220,25 @@ def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -
 # ranking
 
 
+def _read_report(path: Path) -> PairReport:
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
+    try:
+        return PairReport.from_dict(json.loads(raw.decode("utf-8")))
+    except KeyError as exc:
+        raise MalformedReport(f"report {path} lacks the field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise MalformedReport(f"report {path} is not a pair report object: {exc}") from exc
+
+
 def load_reports(report_dir) -> list[PairReport]:
     reports = []
     for path in sorted(Path(report_dir).glob("*.json")):
         if path.name == "errors.json":
             continue
-        reports.append(PairReport.from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        reports.append(_read_report(path))
     if not reports:
         raise MissingMethods(f"no report files in {report_dir}")
     return reports
@@ -466,20 +486,32 @@ def cmd_synth(out_dir: str, cases: int, dims, labels: int, seed: int, amplitude:
     return 0
 
 
+def _reg_config(args) -> refreg.RegConfig:
+    """The optimizer settings of the register options; BadParams if any
+    does not parse or fails a RegConfig check."""
+    try:
+        iters = tuple(int(x) for x in args.iters.split(","))
+    except ValueError:
+        raise BadParams(f"--iters must be comma-separated integers, got {args.iters!r}") from None
+    try:
+        return refreg.RegConfig(
+            levels=args.levels,
+            iters_per_level=iters,
+            step_size=args.step_size,
+            lambda_diffusion=args.lambda_diffusion,
+            lncc_window=args.window,
+            parameterization=args.parameterization,
+            squarings=args.squarings,
+            update_smoothing_sigma=args.sigma,
+        )
+    except ValueError as exc:
+        raise BadParams(f"register options: {exc}") from exc
+
+
 def cmd_register(args) -> int:
+    cfg = _reg_config(args)
     fixed = read_volume(args.fixed, kind="scalar")
     moving = read_volume(args.moving, kind="scalar")
-    iters = tuple(int(x) for x in args.iters.split(","))
-    cfg = refreg.RegConfig(
-        levels=args.levels,
-        iters_per_level=iters,
-        step_size=args.step_size,
-        lambda_diffusion=args.lambda_diffusion,
-        lncc_window=args.window,
-        parameterization=args.parameterization,
-        squarings=args.squarings,
-        update_smoothing_sigma=args.sigma,
-    )
     if args.init:
         init = scale_field_units(read_field(args.init), args.units)
         field = refreg.instance_optimize(fixed, moving, init, cfg)

@@ -111,7 +111,7 @@ class SpecInvalid(RegEvalError):
 
 
 class BadParams(RegEvalError):
-    """Field construction parameters do not fit the grid."""
+    """Field construction or optimizer parameters are invalid."""
 
 
 class DivergedLoss(RegEvalError):
@@ -126,3 +126,7 @@ class MissingMethods(RegEvalError):
 
 class UnpairedCases(RegEvalError):
     """Paired ranking requires every method to cover every case."""
+
+
+class MalformedReport(RegEvalError):
+    """A report file is not a JSON object holding every pair-report field."""

@@ -73,19 +73,31 @@ class PairReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PairReport":
+        """Inverse of ``to_dict``; KeyError for a missing field, TypeError
+        for a value of the wrong type."""
+        for key in ("method_id", "pair_id"):
+            if not isinstance(d[key], str):
+                raise TypeError(f"{key} {d[key]!r} is not a string")
         return cls(
             method_id=d["method_id"],
             pair_id=d["pair_id"],
-            dsc_per_label={int(k): v for k, v in d["dsc_per_label"].items()},
-            dsc_mean=d["dsc_mean"],
-            hd95_per_label={int(k): v for k, v in d["hd95_per_label"].items()},
-            hd95_mean=d["hd95_mean"],
-            tre_per_landmark=list(d["tre_per_landmark"]),
-            tre_mean=d["tre_mean"],
-            ndv=d["ndv"],
-            ic_mae=d.get("ic_mae"),
-            runtime_s=d.get("runtime_s"),
+            dsc_per_label={int(k): _metric_value(v) for k, v in d["dsc_per_label"].items()},
+            dsc_mean=_metric_value(d["dsc_mean"]),
+            hd95_per_label={int(k): _metric_value(v) for k, v in d["hd95_per_label"].items()},
+            hd95_mean=_metric_value(d["hd95_mean"]),
+            tre_per_landmark=[_metric_value(v) for v in d["tre_per_landmark"]],
+            tre_mean=_metric_value(d["tre_mean"]),
+            ndv=_metric_value(d["ndv"]),
+            ic_mae=_metric_value(d.get("ic_mae")),
+            runtime_s=_metric_value(d.get("runtime_s")),
         )
+
+
+def _metric_value(v):
+    """A stored metric value as it is: a number or None (JSON null)."""
+    if v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)):
+        return v
+    raise TypeError(f"metric value {v!r} is not a number or null")
 
 
 def _check_dims(a: Volume, b) -> None:
@@ -351,22 +363,30 @@ def ndv(phi: DisplacementField, mask: Volume | np.ndarray) -> float:
 
 def _box_sum(x: np.ndarray, r: int) -> np.ndarray:
     """Sum of x over the cubic window of radius r around each voxel,
-    cropped at the volume border.  Exact via padded cumulative sums."""
+    cropped at the volume border.  Exact via cumulative sums, one axis at a
+    time: slab by slab, c[k + 1] = c[k] + x[k] (np.cumsum's order), then
+    out[i] = c[hi] - c[lo] for the cropped window [lo, hi) of each i."""
     out = x
     for axis in range(3):
-        n = out.shape[axis]
-        c = np.zeros((*out.shape[:axis], n + 1, *out.shape[axis + 1 :]), dtype=np.float64)
-        np.cumsum(out, axis=axis, out=_axis_slice(c, axis, 1, n + 1))
-        hi = np.minimum(np.arange(n) + r, n - 1) + 1
-        lo = np.maximum(np.arange(n) - r, 0)
-        out = np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis)
+        src = np.moveaxis(out, axis, 0)
+        n = src.shape[0]
+        c = np.empty((n + 1,) + src.shape[1:])
+        c[0] = 0.0
+        c[1] = src[0]
+        for k in range(1, n):
+            np.add(c[k], src[k], out=c[k + 1])
+        out = np.empty(x.shape)
+        dst = np.moveaxis(out, axis, 0)
+        # lo = max(i - r, 0) is 0 below a; hi = min(i + r, n - 1) + 1 is n from b on
+        a, b = min(r, n), max(n - r, 0)
+        np.subtract(c[r + 1 : r + 1 + min(a, b)], c[0], out=dst[: min(a, b)])
+        if a < b:
+            np.subtract(c[a + r + 1 : b + r + 1], c[a - r : b - r], out=dst[a:b])
+        else:
+            np.subtract(c[n], c[0], out=dst[b:a])
+        if max(a, b) < n:
+            np.subtract(c[n], c[max(a, b) - r : n - r], out=dst[max(a, b) :])
     return out
-
-
-def _axis_slice(arr: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    sl = [slice(None)] * arr.ndim
-    sl[axis] = slice(start, stop)
-    return arr[tuple(sl)]
 
 
 def _box_count(dims, r: int) -> np.ndarray:

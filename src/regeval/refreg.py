@@ -202,10 +202,11 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     """Line-searched gradient descent at one pyramid level.
 
     ``state`` is the displacement itself or, in SVF mode, the velocity.
-    Returns (state, losses); the loss sequence is non-increasing because
-    updates are only accepted when they do not raise the loss.  The level
-    converges early once three consecutive accepted steps each improve the
-    loss by less than cfg.tol relative.
+    Returns (state, losses, u), u being the displacement of the returned
+    state as already computed (``_to_field(state)``).  The loss sequence is
+    non-increasing because updates are only accepted when they do not raise
+    the loss.  The level converges early once three consecutive accepted
+    steps each improve the loss by less than cfg.tol relative.
     """
     terms = _LnccTerms(fdata, cfg.lncc_window)
     u = _to_field(state, cfg)
@@ -242,7 +243,7 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
         stalled = stalled + 1 if improvement <= cfg.tol * (1.0 + abs(loss)) else 0
         if stalled >= 3:
             break
-    return state, losses
+    return state, losses, u
 
 
 def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
@@ -266,14 +267,14 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
     state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
     trace: list[list[float]] = []
     for level in range(cfg.levels):
-        state, losses = _optimize_level(
+        state, losses, u = _optimize_level(
             f_pyr[level], m_pyr[level], state, cfg.iters_per_level[level], cfg
         )
         trace.append(losses)
         if level + 1 < cfg.levels:
             state = _upsample_state(state, f_pyr[level + 1].shape)
 
-    return DisplacementField(header=fixed.header, data=_to_field(state, cfg)), trace
+    return DisplacementField(header=fixed.header, data=u), trace
 
 
 def instance_optimize(
@@ -297,5 +298,5 @@ def instance_optimize(
     if not (np.all(np.isfinite(fdata)) and np.all(np.isfinite(mdata))):
         raise NonFiniteData("image intensities must be finite")
     state = np.asarray(init.data, dtype=np.float64).copy()
-    state, _ = _optimize_level(fdata, mdata, state, cfg.iters_per_level[-1], cfg)
-    return DisplacementField(header=fixed.header, data=_to_field(state, cfg))
+    _, _, u = _optimize_level(fdata, mdata, state, cfg.iters_per_level[-1], cfg)
+    return DisplacementField(header=fixed.header, data=u)

@@ -57,8 +57,12 @@ def identity_grid(dims) -> np.ndarray:
     return _cached_grid(tuple(int(d) for d in dims))
 
 
-# Points per kernel block: its float64 temporaries (256 KiB each) stay near L2 size.
-_BLOCK = 1 << 15
+# Points per kernel block: one block's workspace (about 0.8 MiB) stays in L2.
+_BLOCK = 1 << 13
+
+# Lerps of the blend, in order: (corner a, corner b, axis) for a + (b - a) * f.
+# Corners are numbered x-major, v000 = 0 to v111 = 7; the last lerp is (0, 4, z).
+_LERPS = ((0, 1, 0), (2, 3, 0), (4, 5, 0), (6, 7, 0), (0, 2, 1), (4, 6, 1))
 
 
 def _blocks(n: int, fn) -> None:
@@ -67,50 +71,131 @@ def _blocks(n: int, fn) -> None:
         fn(lo, min(lo + _BLOCK, n))
 
 
-def _corners(points: np.ndarray, dims) -> tuple:
-    """Flat indices of the 8 cell corners around (n, 3) points, clamped to the
-    grid and x-major from v000 to v111, and the fractional weight per axis.
-    Works one axis at a time: numpy loops slowly over a trailing axis of 3."""
-    strides = (dims[1] * dims[2], dims[2], 1)
-    base, steps, f = 0, [], []
+class _Workspace:
+    """Buffers of the kernel for n points sampled from dims + (channels,)
+    data: the channel planes, each padded by one replicated edge voxel at the
+    top of every axis, the (n, channels) output, and one block's coordinates,
+    corner index and corner values, which every block reuses.  ``_exp`` keeps
+    one workspace for all its squarings."""
+
+    def __init__(self, dims, channels: int, n: int):
+        self.padded = np.empty((channels,) + tuple(d + 1 for d in dims))
+        sx, sy = (dims[1] + 1) * (dims[2] + 1), dims[2] + 1
+        self.offsets = [(c & 1) * sx + (c >> 1 & 1) * sy + (c >> 2 & 1) for c in range(8)]
+        self.out = np.empty((n, channels))
+        m = min(n, _BLOCK)
+        self.p = np.empty((3, m))
+        self.idx = np.empty(m, dtype=np.intp)
+        self.floor = np.empty(m, dtype=np.intp)
+        self.v = np.empty((8, m))
+
+
+def _pad(data: np.ndarray, padded: np.ndarray) -> None:
+    """Copy ``data`` (dims or dims + (c,)) into the (c,) + (dims + 1) planes
+    of ``padded``, repeating the last voxel of every axis once more."""
+    nx, ny, nz = data.shape[:3]
+    padded[:, :nx, :ny, :nz] = np.moveaxis(data.reshape((nx, ny, nz, -1)), 3, 0)
+    padded[:, :nx, :ny, nz] = padded[:, :nx, :ny, nz - 1]
+    padded[:, :nx, ny] = padded[:, :nx, ny - 1]
+    padded[:, nx] = padded[:, nx - 1]
+
+
+def _coords(ws: _Workspace, points, shift, lo: int, hi: int) -> np.ndarray:
+    """The (3, m) coordinates points + shift of block [lo, hi), in ws.p."""
+    p = ws.p[:, : hi - lo]
     for axis in range(3):
-        p = np.clip(points[:, axis], 0, dims[axis] - 1)
-        i0 = p.astype(np.int32)  # p >= 0, so truncation is floor
-        f.append(p - i0)
-        steps.append((i0 < dims[axis] - 1) * strides[axis])
-        base = base + i0 * strides[axis]
-    dx, dy, dz = steps
-    return [base + d for d in (0, dx, dy, dx + dy, dz, dx + dz, dy + dz, dx + dy + dz)], f
+        if shift is None:
+            np.copyto(p[axis], points[lo:hi, axis])
+        else:
+            np.add(points[lo:hi, axis], shift[lo:hi, axis], out=p[axis])
+    return p
 
 
-def _blend(v: list, fx, fy, fz) -> np.ndarray:
-    """Trilinear blend of the corners from ``_corners``, by lerps in place
-    (which stay exact at f == 0 and on constant data); consumes ``v``."""
-    for c in (0, 2, 4, 6):
-        v[c] += (v[c + 1] - v[c]) * fx
-    v[0] += (v[2] - v[0]) * fy
-    v[4] += (v[6] - v[4]) * fy
-    v[0] += (v[4] - v[0]) * fz
-    return v[0]
+def _corners(ws: _Workspace, p: np.ndarray, dims) -> np.ndarray:
+    """Clamp the coordinates ``p`` (from ``_coords``) to the grid and return
+    the flat index of each point's v000 corner in the padded planes; ``p``
+    is left holding the fractional weight per axis.  With the padding, the
+    other corners sit at the fixed ``ws.offsets`` from v000, also at the
+    upper edge, where the weight is 0.  Works one axis at a time: numpy
+    loops slowly over a trailing axis of 3."""
+    m = p.shape[1]
+    idx, floor = ws.idx[:m], ws.floor[:m]
+    for axis in range(3):
+        np.clip(p[axis], 0, dims[axis] - 1, out=p[axis])
+        np.copyto(floor, p[axis], casting="unsafe")  # p >= 0, so truncation is floor
+        np.subtract(p[axis], floor, out=p[axis])
+        if axis == 0:
+            np.copyto(idx, floor)
+        else:  # idx = (x * (ny + 1) + y) * (nz + 1) + z
+            np.multiply(idx, dims[axis] + 1, out=idx)
+            np.add(idx, floor, out=idx)
+    return idx
 
 
-def _trilinear(data: np.ndarray, points: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+def _gather(ws: _Workspace, plane: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The 8 corner values of one flat padded plane around each point."""
+    v = ws.v[:, : len(idx)]
+    for c, off in enumerate(ws.offsets):
+        plane[off:].take(idx, out=v[c], mode="clip")  # always in range
+    return v
+
+
+def _lerp(a, b, t, out) -> None:
+    """out = a + (b - a) * t, using ``b`` as scratch."""
+    np.subtract(b, a, out=b)
+    np.multiply(b, t, out=b)
+    np.add(a, b, out=out)
+
+
+def _blend(v: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+    """Trilinear blend of the corners from ``_gather`` by lerps along x, then
+    y, then z (exact at f == 0 and on constant data) into ``out``; consumes
+    ``v``."""
+    for a, b, axis in _LERPS:
+        _lerp(v[a], v[b], f[axis], v[a])
+    _lerp(v[0], v[4], f[2], out)
+
+
+def _trilinear(data: np.ndarray, points: np.ndarray, shift=None, ws=None) -> np.ndarray:
     """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3)
     points, plus ``shift`` (n, 3) when given.  Every output element sees the
-    same float operations for any block split (``_blocks``)."""
+    same float operations for any block split (``_blocks``).  The result is
+    the output buffer of ``ws`` (a fresh workspace unless one is passed), so
+    the next call with the same ``ws`` overwrites it."""
     dims = data.shape[:3]
-    planes = np.moveaxis(data.reshape(dims + (-1,)), 3, 0)
-    planes = np.ascontiguousarray(planes).reshape(len(planes), -1)
-    out = np.empty((len(points), len(planes)), dtype=planes.dtype)
+    if ws is None:
+        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), len(points))
+    _pad(data, ws.padded)
+    planes = ws.padded.reshape(len(ws.padded), -1)
+    out = ws.out
 
     def block(lo, hi):
-        pts = points[lo:hi] if shift is None else points[lo:hi] + shift[lo:hi]
-        idx, (fx, fy, fz) = _corners(pts, dims)
+        p = _coords(ws, points, shift, lo, hi)
+        idx = _corners(ws, p, dims)
         for c, plane in enumerate(planes):
-            out[lo:hi, c] = _blend([np.take(plane, i) for i in idx], fx, fy, fz)
+            _blend(_gather(ws, plane, idx), p, out[lo:hi, c])
 
     _blocks(len(points), block)
     return out[:, 0] if data.ndim == 3 else out
+
+
+def _axis_grad(v, axis: int, f, g, t, out) -> None:
+    """Derivative of the trilinear interpolant along ``axis``: the 4 corner
+    differences along it, lerp-weighted over the other two axes j < l as
+    ((d00 * g_j + d10 * f_j) * g_l + (d01 * g_j + d11 * f_j) * f_l), with
+    g = 1 - f.  ``t`` holds 3 scratch rows."""
+    j, l = (a for a in range(3) if a != axis)
+    bit = 1 << axis
+    for bl, acc in ((0, t[0]), (1, t[1])):
+        c0, c1 = bl << l, 1 << j | bl << l
+        np.subtract(v[c0 | bit], v[c0], out=acc)
+        np.multiply(acc, g[j], out=acc)
+        np.subtract(v[c1 | bit], v[c1], out=t[2])
+        np.multiply(t[2], f[j], out=t[2])
+        np.add(acc, t[2], out=acc)
+    np.multiply(t[0], g[l], out=t[0])
+    np.multiply(t[1], f[l], out=t[1])
+    np.add(t[0], t[1], out=out)
 
 
 def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
@@ -118,29 +203,31 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
     dM/dp at the sample positions (zero along axes that were clamped)."""
     dims = u.shape[:3]
     grid, shift = identity_grid(dims).reshape(-1, 3), u.reshape(-1, 3)
-    flat = np.ascontiguousarray(mdata).ravel()
-    n = np.asarray(mdata.shape, dtype=np.float64) - 1.0
-    warped, grad = np.empty(len(grid)), np.empty((len(grid), 3))
+    n = len(grid)
+    ws = _Workspace(mdata.shape, 1, n)
+    _pad(mdata, ws.padded)
+    plane = ws.padded.reshape(-1)
+    top = np.asarray(mdata.shape, dtype=np.float64)[:, None] - 1.0
+    m = ws.p.shape[1]
+    g, t, scratch = np.empty((3, m)), np.empty((3, m)), np.empty(m)
+    inside, upper = np.empty((3, m), dtype=bool), np.empty((3, m), dtype=bool)
+    warped, grad = ws.out[:, 0], np.empty((n, 3))
 
     def block(lo, hi):
-        pts = grid[lo:hi] + shift[lo:hi]
-        idx, (fx, fy, fz) = _corners(pts, mdata.shape)
-        v = [np.take(flat, i) for i in idx]
-        v000, v100, v010, v110, v001, v101, v011, v111 = v
-        gx = ((v100 - v000) * (1 - fy) + (v110 - v010) * fy) * (1 - fz) + (
-            (v101 - v001) * (1 - fy) + (v111 - v011) * fy
-        ) * fz
-        gy = ((v010 - v000) * (1 - fx) + (v110 - v100) * fx) * (1 - fz) + (
-            (v011 - v001) * (1 - fx) + (v111 - v101) * fx
-        ) * fz
-        gz = ((v001 - v000) * (1 - fx) + (v101 - v100) * fx) * (1 - fy) + (
-            (v011 - v010) * (1 - fx) + (v111 - v110) * fx
-        ) * fy
-        for axis, g in enumerate((gx, gy, gz)):
-            grad[lo:hi, axis] = g * ((pts[:, axis] >= 0.0) & (pts[:, axis] <= n[axis]))
-        warped[lo:hi] = _blend(v, fx, fy, fz)
+        k = hi - lo
+        p = _coords(ws, grid, shift, lo, hi)
+        np.greater_equal(p, 0.0, out=inside[:, :k])
+        np.less_equal(p, top, out=upper[:, :k])
+        np.logical_and(inside[:, :k], upper[:, :k], out=inside[:, :k])
+        idx = _corners(ws, p, mdata.shape)
+        v = _gather(ws, plane, idx)
+        np.subtract(1, p, out=g[:, :k])
+        for axis in range(3):
+            _axis_grad(v, axis, p, g[:, :k], t[:, :k], scratch[:k])
+            np.multiply(scratch[:k], inside[axis, :k], out=grad[lo:hi, axis])
+        _blend(v, p, warped[lo:hi])
 
-    _blocks(len(grid), block)
+    _blocks(n, block)
     return warped.reshape(dims), grad.reshape(dims + (3,))
 
 
@@ -169,19 +256,22 @@ def sample_trilinear(obj, points):
     return out[0] if single else out
 
 
-def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid."""
+def _warp(data: np.ndarray, u: np.ndarray, ws=None) -> np.ndarray:
+    """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid, in
+    the kernel workspace ``ws`` when one is passed."""
     dims = u.shape[:3]
     grid = identity_grid(dims).reshape(-1, 3)
-    return _trilinear(data, grid, u.reshape(-1, 3)).reshape(dims + data.shape[3:])
+    return _trilinear(data, grid, u.reshape(-1, 3), ws).reshape(dims + data.shape[3:])
 
 
 def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
     """Scaling and squaring on arrays: u = v / 2**squarings, then
-    ``squarings`` times u = u + u(x + u(x)), i.e. u composed with itself."""
+    ``squarings`` times u = u + u(x + u(x)), i.e. u composed with itself.
+    All squarings share one kernel workspace."""
     u = v / float(2**squarings)
+    ws = _Workspace(u.shape[:3], 3, u[..., 0].size)
     for _ in range(squarings):
-        u = u + _warp(u, u)
+        u += _warp(u, u, ws)
     return u
 
 

@@ -245,6 +245,39 @@ class TestRank:
         assert cli.main(["--out", str(out), "rank", str(reports)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "{not json",
+            "[1, 2]",
+            '"a string"',
+            "missing pair_id",
+            "metric not a number",
+            "not utf-8",
+        ],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, content):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b"])
+        bad = reports / "a__c03.json"
+        d = json.loads(bad.read_text())
+        if content == "missing pair_id":
+            del d["pair_id"]
+            bad.write_text(json.dumps(d))
+        elif content == "metric not a number":
+            d["dsc_mean"] = "0.9"
+            bad.write_text(json.dumps(d))
+        elif content == "not utf-8":
+            bad.write_bytes(b"\xff\xfe{}")
+        else:
+            bad.write_text(content)
+        out = tmp_path / "rank"
+        assert cli.main(["--out", str(out), "rank", str(reports)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not out.exists()
+
+
 class TestCorrelate:
     def test_exact_linear_relation(self, tmp_path):
         reports = tmp_path / "reports"
@@ -378,6 +411,29 @@ class TestRegisterCommand:
 
         fld = read_field(out)
         assert fld.dims == dims
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--iters", "a,b,c"], "--iters must be comma-separated integers"),
+            (["--iters", ""], "--iters must be comma-separated integers"),
+            (["--iters", "5,5"], "iters_per_level has 2 entries for 3 levels"),
+            (["--levels", "0", "--iters", ""], "--iters"),
+            (["--window", "4"], "lncc_window"),
+            (["--squarings", "-1"], "squarings"),
+            (["--step-size", "0"], "step_size"),
+        ],
+    )
+    def test_bad_options_exit_2(self, tmp_path, capsys, options, message):
+        img = Volume(header=AffineHeader.isotropic((6, 6, 6)), kind="scalar",
+                     data=np.zeros((6, 6, 6)))
+        write_nifti(img, tmp_path / "img.nii")
+        out = tmp_path / "field.nii"
+        args = ["--out", str(out), "register", str(tmp_path / "img.nii"), str(tmp_path / "img.nii")]
+        assert cli.main(args + options) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_units_mm_scaling_on_eval(self, tmp_path):
         # a field stored in mm on an anisotropic grid evaluates like its

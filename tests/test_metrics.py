@@ -422,6 +422,38 @@ class TestLncc:
             lncc(a, a, window=4)
 
 
+def cumsum_take_box_sum(x: np.ndarray, r: int) -> np.ndarray:
+    """The box sum by np.cumsum into a zero-led array and two np.take calls
+    per axis: the order of additions metrics._box_sum must keep."""
+    out = x
+    for axis in range(3):
+        n = out.shape[axis]
+        c = np.zeros((*out.shape[:axis], n + 1, *out.shape[axis + 1 :]), dtype=np.float64)
+        tail = [slice(None)] * 3
+        tail[axis] = slice(1, n + 1)
+        np.cumsum(out, axis=axis, out=c[tuple(tail)])
+        hi = np.minimum(np.arange(n) + r, n - 1) + 1
+        lo = np.maximum(np.arange(n) - r, 0)
+        out = np.take(c, hi, axis=axis) - np.take(c, lo, axis=axis)
+    return out
+
+
+class TestBoxSum:
+    @pytest.mark.parametrize(
+        "shape, r",
+        [((5, 7, 3), 4), ((5, 7, 3), 9), ((5, 7, 3), 0), ((1, 1, 1), 2), ((2, 9, 1), 1),
+         ((16, 12, 10), 4), ((16, 12, 10), 0)],
+    )
+    def test_equals_cumsum_and_take_bit_for_bit(self, rng, shape, r):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        x.flat[0] = -0.0  # a leading negative zero survives, as in np.cumsum
+        want = cumsum_take_box_sum(x, r)
+        for data in (x, np.asfortranarray(x)):
+            got = metrics._box_sum(data, r)
+            assert got.shape == shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
 # --- evaluate_pair -----------------------------------------------------------
 
 

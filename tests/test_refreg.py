@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regeval import errors
+from regeval import errors, refreg
 from regeval.metrics import evaluate_pair, ndv
 from regeval.refreg import RegConfig, instance_optimize, loss_and_grad, register
 from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
@@ -136,6 +136,22 @@ class TestInstanceOptimize:
         out = instance_optimize(small_pair.fixed_image, small_pair.moving_image, init, cfg)
         expected = exp_svf(VelocityField(header=init.header, data=init.data), cfg.squarings)
         assert np.array_equal(out.data, expected.data)
+
+    @pytest.mark.parametrize("parameterization", ["svf", "displacement"])
+    def test_level_returns_the_field_of_its_state(self, small_pair, parameterization):
+        # register and instance_optimize take the field from _optimize_level
+        # instead of exponentiating the final state once more
+        cfg = RegConfig(levels=1, iters_per_level=(4,), parameterization=parameterization)
+        fdata = np.asarray(small_pair.fixed_image.data, dtype=np.float64)
+        mdata = np.asarray(small_pair.moving_image.data, dtype=np.float64)
+        state, losses, u = refreg._optimize_level(fdata, mdata, np.zeros(fdata.shape + (3,)), 4, cfg)
+        assert len(losses) == 4
+        assert u.tobytes() == refreg._to_field(state, cfg).tobytes()
+        out = instance_optimize(
+            small_pair.fixed_image, small_pair.moving_image,
+            DisplacementField.zero(small_pair.fixed_image.header), cfg,
+        )
+        assert out.data.tobytes() == u.tobytes()
 
     def test_truth_init_does_not_worsen(self, small_pair):
         cfg = RegConfig(levels=1, iters_per_level=(10,))

@@ -122,7 +122,8 @@ class TestBlockedKernel:
     """The kernel runs in blocks of points; no output bit may depend on the
     block split."""
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 7])
+    # edges of the first block and of the fourth, and tails past two and eight
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 7, 4 * B - 1, 4 * B, 4 * B + 1, 8 * B + 7])
     @pytest.mark.parametrize("channels", [(), (3,)])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocked_equals_one_block(self, n, channels, order):
@@ -155,7 +156,7 @@ class TestBlockedKernel:
             runs.append([a.tobytes() for a in (warp._warp(u, u), *warp._warp_with_grad(img, u))])
         assert runs[0] == runs[1]
 
-    @pytest.mark.parametrize("n", [0, 1, 2 * B, 2 * B + 7])
+    @pytest.mark.parametrize("n", [0, 1, 2 * B, 2 * B + 7, 8 * B, 8 * B + 7])
     def test_blocks_tile_the_range_once(self, n):
         spans = []
         warp._blocks(n, lambda lo, hi: spans.append((lo, hi)))
@@ -181,7 +182,85 @@ class TestBlockedKernel:
         assert got.tobytes() == want.tobytes()
 
 
+class TestKernelEdges:
+    """The padded planes stand in for clamping: thin axes, points on and past
+    the upper edge, and any memory layout of ``data`` keep the reference
+    lerps bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 5, 6), (2, 5, 6), (5, 1, 6), (5, 6, 2), (1, 1, 1), (2, 2, 2), (1, 2, 1)])
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_axes_of_length_one_and_two(self, rng, shape, channels):
+        data = rng.standard_normal(shape + channels)
+        pts = rng.uniform(-2.0, 8.0, size=(500, 3))
+        assert np.array_equal(warp._trilinear(data, pts), whole_array_lerps(data, pts))
+
+    def test_points_on_and_beyond_the_upper_edge(self, rng):
+        data = rng.standard_normal((5, 6, 7, 3))
+        top = np.array(data.shape[:3], dtype=np.float64) - 1.0
+        grid = np.stack(np.meshgrid(*[np.arange(n, dtype=np.float64) for n in data.shape[:3]],
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = np.concatenate([
+            np.tile(top, (1, 1)),  # the last voxel itself
+            np.where(rng.random((400, 3)) < 0.5, top, grid[rng.integers(0, len(grid), 400)]),
+            top + rng.uniform(0.0, 3.0, size=(200, 3)),  # beyond, on all axes
+            np.where(rng.random((200, 3)) < 0.5, top + 1.5, rng.uniform(0, 4, (200, 3))),
+            np.nextafter(top, 0.0) + np.zeros((1, 3)),  # just below the edge
+        ])
+        got = warp._trilinear(data, pts)
+        assert np.array_equal(got, whole_array_lerps(data, pts))
+        on_edge = np.all(pts == top, axis=1)
+        assert np.array_equal(got[on_edge], np.broadcast_to(data[-1, -1, -1], (on_edge.sum(), 3)))
+
+    @pytest.mark.parametrize("layout", ["F", "slice", "transposed"])
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_fortran_and_non_contiguous_data(self, rng, layout, channels):
+        base = rng.standard_normal((14, 11, 12) + channels)
+        if layout == "F":
+            data = np.asfortranarray(base[:7, :9, :10])
+        elif layout == "slice":
+            data = base[1::2, ::-1, 2:]
+        else:
+            data = np.swapaxes(base, 0, 2)
+        assert not data.flags.c_contiguous
+        pts = rng.uniform(-2.0, 15.0, size=(B + 9, 3))
+        want = whole_array_lerps(np.ascontiguousarray(data), pts)
+        assert np.array_equal(warp._trilinear(data, pts), want)
+        assert np.array_equal(whole_array_lerps(data, pts), want)
+
+    def test_warp_with_grad_on_thin_and_fortran_images(self, rng):
+        for img in (rng.standard_normal((1, 9, 2)), np.asfortranarray(rng.standard_normal((6, 7, 8)))):
+            u = rng.standard_normal(img.shape + (3,)) * 2.0
+            pts = (warp.identity_grid(img.shape) + u).reshape(-1, 3)
+            warped, grad = warp._warp_with_grad(img, u)
+            assert np.array_equal(warped.ravel(), whole_array_lerps(img, pts))
+            assert np.all(grad[..., np.array(img.shape) == 1] == 0.0)  # a single voxel has no slope
+
+    @pytest.mark.parametrize("shape", [(6, 7, 8), (1, 5, 2), (2, 1, 3)])
+    def test_grad_at_voxels_is_the_forward_difference(self, rng, shape):
+        # at f == 0 the slope is v[i + 1] - v[i], and 0 on the upper face,
+        # where the padding repeats the edge voxel
+        img = rng.standard_normal(shape)
+        _, grad = warp._warp_with_grad(img, np.zeros(shape + (3,)))
+        for axis in range(3):
+            want = np.diff(img, axis=axis, append=np.take(img, [-1], axis=axis))
+            assert np.array_equal(grad[..., axis], want)
+
+
 class TestCompose:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 0.5, 3.0, 1e4]),
+    )
+    def test_zero_field_on_either_side_is_identity(self, shape, seed, scale):
+        # +0.0 turns negative zeros positive, which 0 + u does too
+        data = np.random.default_rng(seed).standard_normal(shape + (3,)) * scale + 0.0
+        phi = field_from(data)
+        zero = DisplacementField.zero(phi.header)
+        assert compose(zero, phi).data.tobytes() == data.tobytes()
+        assert compose(phi, zero).data.tobytes() == data.tobytes()
+
     def test_identity_outer_and_inner(self, rng):
         phi = field_from(rng.standard_normal((6, 6, 6, 3)) * 0.5)
         ident = DisplacementField.zero(phi.header)
