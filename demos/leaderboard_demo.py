@@ -4,8 +4,10 @@ Five fictitious methods with a strict injected quality ordering are ranked
 the challenge way: every method is tested against every other with a
 one-sided paired Wilcoxon signed-rank test at alpha 0.05; win counts map
 onto rank scores in [0.1, 1.0]; the accuracy score is the geometric mean of
-the Dice, HD95, and TRE rank scores.  Because the tests are rank-based, any
-monotone rescaling of a metric leaves the board unchanged.
+the Dice, HD95, and TRE rank scores.  Here every method beats the next on
+every case by more than the case-to-case spread, so a monotone rescaling of
+a metric leaves the board unchanged.  (In general the paired signed-rank
+test is only invariant under positive affine rescaling.)
 """
 import numpy as np
 
@@ -35,7 +37,7 @@ for row in table.rows:
     print(f"{row.method:<12} {wins:>12} {rs:>22} {row.acc_score:7.3f}  {row.final_rank}")
 
 print()
-print("sanity: a monotone transform of a metric cannot change the board")
+print("sanity: a monotone transform of a metric cannot change this board")
 transformed = [
     MetricMatrix("dsc", HIGHER_BETTER, methods, cases, np.exp(dsc)),
     MetricMatrix("hd95", LOWER_BETTER, methods, cases, np.log1p(hd95)),

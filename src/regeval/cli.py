@@ -23,7 +23,9 @@ import os
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,8 +149,35 @@ def _report_name(job: Job) -> str:
     return f"{job.method}__{job.pair_id}.json"
 
 
+@contextmanager
+def _atomic_open(path):
+    """A text file that appears at ``path`` only when the block completes.
+
+    It is written under a temporary name in the same directory and moved
+    onto ``path`` with ``os.replace``; if the block raises, the temporary
+    file is deleted and ``path`` keeps whatever it held before.  A target
+    that exists but is not a regular file (a pipe, or a device such as
+    /dev/stdout) cannot be replaced and is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def run_job(job: Job, units: str = "voxel") -> PairReport:
@@ -244,34 +273,39 @@ def load_reports(report_dir) -> list[PairReport]:
     return reports
 
 
-_METRIC_DIRECTIONS = {
-    "dsc": ranking.HIGHER_BETTER,
-    "hd95": ranking.LOWER_BETTER,
-    "tre": ranking.LOWER_BETTER,
-    "ndv": ranking.LOWER_BETTER,
-    "dsc30": ranking.HIGHER_BETTER,
-    "tre30": ranking.LOWER_BETTER,
+@dataclass(frozen=True)
+class Metric:
+    """How one rankable metric is read from a report and compared."""
+
+    direction: str
+    pairing: str
+    value: Callable[[PairReport], float | None]
+
+
+def _dsc30(report: PairReport) -> float | None:
+    vals = [v for v in report.dsc_per_label.values() if v is not None]
+    return stats.dsc30(vals) if vals else None
+
+
+def _tre30(report: PairReport) -> float | None:
+    return stats.tre30(report.tre_per_landmark) if report.tre_per_landmark else None
+
+
+METRICS = {
+    "dsc": Metric(ranking.HIGHER_BETTER, "paired", lambda r: r.dsc_mean),
+    "hd95": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.hd95_mean),
+    "tre": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.tre_mean),
+    "ndv": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.ndv),
+    "dsc30": Metric(ranking.HIGHER_BETTER, "unpaired", _dsc30),
+    "tre30": Metric(ranking.LOWER_BETTER, "unpaired", _tre30),
 }
 
-_PAIRED_METRICS = {"dsc": "paired", "hd95": "paired", "tre": "paired", "ndv": "paired",
-                   "dsc30": "unpaired", "tre30": "unpaired"}
 
-
-def _case_value(report: PairReport, metric: str) -> float | None:
-    if metric == "dsc":
-        return report.dsc_mean
-    if metric == "hd95":
-        return report.hd95_mean
-    if metric == "tre":
-        return report.tre_mean
-    if metric == "ndv":
-        return report.ndv
-    if metric == "dsc30":
-        vals = [v for v in report.dsc_per_label.values() if v is not None]
-        return stats.dsc30(vals) if vals else None
-    if metric == "tre30":
-        return stats.tre30(report.tre_per_landmark) if report.tre_per_landmark else None
-    raise MissingMethods(f"unknown metric {metric!r}")
+def metric_spec(metric_id: str) -> Metric:
+    try:
+        return METRICS[metric_id]
+    except KeyError:
+        raise MissingMethods(f"unknown metric {metric_id!r}") from None
 
 
 def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.MetricMatrix:
@@ -280,21 +314,21 @@ def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.Metri
     cases = sorted({r.pair_id for r in reports})
     if not methods:
         raise MissingMethods("reports carry no method ids")
+    spec = metric_spec(metric)
     values = np.full((len(methods), len(cases)), np.nan)
     for r in reports:
-        v = _case_value(r, metric)
+        v = spec.value(r)
         if v is not None:
             values[methods.index(r.method_id), cases.index(r.pair_id)] = v
-    pairing = _PAIRED_METRICS[metric]
-    if pairing == "paired" and not np.all(np.isfinite(values)):
+    if spec.pairing == "paired" and not np.all(np.isfinite(values)):
         raise UnpairedCases(f"{metric}: not every method covers every case")
     return ranking.MetricMatrix(
         metric_id=metric,
-        direction=_METRIC_DIRECTIONS[metric],
+        direction=spec.direction,
         methods=tuple(methods),
         cases=tuple(cases),
         values=values,
-        pairing=pairing,
+        pairing=spec.pairing,
     )
 
 
@@ -330,7 +364,8 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
         )
         per_case = {}
         for metric in summary_metrics:
-            vals = [v for r in mine if (v := _case_value(r, metric)) is not None]
+            value = METRICS[metric].value
+            vals = [v for r in mine if (v := value(r)) is not None]
             if vals:
                 per_case[metric] = vals
         cohorts[method] = stats.summarize_cohort(per_case)
@@ -358,7 +393,7 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
         return str(v)
 
     csv_path = out / "leaderboard.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEADERBOARD_COLUMNS)
         for cells in rows:
@@ -404,10 +439,11 @@ def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> in
     """Per-method correlation between two per-case metrics, as CSV rows
     method,n_cases,r,slope,intercept,note."""
     reports = load_reports(report_dir)
+    x_value, y_value = metric_spec(x_metric).value, metric_spec(y_metric).value
     methods = sorted({r.method_id for r in reports})
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
         for method in methods:
@@ -416,7 +452,7 @@ def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> in
             )
             xs, ys = [], []
             for r in mine:
-                xv, yv = _case_value(r, x_metric), _case_value(r, y_metric)
+                xv, yv = x_value(r), y_value(r)
                 if xv is not None and yv is not None:
                     xs.append(xv)
                     ys.append(yv)

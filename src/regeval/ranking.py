@@ -5,8 +5,11 @@ test in the metric's better-direction (paired Wilcoxon signed-rank for
 matrices paired over cases, Mann-Whitney U otherwise).  Win counts map
 affinely onto rank scores in [0.1, 1.0], with tied win counts sharing a
 score, and the accuracy score is the geometric mean of the per-metric rank
-scores.  Because the tests are rank-based, the final ordering is invariant
-under any strictly monotone rescaling of a metric.
+scores.  Because the tests are rank-based, the board is invariant under any
+strictly increasing rescaling of an unpaired metric.  The signed-rank test
+ranks |differences| across cases, so a paired metric keeps its board under
+positive affine rescaling, but a non-affine map can reorder the differences
+and change a win.
 """
 from __future__ import annotations
 

@@ -5,11 +5,20 @@ an exact null distribution (computed by integer-count dynamic programming,
 equivalent to full enumeration) and a tie-corrected normal approximation with
 a 0.5 continuity correction.  Exactness matters here: leaderboard positions
 hinge on p < alpha decisions, so the exact branch is used whenever feasible.
+
+An exact null depends only on the multiset of doubled ranks (signed-rank) or
+on the sample sizes ``(n, m)`` (rank-sum), so each is built once per process
+and its upper tail, as integer suffix sums, is kept in a bounded LRU cache of
+``_NULL_CACHE_SIZE`` entries.  On tie-free data a ranking run of M methods
+asks for the same null M*(M-1) times per metric.  The integer tail gives the
+same counts as the distribution it sums, so the p-values are unchanged.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,17 +116,22 @@ def summarize_cohort(per_case_values: dict) -> CohortStats:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank."""
+    """Ranks 1..n with ties sharing their average rank.
+
+    A run of ties is decided by ``==`` between sorted neighbours, so -0.0
+    ties 0.0 and every NaN is a run of its own.
+    """
+    n = values.size
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # edge[k]: a run boundary between sorted positions k - 1 and k
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=edge[1:n])
+    starts = np.flatnonzero(edge[:n])
+    ends = np.flatnonzero(edge[1:])
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -134,21 +148,43 @@ def _norm_sf(z: float) -> float:
 # Wilcoxon signed-rank test
 
 
-def _wilcoxon_exact_p_ge(doubled_ranks: list[int], w2_obs: int) -> float:
-    """P(W+ >= w_obs) under random signs, on ranks doubled to integers.
+# Entries per exact-null cache.  Under method="auto" a signed-rank key holds up
+# to 25 doubled ranks and its tail up to 652 ints; tie-heavy data can make many
+# distinct keys, so the cache must not grow without bound.
+_NULL_CACHE_SIZE = 256
 
-    Dynamic program over the distribution of the doubled positive-rank sum;
-    integer counts make this identical to enumerating all 2**n sign patterns.
+
+def _upper_tail(counts: list[int]) -> tuple[int, ...]:
+    """Suffix sums of a count distribution, with a trailing 0 for values past
+    its end: ``tail[k] == sum(counts[k:])`` for every k in 0..len(counts)."""
+    return tuple(accumulate(reversed(counts), initial=0))[::-1]
+
+
+def _tail_at(tail: tuple[int, ...], k: int) -> int:
+    return tail[min(max(k, 0), len(tail) - 1)]
+
+
+@lru_cache(maxsize=_NULL_CACHE_SIZE)
+def _wilcoxon_exact_tail(sorted_doubled_ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Upper tail of the doubled positive-rank sum over all 2**n sign patterns.
+
+    Dynamic program over the distribution of the sum; integer counts make
+    this identical to enumerating the sign patterns.
     """
-    total = sum(doubled_ranks)
+    total = sum(sorted_doubled_ranks)
     counts = [0] * (total + 1)
     counts[0] = 1
-    for r in doubled_ranks:
+    for r in sorted_doubled_ranks:
         for s in range(total, r - 1, -1):
             if counts[s - r]:
                 counts[s] += counts[s - r]
-    n_ge = sum(counts[max(w2_obs, 0) :])
-    return n_ge / (1 << len(doubled_ranks))
+    return _upper_tail(counts)
+
+
+def _wilcoxon_exact_p_ge(doubled_ranks: list[int], w2_obs: int) -> float:
+    """P(W+ >= w_obs) under random signs, on ranks doubled to integers."""
+    tail = _wilcoxon_exact_tail(tuple(sorted(doubled_ranks)))
+    return _tail_at(tail, w2_obs) / (1 << len(doubled_ranks))
 
 
 def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
@@ -215,8 +251,9 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto
 # Mann-Whitney U test
 
 
-def _mwu_exact_counts(n: int, m: int) -> list[int]:
-    """Distribution of U for sample sizes (n, m) without ties.
+@lru_cache(maxsize=_NULL_CACHE_SIZE)
+def _mwu_exact_tail(n: int, m: int) -> tuple[int, ...]:
+    """Upper tail of the distribution of U for sample sizes (n, m) without ties.
 
     f[k][u] after considering the j-th smallest pooled rank counts the ways
     to assign k of them to x with U = u; built with the classic recurrence
@@ -236,7 +273,7 @@ def _mwu_exact_counts(n: int, m: int) -> list[int]:
             for u in range(max_u - shift, -1, -1):
                 if prev[u]:
                     row[u + shift] += prev[u]
-    return f[n]
+    return _upper_tail(f[n])
 
 
 def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
@@ -272,9 +309,7 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
     if use_exact and has_ties:
         raise ValueError("exact Mann-Whitney null is only defined for tie-free data")
     if use_exact:
-        counts = _mwu_exact_counts(n, m)
-        u_int = int(round(u_x))
-        n_ge = sum(counts[u_int:])
+        n_ge = _tail_at(_mwu_exact_tail(n, m), int(round(u_x)))
         p = n_ge / math.comb(n + m, n)
         return TestResult(u_x, min(p, 1.0), n + m, "exact")
 

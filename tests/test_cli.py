@@ -1,6 +1,8 @@
 import csv
 import gzip
 import json
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -326,6 +328,111 @@ class TestCorrelate:
             row = next(csv.DictReader(fh))
         assert row["note"] == "degenerate"
         assert row["r"] == ""
+
+
+class TestMetricTable:
+    def test_every_metric_has_a_direction_and_pairing(self):
+        assert set(cli.METRICS) == {"dsc", "hd95", "tre", "ndv", "dsc30", "tre30"}
+        for spec in cli.METRICS.values():
+            assert spec.direction in ("higher", "lower")
+            assert spec.pairing in ("paired", "unpaired")
+
+    @pytest.mark.parametrize("command", ["rank", "correlate"])
+    def test_unknown_metric_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b"])
+        out = tmp_path / "out"
+        if command == "rank":
+            argv = ["--out", str(out), "rank", str(reports), "--metrics", "dsc,foo"]
+        else:
+            argv = ["--out", str(out / "corr.csv"), "correlate", str(reports), "dsc", "foo"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: unknown metric 'foo'\n"
+        assert not (out / "corr.csv").exists() and not (out / "leaderboard.csv").exists()
+
+
+class TestAtomicWrites:
+    def test_json_failing_midway_keeps_old_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+        # sorted keys: "a" is written before "b" fails to serialise
+        with pytest.raises(TypeError):
+            cli._write_json({"a": 1, "b": object()}, target)
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_json_failing_midway_leaves_no_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            cli._write_json({"a": [1, 2, 3], "b": object()}, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_removes_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError):
+            cli._write_json({"a": 1}, tmp_path / "report.json")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pipe_target_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.json"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._write_json({"a": 1}, fifo)
+            data = os.read(reader, 65536)
+        finally:
+            os.close(reader)
+        assert data == b'{\n  "a": 1\n}\n'
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_json_bytes_unchanged(self, tmp_path):
+        obj = {"b": [1.5, None, {"z": 0.1, "a": "x"}], "a": 1e-300}
+        cli._write_json(obj, tmp_path / "r.json")
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "r.json").read_bytes() == want.encode("utf-8")
+
+    def test_leaderboard_failing_midway_keeps_previous_board(self, tmp_path, monkeypatch):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b", "c"])
+        out = tmp_path / "rank"
+        assert cli.main(["--out", str(out), "rank", str(reports)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_writer = csv.writer
+
+        class FailingWriter:
+            def __init__(self, fh, **kwargs):
+                self.inner = real_writer(fh, **kwargs)
+                self.rows = 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 3:
+                    raise RuntimeError("disk went away")
+                self.inner.writerow(row)
+
+        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+        with pytest.raises(RuntimeError):
+            cli.cmd_rank(str(reports), str(out), ["dsc", "hd95", "tre"])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_correlate_failing_midway_leaves_no_file(self, tmp_path, monkeypatch):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b", "c"])
+
+        def tre_or_fail(report):
+            if report.method_id == "c":
+                raise RuntimeError("extractor failed")
+            return report.tre_mean
+
+        monkeypatch.setitem(cli.METRICS, "tre", cli.Metric("lower", "paired", tre_or_fail))
+        out_dir = tmp_path / "corr"
+        out_dir.mkdir()
+        with pytest.raises(RuntimeError):
+            cli.cmd_correlate(str(reports), "dsc", "tre", str(out_dir / "corr.csv"))
+        assert list(out_dir.iterdir()) == []
 
 
 class TestBench:

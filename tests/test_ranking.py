@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regeval import errors, ranking
 from regeval.ranking import (
@@ -198,3 +201,71 @@ class TestRankMethodsPipeline:
         vals = np.array([[1.0, np.nan], [0.5, 0.4]])
         with pytest.raises(errors.UnpairedCases):
             matrix(vals)
+
+
+# --- invariance under rescaling, as a property ---------------------------------
+
+
+def rescaled(m: MetricMatrix, fn) -> MetricMatrix:
+    return MetricMatrix(
+        metric_id=m.metric_id,
+        direction=m.direction,
+        methods=m.methods,
+        cases=m.cases,
+        values=fn(m.values),
+        pairing=m.pairing,
+    )
+
+
+def board(table) -> list:
+    return [(r.method, r.wins, r.rank_scores, r.acc_score, r.final_rank) for r in table.rows]
+
+
+@st.composite
+def integer_matrices(draw, pairing):
+    """2-4 methods x 1-12 cases of small integers: ties and, when paired,
+    zero differences are common."""
+    k = draw(st.integers(2, 4))
+    c = draw(st.integers(1, 12))
+    width = draw(st.sampled_from([3, 30]))
+    values = draw(arrays(np.int64, (k, c), elements=st.integers(-width, width)))
+    direction = draw(st.sampled_from([HIGHER_BETTER, LOWER_BETTER]))
+    return matrix(values, direction=direction, pairing=pairing, metric_id=f"{pairing}-m")
+
+
+# strictly increasing on the integers drawn above, also in float64
+INCREASING_MAPS = (lambda v: v**3, lambda v: np.exp(v / 8.0), lambda v: np.arctan(v / 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices("unpaired"), st.sampled_from(range(len(INCREASING_MAPS))))
+def test_unpaired_board_invariant_under_increasing_rescaling(m, which):
+    fn = INCREASING_MAPS[which]
+    grid = np.arange(-30, 31, dtype=np.float64)
+    assert np.all(np.diff(fn(grid)) > 0)
+    table, scores = rank_methods([m])
+    table2, scores2 = rank_methods([rescaled(m, fn)])
+    assert scores2 == scores
+    assert board(table2) == board(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices("paired"), st.integers(-3, 3), st.integers(-50, 50))
+def test_paired_board_invariant_under_positive_affine_rescaling(m, log2_scale, shift):
+    # a power-of-two scale and an integer shift are exact in float64, so the
+    # |differences| keep their order and ties
+    table, scores = rank_methods([m])
+    table2, scores2 = rank_methods([rescaled(m, lambda v: v * 2.0**log2_scale + shift)])
+    assert scores2 == scores
+    assert board(table2) == board(table)
+
+
+def test_paired_wins_can_change_under_nonlinear_rescaling():
+    # The signed-rank test ranks |a - b| across cases, so a monotone but
+    # non-affine map can reorder the differences: here a loses one case by
+    # the largest raw margin, which log turns into the smallest.
+    a = [1.1, 2.1, 3.1, 4.1, 5.1, 6.1, 7.1, 1000.0]
+    b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 1001.0]
+    m = matrix([a, b], methods=["a", "b"])
+    assert pairwise_wins(m) == {"a": 0, "b": 0}
+    assert pairwise_wins(rescaled(m, np.log)) == {"a": 1, "b": 0}

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regeval import errors, stats
 from regeval.stats import (
@@ -245,6 +247,195 @@ class TestMannWhitney:
     def test_empty_input(self):
         with pytest.raises(errors.EmptyInput):
             mann_whitney_u([], [1.0])
+
+
+# --- exact nulls: brute force, cold and warm cache ----------------------------
+
+
+def wilcoxon_brute_p_ge(d):
+    """P(W+ >= w_obs) by counting all 2**n sign patterns of the doubled
+    average ranks of |d|, ranked here by counting, as exact integers."""
+    d = np.asarray(d, dtype=np.float64)
+    nz = d[d != 0.0]
+    n = nz.size
+    abs_d = np.abs(nz)
+    doubled = np.array([2 * np.sum(abs_d < v) + np.sum(abs_d == v) + 1 for v in abs_d])
+    w2_obs = int(doubled[nz > 0].sum())
+    signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    count = int(np.count_nonzero(signs @ doubled >= w2_obs))
+    return count / (1 << n)
+
+
+def mwu_brute_p_ge(x, y):
+    """P(U >= u_obs) by counting all C(n+m, n) splits of tie-free ranks."""
+    n, m = len(x), len(y)
+    pooled = np.concatenate([x, y])
+    ranks = np.argsort(np.argsort(pooled)) + 1
+    u_obs = int(ranks[:n].sum()) - n * (n + 1) // 2
+    count = sum(
+        sum(combo) - n * (n + 1) // 2 >= u_obs
+        for combo in itertools.combinations(range(1, n + m + 1), n)
+    )
+    return count / math.comb(n + m, n)
+
+
+def clear_null_caches():
+    stats._wilcoxon_exact_tail.cache_clear()
+    stats._mwu_exact_tail.cache_clear()
+
+
+class TestExactNullCache:
+    def wilcoxon_cases(self, rng):
+        cases = []
+        for _ in range(80):
+            n = int(rng.integers(1, 13))
+            # narrow integer draws: tied magnitudes and zero differences
+            width = int(rng.choice([2, 4, 50]))
+            cases.append(rng.integers(-width, width + 1, n).astype(np.float64))
+        return cases
+
+    def test_wilcoxon_equals_sign_pattern_enumeration_cold_and_warm(self, rng):
+        cases = self.wilcoxon_cases(rng)
+        want = [wilcoxon_brute_p_ge(d) if np.any(d) else None for d in cases]
+        clear_null_caches()
+        for _ in ("cold", "warm"):
+            for d, p in zip(cases, want):
+                res = wilcoxon_signed_rank(d, np.zeros(d.size), "greater", method="exact")
+                if p is None:
+                    assert res.method == "degenerate"
+                else:
+                    assert res.method == "exact"
+                    assert res.p_one_sided == p
+        info = stats._wilcoxon_exact_tail.cache_info()
+        assert info.hits >= len([p for p in want if p is not None])
+
+    def test_mann_whitney_equals_split_enumeration_cold_and_warm(self, rng):
+        cases = []
+        for _ in range(40):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            pooled = rng.permutation(n + m).astype(np.float64)
+            cases.append((pooled[:n], pooled[n:]))
+        want = [mwu_brute_p_ge(x, y) for x, y in cases]
+        clear_null_caches()
+        for _ in ("cold", "warm"):
+            for (x, y), p in zip(cases, want):
+                res = mann_whitney_u(x, y, "greater", method="exact")
+                assert res.method == "exact"
+                assert res.p_one_sided == p
+        assert stats._mwu_exact_tail.cache_info().hits >= len(cases)
+
+    def test_tail_is_suffix_sums_with_a_zero_past_the_end(self):
+        assert stats._upper_tail([1, 2, 3, 4]) == (10, 9, 7, 4, 0)
+        assert stats._upper_tail([5]) == (5, 0)
+        # ranks {1, 2} doubled: sums 0, 2, 4, 6 over four sign patterns
+        assert stats._wilcoxon_exact_p_ge([4, 2], 0) == 1.0
+        assert stats._wilcoxon_exact_p_ge([4, 2], -3) == 1.0
+        assert stats._wilcoxon_exact_p_ge([4, 2], 5) == 0.25
+        assert stats._wilcoxon_exact_p_ge([4, 2], 6) == 0.25
+        assert stats._wilcoxon_exact_p_ge([4, 2], 7) == 0.0
+
+    def test_key_is_the_rank_multiset(self):
+        clear_null_caches()
+        a = stats._wilcoxon_exact_p_ge([6, 2, 3, 3], 7)
+        b = stats._wilcoxon_exact_p_ge([3, 3, 2, 6], 7)
+        assert a == b
+        assert stats._wilcoxon_exact_tail.cache_info().currsize == 1
+
+    def test_cache_is_bounded(self):
+        clear_null_caches()
+        size = stats._NULL_CACHE_SIZE
+        for k in range(1, size + 50):
+            stats._wilcoxon_exact_p_ge([k], 0)
+            stats._mwu_exact_tail(1, k)
+        for cached in (stats._wilcoxon_exact_tail, stats._mwu_exact_tail):
+            info = cached.cache_info()
+            assert info.maxsize == size
+            assert info.currsize == size
+        clear_null_caches()
+
+
+# --- average ranks -------------------------------------------------------------
+
+
+def loop_average_ranks(values):
+    """The scalar loop the vectorised ranks replaced, kept as the reference."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.5],
+            [np.nan],
+            [2.0, 1.0, 2.0, 2.0, 0.5],
+            [0.0, -0.0, 0.0, 1.0, -0.0],
+            [np.nan, 1.0, np.nan, 1.0, np.inf, -np.inf, np.nan],
+            [5.0] * 9,
+        ],
+    )
+    def test_equals_the_loop_byte_for_byte(self, values):
+        v = np.array(values, dtype=np.float64)
+        assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+
+    def test_strided_and_fortran_views(self, rng):
+        grid = np.asfortranarray(rng.integers(0, 4, (7, 9)).astype(np.float64))
+        views = [grid[2], grid[:, 3], grid.ravel(order="K")[::3], grid[::-1, 0]]
+        for v in views:
+            assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf]) | st.floats(),
+            max_size=40,
+        )
+    )
+    def test_equals_the_loop_on_any_floats(self, values):
+        v = np.array(values, dtype=np.float64)
+        assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+
+
+# --- direction swap, as a property -----------------------------------------------
+
+# small ranges make tied values and zero differences common; wide ones
+# reach the tie-free exact branch of the rank-sum test
+sample_values = st.integers(-3, 3) | st.integers(-60, 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(sample_values, sample_values), min_size=1, max_size=30))
+def test_wilcoxon_less_is_swapped_greater(pairs):
+    x = np.array([a for a, _ in pairs], dtype=np.float64)
+    y = np.array([b for _, b in pairs], dtype=np.float64)
+    less = wilcoxon_signed_rank(x, y, "less")
+    swapped = wilcoxon_signed_rank(y, x, "greater")
+    assert less.p_one_sided == swapped.p_one_sided
+    assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(sample_values, min_size=1, max_size=14),
+    st.lists(sample_values, min_size=1, max_size=14),
+)
+def test_mann_whitney_less_is_swapped_greater(xs, ys):
+    x, y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
+    less = mann_whitney_u(x, y, "less")
+    swapped = mann_whitney_u(y, x, "greater")
+    assert less.p_one_sided == swapped.p_one_sided
+    assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
 
 
 # --- Pearson -----------------------------------------------------------------
