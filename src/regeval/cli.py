@@ -25,7 +25,6 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +42,7 @@ from .errors import (
 from .metrics import PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
+    atomic_open,
     read_field,
     read_landmarks,
     read_volume,
@@ -149,33 +149,8 @@ def _report_name(job: Job) -> str:
     return f"{job.method}__{job.pair_id}.json"
 
 
-@contextmanager
-def _atomic_open(path):
-    """A text file that appears at ``path`` only when the block completes.
-
-    It is written under a temporary name in the same directory and moved
-    onto ``path`` with ``os.replace``; if the block raises, the temporary
-    file is deleted and ``path`` keeps whatever it held before.  A target
-    that exists but is not a regular file (a pipe, or a device such as
-    /dev/stdout) cannot be replaced and is written in place.
-    """
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _write_json(obj, path) -> None:
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -224,6 +199,15 @@ def worker_count(requested: int, n_jobs: int) -> int:
     return min(requested, n_jobs, cpu_count())
 
 
+def _load_kdtree() -> None:
+    """Load HD95's KD-tree module (``scipy.spatial``) ahead of the jobs, so
+    that bench does not time the import and eval workers inherit it instead
+    of each importing it.  They inherit it only under the ``fork`` start
+    method, the default on Linux before Python 3.14; under ``forkserver``
+    or ``spawn`` each worker imports it on its first HD95."""
+    import scipy.spatial  # noqa: F401
+
+
 def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
     for failures.  Output bytes are independent of the worker count."""
@@ -235,6 +219,7 @@ def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -
     if jobs <= 1:
         results = [_eval_one(w) for w in work]
     else:
+        _load_kdtree()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_one, work))
     errors = sorted(
@@ -393,7 +378,7 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
         return str(v)
 
     csv_path = out / "leaderboard.csv"
-    with _atomic_open(csv_path) as fh:
+    with atomic_open(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEADERBOARD_COLUMNS)
         for cells in rows:
@@ -443,7 +428,7 @@ def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> in
     methods = sorted({r.method_id for r in reports})
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with _atomic_open(path) as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
         for method in methods:
@@ -471,6 +456,7 @@ def bench_job(job: Job, repeats: int = 10, units: str = "voxel") -> dict:
     """Wall-clock samples of the full job: file reads, evaluation, report
     write.  Matches the runtime protocol of timing on CPU including I/O."""
     samples = []
+    _load_kdtree()
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()

@@ -16,11 +16,11 @@ Conventions fixed here (the evaluation protocol leaves them open):
 """
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimMismatch,
@@ -190,12 +190,25 @@ def _diagonal_mm(dims, spacing) -> float:
 
 
 def _hd95_from_coords(coords_a: np.ndarray, coords_b: np.ndarray, spacing) -> float:
+    # imported here so that commands without HD95 (rank, correlate, ic)
+    # never load scipy; eval loads it once before its workers fork
+    from scipy.spatial import cKDTree
+
     sp = np.asarray(spacing, dtype=np.float64)
     pa = coords_a * sp
     pb = coords_b * sp
-    d_ab, _ = cKDTree(pb).query(pa, workers=-1)
-    d_ba, _ = cKDTree(pa).query(pb, workers=-1)
+    workers = _query_workers()
+    d_ab, _ = cKDTree(pb).query(pa, workers=workers)
+    d_ba, _ = cKDTree(pa).query(pb, workers=workers)
     return max(percentile(d_ab, 95.0), percentile(d_ba, 95.0))
+
+
+def _query_workers() -> int:
+    """KD-tree query threads: one inside a worker process of a pool (eval's
+    pool already runs one worker per CPU, so more threads only contend),
+    every CPU in a lone process (``eval --jobs 1``, ``bench``).  The
+    distances do not depend on it."""
+    return 1 if multiprocessing.parent_process() is not None else -1
 
 
 def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):

@@ -88,9 +88,11 @@ def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
     """Count, per method, the opponents it beats at the given alpha.
 
     Method A beats B when the one-sided test of A-better-than-B in the
-    metric's direction yields p < alpha.
+    metric's direction yields p < alpha.  For a lower-is-better metric
+    that is the "greater" test of B over A, which is how both tests compute
+    their "less" p-value anyway.
     """
-    better = "greater" if matrix.direction == HIGHER_BETTER else "less"
+    higher = matrix.direction == HIGHER_BETTER
     test = wilcoxon_signed_rank if matrix.pairing == "paired" else mann_whitney_u
     wins = {m: 0 for m in matrix.methods}
     for i, a in enumerate(matrix.methods):
@@ -100,7 +102,7 @@ def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
             va, vb = matrix.values[i], matrix.values[j]
             if matrix.pairing == "unpaired":
                 va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
-            result = test(va, vb, alternative=better)
+            result = test(va, vb) if higher else test(vb, va)
             if result.p_one_sided < alpha:
                 wins[a] += 1
     return wins

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
 from .metrics import _LnccTerms
@@ -177,6 +176,15 @@ def _upsample_state(state: np.ndarray, fine_dims) -> np.ndarray:
     pts = (identity_grid(tuple(fine_dims)).reshape(-1, 3) - 0.5) / 2.0
     up = _trilinear(state, pts).reshape(tuple(fine_dims) + (3,))
     return 2.0 * up
+
+
+def gaussian_filter(*args, **kwargs):
+    """``scipy.ndimage.gaussian_filter``, imported on the first call so that
+    importing the package does not load scipy.  A module-level name, so
+    that ``perfbench/tracer.py`` can time the update smoothing through it."""
+    from scipy import ndimage
+
+    return ndimage.gaussian_filter(*args, **kwargs)
 
 
 def _smooth_update(g: np.ndarray, sigma: float) -> np.ndarray:

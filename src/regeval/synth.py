@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import BadParams, SpecInvalid
 from .volio import (
@@ -24,6 +23,7 @@ from .volio import (
     DisplacementField,
     LandmarkSet,
     Volume,
+    atomic_open,
     write_landmarks,
     write_nifti,
 )
@@ -98,6 +98,8 @@ def make_phantom(spec: PhantomSpec) -> tuple[Volume, Volume, LandmarkSet]:
     for k in range(spec.label_count):
         image[labels == k + 1] = intensities[k]
     if spec.noise_sigma > 0:
+        from scipy.ndimage import gaussian_filter  # loaded only when smoothing
+
         noise = gaussian_filter(rng.standard_normal(dims), sigma=1.0)
         image = image + spec.noise_sigma * noise
 
@@ -163,6 +165,8 @@ def make_velocity(kind: Svf, dims) -> VelocityField:
     dims = tuple(int(d) for d in dims)
     if kind.amplitude < 0 or kind.smoothness <= 0:
         raise BadParams(f"bad Svf parameters {kind}")
+    from scipy.ndimage import gaussian_filter  # loaded only when smoothing
+
     header = AffineHeader.isotropic(dims)
     rng = np.random.default_rng(kind.seed)
     v = np.stack(
@@ -370,8 +374,10 @@ def make_cohort(
                 ]
             )
 
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_open(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     header = "method,pair_id,fixed_seg,moving_seg,field,landmarks_fixed,landmarks_moving,mask"
     lines = [header] + [",".join(row) for row in csv_rows]
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    with atomic_open(out / "manifest.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
     return manifest

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import gzip
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -84,8 +86,14 @@ class AffineHeader:
         if sp.shape != (3,) or not np.all(np.isfinite(sp)) or np.any(sp <= 0):
             raise UnsupportedLayout(f"spacing must be 3 positive finite reals, got {self.spacing}")
         aff = np.asarray(self.affine, dtype=float)
-        if aff.shape != (4, 4) or abs(np.linalg.det(aff[:3, :3])) == 0.0:
-            raise UnsupportedLayout("voxel-to-world matrix must be 4x4 with nonzero 3x3 determinant")
+        if (
+            aff.shape != (4, 4)
+            or not np.all(np.isfinite(aff))
+            or abs(np.linalg.det(aff[:3, :3])) == 0.0
+        ):
+            raise UnsupportedLayout(
+                "voxel-to-world matrix must be 4x4 and finite with nonzero 3x3 determinant"
+            )
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
         object.__setattr__(self, "affine", aff)
@@ -271,7 +279,9 @@ def read_nifti(path):
 
     slope, inter = float(scl[0]), float(scl[1])
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
-        data = data * slope + inter
+        # a float32 payload can overflow to inf; the checks below reject it
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = data * slope + inter
 
     spacing = tuple(float(abs(p)) for p in pixdim[1:4])
     if any(s <= 0 or not np.isfinite(s) for s in spacing):
@@ -295,7 +305,10 @@ def read_nifti(path):
             raise NonFiniteData(f"{path}: scalar volume contains non-finite values")
         return Volume(header=header, kind="scalar", data=shaped)
     if shaped.dtype.kind == "f":  # integer file with nontrivial scaling
-        shaped = np.rint(shaped).astype(np.int32)
+        shaped = np.rint(shaped)
+        if not np.all(np.abs(shaped) <= np.iinfo(np.int32).max):  # NaN fails too
+            raise InvalidLabelData(f"{path}: scaled label values do not fit int32")
+        shaped = shaped.astype(np.int32)
     if shaped.min() < 0:
         raise InvalidLabelData(f"{path}: label volume contains negative values")
     return Volume(header=header, kind="label", data=shaped)
@@ -364,23 +377,56 @@ def _build_header(obj, dtype: np.dtype) -> bytes:
     return bytes(hdr)
 
 
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """A file that appears at ``path`` only when the block completes.
+
+    It is written under a temporary name in the same directory and moved
+    onto ``path`` with ``os.replace``; if the block raises, the temporary
+    file is deleted and ``path`` keeps whatever it held before.  A target
+    that exists but is not a regular file (a pipe, or a device such as
+    /dev/stdout) cannot be replaced and is written in place.  A symbolic
+    link is followed, so the file it names is replaced and the link stays.
+    The new file has the default permissions, not those of the old one.
+    Text files are UTF-8 with no newline translation.
+    """
+    path = Path(path)
+    mode, text = ("wb", {}) if binary else ("w", {"newline": "", "encoding": "utf-8"})
+    if path.exists() and not path.is_file():
+        with open(path, mode, **text) as fh:
+            yield fh
+        return
+    if path.is_symlink():
+        path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_nifti(obj, path, use_gzip: bool = False) -> None:
     """Write a Volume or DisplacementField as single-file NIfTI-1.
 
     Payload dtype follows the in-memory dtype (float32/float64 for scalars
     and fields, the native integer type for labels), so write followed by
     read reproduces the object bit-exactly.  Fields are emitted in the
-    5D ``dim[4] == 1, dim[5] == 3`` layout.
+    5D ``dim[4] == 1, dim[5] == 3`` layout.  The file is written through
+    ``atomic_open``, so a failed write keeps any earlier file at ``path``.
     """
     dtype = _payload_dtype(obj)
     header = _build_header(obj, dtype)
     payload = np.ascontiguousarray(obj.data.ravel(order="F"), dtype=dtype).tobytes()
     blob = header + b"\x00\x00\x00\x00" + payload
+    if use_gzip:
+        # mtime pinned so identical objects produce identical bytes
+        blob = gzip.compress(blob, mtime=0)
     try:
-        if use_gzip:
-            # mtime pinned so identical objects produce identical bytes
-            blob = gzip.compress(blob, mtime=0)
-        Path(path).write_bytes(blob)
+        with atomic_open(path, binary=True) as fh:
+            fh.write(blob)
     except OSError as exc:
         raise IoFailure(f"could not write {path}: {exc}") from exc
 
@@ -429,7 +475,7 @@ def read_landmarks(path) -> LandmarkSet:
 def write_landmarks(landmarks: LandmarkSet, path) -> None:
     """Write a LandmarkSet as a ``name,x,y,z`` CSV (inverse of read_landmarks)."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["name", "x", "y", "z"])
             for name, p in zip(landmarks.names, landmarks.points):

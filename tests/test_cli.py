@@ -4,6 +4,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,96 @@ class TestWorkerCount:
         assert cli.main(["--jobs", "1000", "--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
         assert sizes == [4]
         assert len(sorted(out.glob("*__*.json"))) == 6
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a new interpreter, so the modules this test
+    session has already imported cannot hide what the code loads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+class TestStartupImports:
+    def test_package_import_loads_no_scipy(self):
+        code = f"import sys, regeval, regeval.cli, regeval.refreg; print({SCIPY_MODULES})"
+        assert run_fresh(code) == "[]"
+
+    @pytest.mark.parametrize("command", ["rank", "correlate", "ic"])
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path, command):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b", "c"], n_cases=6)
+        if command == "rank":
+            argv = ["--out", str(tmp_path / "rank"), "rank", str(reports)]
+        elif command == "correlate":
+            argv = ["--out", str(tmp_path / "corr.csv"), "correlate", str(reports), "dsc", "tre"]
+        else:
+            zero = DisplacementField.zero(AffineHeader.isotropic((4, 4, 4)))
+            write_nifti(zero, tmp_path / "f.nii")
+            argv = ["ic", str(tmp_path / "f.nii"), str(tmp_path / "f.nii")]
+        code = (
+            "import sys\n"
+            "from regeval import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            f"print({SCIPY_MODULES})"
+        )
+        assert run_fresh(code, *argv).splitlines()[-1] == "[]"
+
+    def test_eval_loads_kdtree_before_its_pool_starts(self, cohort, tmp_path):
+        # a stand-in pool notes what is loaded when it is built (forked
+        # workers inherit exactly that) and then runs the jobs in-process
+        code = """
+import sys
+from regeval import cli
+
+seen = []
+
+class StandInPool:
+    def __init__(self, max_workers):
+        seen.append((max_workers, "scipy.spatial" in sys.modules))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+cli.ProcessPoolExecutor = StandInPool
+cli.cpu_count = lambda: 2
+assert cli.main(sys.argv[1:]) == 0
+print(seen)
+"""
+        argv = ["--jobs", "2", "--out", str(tmp_path / "reports"), "eval", str(cohort / "manifest.csv")]
+        assert run_fresh(code, *argv) == "[(2, True)]"
+
+    def test_bench_times_no_import(self, cohort):
+        # every timed job, the first included, starts with the KD-tree loaded
+        code = """
+import sys
+from regeval import cli
+
+seen = []
+run_job = cli.run_job
+
+def noting_run_job(*args, **kwargs):
+    seen.append("scipy.spatial" in sys.modules)
+    return run_job(*args, **kwargs)
+
+cli.run_job = noting_run_job
+assert cli.main(sys.argv[1:]) == 0
+print(seen)
+"""
+        argv = ["bench", str(cohort / "manifest.csv"), "--repeats", "2"]
+        assert run_fresh(code, *argv).splitlines()[-1] == "[True, True]"
 
 
 class TestUnreadableInputs:

@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,19 @@ class TestHd95:
             got = hd95(label_volume(a), label_volume(b), 1, spacing=spacing)
             want = hd95_oracle(a, b, 1, spacing)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_query_threads_one_per_pool_worker_and_same_distance(self, rng):
+        # a lone process queries on every CPU; a pool worker, whose siblings
+        # already use the other CPUs, on one thread; the value is the same
+        a = (rng.random((16, 16, 16)) < 0.3).astype(np.int16)
+        b = (rng.random((16, 16, 16)) < 0.3).astype(np.int16)
+        fixed, warped = label_volume(a), label_volume(b)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            in_worker = pool.submit(metrics._query_workers).result()
+            worker_hd95 = pool.submit(hd95, fixed, warped, 1).result()
+        assert metrics._query_workers() == -1
+        assert in_worker == 1
+        assert worker_hd95 == hd95(fixed, warped, 1)
 
 
 # --- TRE ---------------------------------------------------------------------

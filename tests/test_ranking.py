@@ -14,6 +14,7 @@ from regeval.ranking import (
     rank_methods,
     wins_to_rank_scores,
 )
+from regeval.stats import mann_whitney_u, wilcoxon_signed_rank
 
 
 def matrix(values, direction=HIGHER_BETTER, methods=None, pairing="paired", metric_id="m"):
@@ -269,3 +270,54 @@ def test_paired_wins_can_change_under_nonlinear_rescaling():
     m = matrix([a, b], methods=["a", "b"])
     assert pairwise_wins(m) == {"a": 0, "b": 0}
     assert pairwise_wins(rescaled(m, np.log)) == {"a": 1, "b": 0}
+
+
+# --- the swapped test call against the "less" alternative ------------------------
+
+
+@st.composite
+def gapped_matrices(draw):
+    """2-4 methods x 1-30 cases with ties, zero differences and, when
+    unpaired, NaN gaps (every method keeps its first case)."""
+    pairing = draw(st.sampled_from(["paired", "unpaired"]))
+    k = draw(st.integers(2, 4))
+    c = draw(st.integers(1, 30))
+    elements = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    values = draw(arrays(np.float64, (k, c), elements=elements))
+    if pairing == "unpaired":
+        gaps = draw(arrays(np.bool_, (k, c)))
+        gaps[:, 0] = False
+        values[gaps] = np.nan
+    direction = draw(st.sampled_from([HIGHER_BETTER, LOWER_BETTER]))
+    return matrix(values, direction=direction, pairing=pairing)
+
+
+def p_values_via_alternative(m: MetricMatrix) -> dict:
+    """p of "row method beats column method", asked the direct way:
+    ``alternative="less"`` for a lower-is-better metric."""
+    better = "greater" if m.direction == HIGHER_BETTER else "less"
+    test = wilcoxon_signed_rank if m.pairing == "paired" else mann_whitney_u
+    p = {}
+    for i, a in enumerate(m.methods):
+        for j, b in enumerate(m.methods):
+            if i != j:
+                va, vb = m.values[i], m.values[j]
+                if m.pairing == "unpaired":
+                    va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
+                p[a, b] = test(va, vb, alternative=better).p_one_sided
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(gapped_matrices(), st.data())
+def test_pairwise_wins_equal_the_less_alternative(m, data):
+    p = p_values_via_alternative(m)
+    # a threshold at one of the p-values, or just above it, flips a win if
+    # that p-value differs in its last bit
+    at = data.draw(st.sampled_from(sorted(set(p.values()))))
+    for alpha in (0.05, at, float(np.nextafter(at, 2.0))):
+        want = {a: sum(p[a, b] < alpha for b in m.methods if b != a) for a in m.methods}
+        assert pairwise_wins(m, alpha=alpha) == want

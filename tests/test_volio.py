@@ -1,7 +1,17 @@
 import gzip
+import os
+import stat
+import struct
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regeval import errors, volio
 from regeval.volio import AffineHeader, DisplacementField, Volume
@@ -144,6 +154,101 @@ class TestReadErrors:
             write_and_read(tmp_path, blob)
 
 
+class TestHeaderValues:
+    def base(self):
+        data = np.full((2, 2, 2), 3, dtype=np.int16)
+        return bytearray(craft_nifti(data, datatype=4, dim=(3, 2, 2, 2, 1, 1, 1, 1)))
+
+    def test_non_finite_sform_rejected(self, tmp_path):
+        raw = self.base()
+        struct.pack_into("<4f", raw, 280, float("nan"), 0.0, 0.0, 0.0)
+        struct.pack_into("<4f", raw, 296, 0.0, 1.0, 0.0, 0.0)
+        struct.pack_into("<4f", raw, 312, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(errors.UnsupportedLayout):
+            write_and_read(tmp_path, bytes(raw))
+
+    @pytest.mark.parametrize("scl", [(1e30, 0.0), (float("nan"), 0.0), (1.0, float("inf"))])
+    def test_label_scaling_out_of_int32_rejected(self, tmp_path, scl):
+        raw = self.base()
+        struct.pack_into("<2f", raw, 112, *scl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.InvalidLabelData):
+                write_and_read(tmp_path, bytes(raw))
+
+    def test_float_scaling_overflow_is_non_finite_data(self, tmp_path):
+        data = np.full((2, 2, 2), 4.0, dtype=np.float32)
+        blob = craft_nifti(data, datatype=16, dim=(3, 2, 2, 2, 1, 1, 1, 1), scl=(3e38, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.NonFiniteData):
+                write_and_read(tmp_path, blob)
+
+
+# Valid files of every datatype and layout, crafted without the library writer.
+_FUZZ_BASES = (
+    craft_nifti(np.arange(24).reshape((3, 4, 2)), 2, (3, 3, 4, 2, 1, 1, 1, 1)),
+    craft_nifti(np.arange(24).reshape((3, 4, 2)), 4, (4, 3, 4, 2, 1, 1, 1, 1), scl=(2.0, 1.0)),
+    craft_nifti(np.arange(24).reshape((3, 4, 2)), 8, (3, 3, 4, 2, 1, 1, 1, 1)),
+    craft_nifti(np.linspace(-3, 3, 24).reshape((3, 4, 2)), 16, (3, 3, 4, 2, 1, 1, 1, 1)),
+    craft_nifti(np.linspace(-3, 3, 36).reshape((2, 3, 2, 3)), 64, (4, 2, 3, 2, 3, 1, 1, 1)),
+    craft_nifti(np.linspace(-3, 3, 36).reshape((2, 3, 2, 1, 3)), 16, (5, 2, 3, 2, 1, 3, 1, 1)),
+)
+_F32 = st.one_of(
+    st.floats(width=32),
+    st.sampled_from([3.4e38, -3.4e38, 1e-45, 0.0, -0.0, float("nan"), float("inf")]),
+)
+_HEADER_MUTATION = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 420), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 420)),
+    # dim[0..7] and datatype / bitpix
+    st.tuples(
+        st.just("<h"),
+        st.sampled_from([0, 40, 42, 44, 46, 48, 50, 52, 54, 70, 72]),
+        st.one_of(st.integers(-32768, 32767), st.sampled_from([-1, 0, 1, 3, 32767])),
+    ),
+    # pixdim, vox_offset, scl_slope / scl_inter and the sform rows
+    st.tuples(
+        st.just("<f"),
+        st.sampled_from([76, 80, 84, 88, 108, 112, 116] + list(range(280, 328, 4))),
+        _F32,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_FUZZ_BASES),
+    st.lists(_HEADER_MUTATION, min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_read_nifti_on_mutated_header_succeeds_or_raises_regeval_error(base, mutations, zipped):
+    raw = bytearray(base)
+    for kind, *args in mutations:
+        if kind == "flip":
+            offset, mask = args
+            if offset < len(raw):
+                raw[offset] ^= mask
+        elif kind == "truncate":
+            del raw[args[0]:]
+        elif args[0] + struct.calcsize(kind) <= len(raw):
+            struct.pack_into(kind, raw, args[0], args[1])
+    blob = gzip.compress(bytes(raw)) if zipped else bytes(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.nii"
+        path.write_bytes(blob)
+        # a numpy warning would mean a value went non-finite or out of range
+        # unchecked, so it counts as a failure too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                obj = volio.read_nifti(path)
+            except errors.RegEvalError:
+                return
+    assert isinstance(obj, (Volume, DisplacementField))
+    assert np.all(np.isfinite(obj.data))
+
+
 class TestWriteNifti:
     @pytest.mark.parametrize(
         "np_dtype,kind",
@@ -239,6 +344,80 @@ class TestWriteNifti:
                 back = volio.read_nifti(path)
                 assert back.header.dims == dims
                 assert np.array_equal(back.data, data)
+
+
+# Writes a 32^3 random float64 volume under a 4 KiB file-size limit, so the
+# write fails partway through the payload with EFBIG, as on a full disk.
+_WRITE_OVER_LIMIT = """
+import resource, signal, sys
+import numpy as np
+from regeval import errors, volio
+vol = volio.Volume(
+    volio.AffineHeader.isotropic((32, 32, 32)), "scalar",
+    np.random.default_rng(0).standard_normal((32, 32, 32)),
+)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (4096, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    volio.write_nifti(vol, sys.argv[1], use_gzip=sys.argv[2] == "gzip")
+except errors.IoFailure as exc:
+    print(exc)
+"""
+
+
+class TestAtomicWriteNifti:
+    @pytest.mark.parametrize("mode", ["gzip", "raw"])
+    def test_write_failing_midway_keeps_old_file(self, tmp_path, mode):
+        target = tmp_path / "field.nii"
+        target.write_bytes(b"old")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _WRITE_OVER_LIMIT, str(target), mode],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(f"could not write {target}")
+        assert target.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("use_gzip", [False, True])
+    def test_bytes_unchanged_and_no_temp_file(self, tmp_path, rng, use_gzip):
+        vol = Volume(AffineHeader.isotropic((5, 4, 3)), "scalar", rng.standard_normal((5, 4, 3)))
+        target = tmp_path / "vol.nii"
+        volio.write_nifti(vol, target, use_gzip=use_gzip)
+        dtype = np.dtype(np.float64)
+        want = volio._build_header(vol, dtype) + b"\x00" * 4 + vol.data.tobytes(order="F")
+        assert target.read_bytes() == (gzip.compress(want, mtime=0) if use_gzip else want)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_symlink_target_replaced_at_its_real_location(self, tmp_path):
+        vol = Volume(AffineHeader.isotropic((2, 2, 2)), "label", np.arange(8, dtype=np.uint8).reshape(2, 2, 2))
+        real_dir = tmp_path / "real"
+        real_dir.mkdir()
+        real = real_dir / "vol.nii"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.nii"
+        link.symlink_to(real)
+        volio.write_nifti(vol, link)
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert np.array_equal(volio.read_nifti(real).data, vol.data)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.nii", "real"]
+        assert list(real_dir.iterdir()) == [real]
+
+    def test_pipe_target_written_in_place(self, tmp_path):
+        vol = Volume(AffineHeader.isotropic((2, 2, 2)), "label", np.arange(8, dtype=np.uint8).reshape(2, 2, 2))
+        fifo = tmp_path / "out.nii"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            volio.write_nifti(vol, fifo)
+            data = os.read(reader, 65536)
+        finally:
+            os.close(reader)
+        assert len(data) == volio.HEADER_SIZE + 4 + 8
+        assert data[-8:] == vol.data.tobytes(order="F")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestLandmarks:
