@@ -8,6 +8,7 @@ The package splits into small, composable layers:
 * :mod:`regeval.metrics` DSC / HD95 / TRE / NDV / LNCC and pair reports
 * :mod:`regeval.stats`   percentiles, robustness stats, significance tests
 * :mod:`regeval.ranking` pairwise-win leaderboard construction
+* :mod:`regeval.manifest` the evaluation job manifest (CSV)
 * :mod:`regeval.synth`   phantoms and ground-truth cohorts
 * :mod:`regeval.refreg`  reference LNCC + diffusion registration
 * :mod:`regeval.cli`     the ``regeval`` command

@@ -1,14 +1,9 @@
 """Command-line surface: evaluation, ranking, inverse consistency,
 correlation, benchmarking, synthesis, and reference registration.
 
-Manifest format (CSV, UTF-8, header required):
-
-    method,pair_id,fixed_seg,moving_seg,field,landmarks_fixed,landmarks_moving,mask
-
-Relative paths resolve against the manifest's directory.  The literal field
-value ``ZERO`` selects the ZeroDisplacement baseline, so no sentinel files
-are needed.  Reports are JSON, one file per (method, pair), floats in
-shortest round-trip decimal form; the same serialization rules make report
+Jobs come from a manifest (see ``regeval.manifest`` for the format).
+Reports are JSON, one file per (method, pair), floats in shortest
+round-trip decimal form; the same serialization rules make report
 directories byte-identical regardless of worker count.
 
 Exit codes: 0 success, 1 partial job failure, 2 usage or configuration
@@ -39,6 +34,9 @@ from .errors import (
     RegEvalError,
     UnpairedCases,
 )
+# MANIFEST_COLUMNS is not used here; it stays importable as
+# cli.MANIFEST_COLUMNS for perfbench/workloads.py
+from .manifest import MANIFEST_COLUMNS, ZERO_FIELD, Job, read_manifest  # noqa: F401
 from .metrics import PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
@@ -50,19 +48,6 @@ from .volio import (
     write_nifti,
 )
 from .warp import ic_residual
-
-ZERO_FIELD = "ZERO"
-
-MANIFEST_COLUMNS = (
-    "method",
-    "pair_id",
-    "fixed_seg",
-    "moving_seg",
-    "field",
-    "landmarks_fixed",
-    "landmarks_moving",
-    "mask",
-)
 
 LEADERBOARD_COLUMNS = (
     "method",
@@ -84,65 +69,6 @@ LEADERBOARD_COLUMNS = (
     "acc_score",
     "final_rank",
 )
-
-
-@dataclass(frozen=True)
-class Job:
-    """One evaluation: a method's field applied to one image pair."""
-
-    method: str
-    pair_id: str
-    fixed_seg: str
-    moving_seg: str
-    field: str
-    landmarks_fixed: str | None = None
-    landmarks_moving: str | None = None
-    mask: str | None = None
-
-
-def read_manifest(path) -> list[Job]:
-    base = Path(path).parent
-    jobs: list[Job] = []
-    seen: set[tuple[str, str]] = set()
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-            raise UnpairedCases(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            method, pair_id = row["method"].strip(), row["pair_id"].strip()
-            if not method or not pair_id:
-                raise UnpairedCases(f"manifest row missing method/pair_id: {row}")
-            if (method, pair_id) in seen:
-                raise UnpairedCases(f"duplicate job for ({method}, {pair_id})")
-            seen.add((method, pair_id))
-
-            def resolve(cell: str) -> str | None:
-                cell = cell.strip()
-                if not cell:
-                    return None
-                if cell == ZERO_FIELD:
-                    return ZERO_FIELD
-                return str((base / cell) if not Path(cell).is_absolute() else Path(cell))
-
-            jobs.append(
-                Job(
-                    method=method,
-                    pair_id=pair_id,
-                    fixed_seg=resolve(row["fixed_seg"]),
-                    moving_seg=resolve(row["moving_seg"]),
-                    field=resolve(row["field"]),
-                    landmarks_fixed=resolve(row["landmarks_fixed"]),
-                    landmarks_moving=resolve(row["landmarks_moving"]),
-                    mask=resolve(row["mask"]),
-                )
-            )
-    return jobs
 
 
 def _report_name(job: Job) -> str:

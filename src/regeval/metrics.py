@@ -31,7 +31,7 @@ from .errors import (
 )
 from .stats import percentile
 from .volio import DisplacementField, LandmarkSet, Volume
-from .warp import sample_trilinear, warp_labels
+from .warp import _check_same_dims, sample_trilinear, warp_labels
 
 LNCC_EPS = 1e-5
 
@@ -41,7 +41,7 @@ class PairReport:
     """All metrics for one (method, image pair) evaluation.
 
     ``None`` marks missing values: labels absent from both segmentations,
-    or metrics that were not computed (no landmarks, no runtime measured).
+    or metrics that were not computed (no landmarks).
     """
 
     method_id: str = ""
@@ -53,8 +53,6 @@ class PairReport:
     tre_per_landmark: list = field(default_factory=list)
     tre_mean: float | None = None
     ndv: float | None = None
-    ic_mae: float | None = None
-    runtime_s: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -67,14 +65,12 @@ class PairReport:
             "tre_per_landmark": list(self.tre_per_landmark),
             "tre_mean": self.tre_mean,
             "ndv": self.ndv,
-            "ic_mae": self.ic_mae,
-            "runtime_s": self.runtime_s,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PairReport":
         """Inverse of ``to_dict``; KeyError for a missing field, TypeError
-        for a value of the wrong type."""
+        for a value of the wrong type.  Other keys are ignored."""
         for key in ("method_id", "pair_id"):
             if not isinstance(d[key], str):
                 raise TypeError(f"{key} {d[key]!r} is not a string")
@@ -88,8 +84,6 @@ class PairReport:
             tre_per_landmark=[_metric_value(v) for v in d["tre_per_landmark"]],
             tre_mean=_metric_value(d["tre_mean"]),
             ndv=_metric_value(d["ndv"]),
-            ic_mae=_metric_value(d.get("ic_mae")),
-            runtime_s=_metric_value(d.get("runtime_s")),
         )
 
 
@@ -98,11 +92,6 @@ def _metric_value(v):
     if v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)):
         return v
     raise TypeError(f"metric value {v!r} is not a number or null")
-
-
-def _check_dims(a: Volume, b) -> None:
-    if a.header.dims != b.header.dims:
-        raise DimMismatch(f"grid dims differ: {a.header.dims} vs {b.header.dims}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +104,7 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
     A label present in neither volume is Missing (None) and excluded from the
     mean; a label present in exactly one is 0.
     """
-    _check_dims(fixed_labels, warped_labels)
+    _check_same_dims(fixed_labels, warped_labels)
     labels = list(labels)
     if not labels:
         raise EmptyLabelList("dsc needs at least one label")
@@ -217,7 +206,7 @@ def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
     Returns None (Missing) when the label is absent from both volumes and
     the image-diagonal penalty when absent from exactly one.
     """
-    _check_dims(fixed_labels, warped_labels)
+    _check_same_dims(fixed_labels, warped_labels)
     if spacing is None:
         spacing = fixed_labels.spacing
     return _hd95_many(fixed_labels, warped_labels, [label], spacing)[int(label)]
@@ -456,7 +445,7 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
     each window's means are removed and both variance sums carry the epsilon
     guard, so constant windows contribute 0 rather than dividing by zero.
     """
-    _check_dims(a, b)
+    _check_same_dims(a, b)
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd integer, got {window}")
     ad = np.asarray(a.data, dtype=np.float64)
@@ -483,7 +472,7 @@ def evaluate_pair(
     segmentation; ``mask`` (for NDV) defaults to the union of those labels.
     The ZeroDisplacement baseline is this function applied to the zero field.
     """
-    _check_dims(fixed_seg, moving_seg)
+    _check_same_dims(fixed_seg, moving_seg)
     if fixed_seg.header.dims != phi.header.dims:
         raise DimMismatch(f"field dims {phi.header.dims} do not match segmentation {fixed_seg.header.dims}")
     if labels is None:

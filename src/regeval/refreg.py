@@ -78,38 +78,26 @@ class RegConfig:
 # diffusion regularizer
 
 
-def _diffusion_terms(dims) -> int:
-    total = 0
+def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
+    """The diffusion term: the mean squared forward difference of a field
+    ``u`` (X, Y, Z, 3) along the three grid axes.  With ``grad`` (zeros
+    shaped like ``u``), its gradient with respect to ``u`` is also written
+    there."""
+    value, n_terms = 0.0, 0
     for axis in range(3):
-        n = dims[axis]
-        others = int(np.prod([dims[a] for a in range(3) if a != axis]))
-        total += (n - 1) * others
-    return 3 * total  # three displacement components
-
-
-def _diffusion_value_and_grad(u: np.ndarray):
-    n_terms = _diffusion_terms(u.shape[:3])
-    if n_terms == 0:
-        return 0.0, np.zeros_like(u)
-    value = 0.0
-    grad = np.zeros_like(u)
-    for axis in range(3):
-        d = np.diff(u, axis=axis)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        d = u[hi] - u[lo]
         value += float(np.sum(d * d))
-        lo = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        grad[tuple(hi)] += d
-        grad[tuple(lo)] -= d
-    return value / n_terms, grad * (2.0 / n_terms)
-
-
-def _diffusion_value(u: np.ndarray) -> float:
-    n_terms = _diffusion_terms(u.shape[:3])
+        n_terms += d.size
+        if grad is not None:
+            grad[hi] += d
+            grad[lo] -= d
     if n_terms == 0:
         return 0.0
-    return sum(float(np.sum(np.diff(u, axis=a) ** 2)) for a in range(3)) / n_terms
+    if grad is not None:
+        grad *= 2.0 / n_terms
+    return value / n_terms
 
 
 # ---------------------------------------------------------------------------
@@ -130,24 +118,34 @@ def _loss_and_grad(terms: _LnccTerms, mdata, u, lam):
     grad = -dw[..., None] * mgrad
     loss = -value
     if lam > 0:
-        dval, dgrad = _diffusion_value_and_grad(u)
-        loss += lam * dval
+        dgrad = np.zeros_like(u)
+        loss += lam * _diffusion_value(u, dgrad)
         grad += lam * dgrad
     return loss, grad
+
+
+def _prepare(fixed: Volume, moving: Volume, phi: DisplacementField | None = None):
+    """The float64 intensities of two scalar volumes on one grid, after
+    checking that they are finite; ``phi``, if given, must share the grid."""
+    if fixed.kind != "scalar" or moving.kind != "scalar":
+        raise UnsupportedLayout("registration expects scalar volumes")
+    if fixed.dims != moving.dims:
+        raise DimMismatch(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
+    if phi is not None and phi.dims != fixed.dims:
+        raise DimMismatch(f"field dims {phi.dims} != image dims {fixed.dims}")
+    fdata = np.asarray(fixed.data, dtype=np.float64)
+    mdata = np.asarray(moving.data, dtype=np.float64)
+    if not (np.all(np.isfinite(fdata)) and np.all(np.isfinite(mdata))):
+        raise NonFiniteData("image intensities must be finite")
+    return fdata, mdata
 
 
 def loss_and_grad(fixed: Volume, moving: Volume, phi: DisplacementField, cfg: RegConfig):
     """Registration loss and its analytic gradient with respect to the
     displacement (the quantity checked against finite differences)."""
-    if fixed.dims != moving.dims or fixed.dims != phi.dims:
-        raise DimMismatch("fixed, moving, and field must share one grid")
-    terms = _LnccTerms(np.asarray(fixed.data, dtype=np.float64), cfg.lncc_window)
-    return _loss_and_grad(
-        terms,
-        np.asarray(moving.data, dtype=np.float64),
-        np.asarray(phi.data, dtype=np.float64),
-        cfg.lambda_diffusion,
-    )
+    fdata, mdata = _prepare(fixed, moving, phi)
+    terms = _LnccTerms(fdata, cfg.lncc_window)
+    return _loss_and_grad(terms, mdata, np.asarray(phi.data, dtype=np.float64), cfg.lambda_diffusion)
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +259,7 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
     per pyramid level, coarsest first.  Deterministic for fixed inputs and
     config.
     """
-    if fixed.kind != "scalar" or moving.kind != "scalar":
-        raise UnsupportedLayout("register expects scalar volumes")
-    if fixed.dims != moving.dims:
-        raise DimMismatch(f"fixed dims {fixed.dims} != moving dims {moving.dims}")
-    fdata = np.asarray(fixed.data, dtype=np.float64)
-    mdata = np.asarray(moving.data, dtype=np.float64)
-    if not (np.all(np.isfinite(fdata)) and np.all(np.isfinite(mdata))):
-        raise NonFiniteData("image intensities must be finite")
-
+    fdata, mdata = _prepare(fixed, moving)
     f_pyr = _pyramid(fdata, cfg.levels)
     m_pyr = _pyramid(mdata, cfg.levels)
     state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
@@ -299,12 +289,7 @@ def instance_optimize(
     In SVF mode the init displacement seeds the velocity directly (exact for
     the zero field, first-order otherwise).
     """
-    if fixed.dims != moving.dims or fixed.dims != init.dims:
-        raise DimMismatch("fixed, moving, and init must share one grid")
-    fdata = np.asarray(fixed.data, dtype=np.float64)
-    mdata = np.asarray(moving.data, dtype=np.float64)
-    if not (np.all(np.isfinite(fdata)) and np.all(np.isfinite(mdata))):
-        raise NonFiniteData("image intensities must be finite")
+    fdata, mdata = _prepare(fixed, moving, init)
     state = np.asarray(init.data, dtype=np.float64).copy()
     _, _, u = _optimize_level(fdata, mdata, state, cfg.iters_per_level[-1], cfg)
     return DisplacementField(header=fixed.header, data=u)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadParams, SpecInvalid
+from .manifest import ZERO_FIELD, Job, write_manifest
 from .volio import (
     AffineHeader,
     DisplacementField,
@@ -321,7 +322,7 @@ def make_cohort(
         "smoothness": float(smoothness),
         "cases": [],
     }
-    csv_rows = []
+    jobs = []
     for i in range(cases):
         case_id = f"case{i:03d}"
         phantom_seed = seed * 100003 + 2 * i
@@ -360,24 +361,20 @@ def make_cohort(
                 "paths": paths,
             }
         )
-        for method, field_path in (("truth", paths["truth_field"]), ("zero", "ZERO")):
-            csv_rows.append(
-                [
-                    method,
-                    case_id,
-                    paths["fixed_labels"],
-                    paths["moving_labels"],
-                    field_path,
-                    paths["fixed_landmarks"],
-                    paths["moving_landmarks"],
-                    "",
-                ]
+        for method, field_path in (("truth", paths["truth_field"]), ("zero", ZERO_FIELD)):
+            jobs.append(
+                Job(
+                    method=method,
+                    pair_id=case_id,
+                    fixed_seg=paths["fixed_labels"],
+                    moving_seg=paths["moving_labels"],
+                    field=field_path,
+                    landmarks_fixed=paths["fixed_landmarks"],
+                    landmarks_moving=paths["moving_landmarks"],
+                )
             )
 
     with atomic_open(out / "manifest.json") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    header = "method,pair_id,fixed_seg,moving_seg,field,landmarks_fixed,landmarks_moving,mask"
-    lines = [header] + [",".join(row) for row in csv_rows]
-    with atomic_open(out / "manifest.csv") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_manifest(out / "manifest.csv", jobs)
     return manifest

@@ -440,8 +440,11 @@ def read_landmarks(path) -> LandmarkSet:
 
     Rows keep file order; absent names are auto-numbered "0", "1", ...
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
     if not rows:
         raise MalformedRow(f"{path}: empty landmark file")
     head = [c.strip().lower() for c in rows[0]]

@@ -256,6 +256,38 @@ class TestUnreadableInputs:
         assert cli.main(["--out", str(tmp_path / "r"), "eval", str(missing)]) == 2
         assert f"could not read {missing}" in capsys.readouterr().err
 
+    @staticmethod
+    def landmark_manifest(cohort, tmp_path, kind):
+        """A one-job manifest whose fixed landmark file is missing, a
+        directory, or not UTF-8."""
+        bad = tmp_path / "bad_landmarks.csv"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not_utf8":
+            bad.write_bytes(b"name,x,y,z\n\xff\xfe,1,2,3\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            ",".join(cli.MANIFEST_COLUMNS) + "\n"
+            f"zero,case000,{cohort}/labels/case000_fixed.nii,{cohort}/labels/case000_moving.nii,"
+            f"ZERO,{bad},{cohort}/landmarks/case000_moving.csv,\n"
+        )
+        return manifest, bad
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_landmarks_bench_exits_2(self, cohort, tmp_path, capsys, kind):
+        manifest, bad = self.landmark_manifest(cohort, tmp_path, kind)
+        assert cli.main(["bench", str(manifest), "--repeats", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not read {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_landmarks_eval_records_io_failure(self, cohort, tmp_path, kind):
+        manifest, bad = self.landmark_manifest(cohort, tmp_path, kind)
+        out = tmp_path / "reports"
+        assert cli.main(["--out", str(out), "eval", str(manifest)]) == 1
+        errors = json.loads((out / "errors.json").read_text())
+        assert [e["error"].startswith(f"IoFailure: could not read {bad}: ") for e in errors] == [True]
+
     @pytest.mark.parametrize("vox_offset", [float("nan"), float("inf")])
     def test_non_finite_vox_offset_exits_2(self, tmp_path, capsys, vox_offset):
         good = self.field_file(tmp_path / "good.nii")
@@ -338,6 +370,20 @@ class TestRank:
         out = tmp_path / "rank"
         assert cli.main(["--out", str(out), "rank", str(reports)]) == 2
 
+    def test_reports_with_dropped_fields_rank_the_same(self, tmp_path):
+        # reports written before ic_mae and runtime_s left the schema keep
+        # both keys; from_dict ignores them
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b", "c"])
+        assert cli.main(["--out", str(tmp_path / "new"), "rank", str(reports)]) == 0
+        for i, path in enumerate(sorted(reports.glob("*.json"))):
+            d = json.loads(path.read_text())
+            assert "ic_mae" not in d and "runtime_s" not in d
+            d["ic_mae"], d["runtime_s"] = (None, None) if i % 2 else (0.25, 1.5)
+            path.write_text(json.dumps(d, indent=2, sort_keys=True))
+        assert cli.main(["--out", str(tmp_path / "old"), "rank", str(reports)]) == 0
+        for name in ("leaderboard.csv", "leaderboard.json"):
+            assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
     @pytest.mark.parametrize(
         "content",

@@ -53,6 +53,59 @@ class TestGradient:
         assert full != bare
 
 
+def np_diff_diffusion_value(u):
+    """The diffusion value as np.diff formulas spelled it before the value
+    and gradient shared one helper."""
+    dims = u.shape[:3]
+    n_terms = 3 * sum((dims[a] - 1) * int(np.prod([dims[b] for b in range(3) if b != a]))
+                      for a in range(3))
+    if n_terms == 0:
+        return 0.0
+    return sum(float(np.sum(np.diff(u, axis=a) ** 2)) for a in range(3)) / n_terms
+
+
+def np_diff_diffusion_grad(u):
+    dims = u.shape[:3]
+    n_terms = 3 * sum((dims[a] - 1) * int(np.prod([dims[b] for b in range(3) if b != a]))
+                      for a in range(3))
+    grad = np.zeros_like(u)
+    if n_terms == 0:
+        return grad
+    for axis in range(3):
+        d = np.diff(u, axis=axis)
+        lo = [slice(None)] * 4
+        hi = [slice(None)] * 4
+        lo[axis] = slice(None, -1)
+        hi[axis] = slice(1, None)
+        grad[tuple(hi)] += d
+        grad[tuple(lo)] -= d
+    return grad * (2.0 / n_terms)
+
+
+class TestDiffusion:
+    @pytest.mark.parametrize("dims", [(9, 7, 5), (1, 6, 4), (5, 1, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_value_and_grad_match_np_diff_formulas_bit_for_bit(self, rng, dims, order):
+        u = np.asarray(rng.standard_normal(dims + (3,)), order=order)
+        assert refreg._diffusion_value(u) == np_diff_diffusion_value(u)
+        grad = np.zeros_like(u)
+        assert refreg._diffusion_value(u, grad) == np_diff_diffusion_value(u)
+        assert grad.tobytes() == np_diff_diffusion_grad(u).tobytes()
+
+    def test_loss_and_grad_adds_lambda_times_diffusion_terms(self, rng):
+        dims = (10, 9, 8)
+        fixed, moving = random_pair(rng, dims)
+        u = rng.uniform(-1, 1, size=dims + (3,))
+        phi = DisplacementField(header=fixed.header, data=u)
+        lam = 0.7
+        full, full_grad = loss_and_grad(fixed, moving, phi, RegConfig(lambda_diffusion=lam))
+        bare, bare_grad = loss_and_grad(fixed, moving, phi, RegConfig(lambda_diffusion=0.0))
+        assert full == bare + lam * np_diff_diffusion_value(u)
+        expected = bare_grad.copy()
+        expected += lam * np_diff_diffusion_grad(u)
+        assert full_grad.tobytes() == expected.tobytes()
+
+
 class TestRegister:
     def test_identity_pair_stays_near_zero(self):
         dims = (32, 32, 32)
@@ -116,6 +169,19 @@ class TestRegister:
         bad.data[0, 0, 0] = np.inf
         with pytest.raises(errors.NonFiniteData):
             register(f, bad, RegConfig(levels=1, iters_per_level=(1,)))
+
+    def test_label_volumes_rejected_everywhere(self, small_pair):
+        fixed, moving = small_pair.fixed_labels, small_pair.moving_labels
+        zero = DisplacementField.zero(fixed.header)
+        cfg = RegConfig(levels=1, iters_per_level=(1,))
+        with pytest.raises(errors.UnsupportedLayout):
+            register(fixed, moving, cfg)
+        with pytest.raises(errors.UnsupportedLayout):
+            instance_optimize(fixed, moving, zero, cfg)
+        with pytest.raises(errors.UnsupportedLayout):
+            loss_and_grad(fixed, moving, zero, cfg)
+        with pytest.raises(errors.UnsupportedLayout):
+            loss_and_grad(small_pair.fixed_image, moving, zero, cfg)
 
 
 class TestInstanceOptimize:
