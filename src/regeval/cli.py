@@ -20,6 +20,7 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .errors import (
 # MANIFEST_COLUMNS is not used here; it stays importable as
 # cli.MANIFEST_COLUMNS for perfbench/workloads.py
 from .manifest import MANIFEST_COLUMNS, ZERO_FIELD, Job, read_manifest  # noqa: F401
-from .metrics import PairReport, evaluate_pair
+from .metrics import FixedSide, PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
     atomic_open,
@@ -81,38 +82,93 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def run_job(job: Job, units: str = "voxel") -> PairReport:
-    """Load a job's inputs, evaluate the pair, and return the report."""
-    fixed_seg = read_volume(job.fixed_seg, kind="label")
-    moving_seg = read_volume(job.moving_seg, kind="label")
+class _Shared:
+    """What the jobs of one group share: each input (or its read failure)
+    and the prepared fixed side, made on first use and kept for the rest
+    of the group.  A kept failure is raised again for every job that
+    needs it, so each job fails with the message it would get alone."""
+
+    def __init__(self):
+        self._made: dict[str, tuple] = {}
+
+    def get(self, role: str, make, *args, **kwargs):
+        if role not in self._made:
+            try:
+                self._made[role] = (make(*args, **kwargs), None)
+            except Exception as exc:
+                self._made[role] = (None, exc)
+        value, exc = self._made[role]
+        if exc is not None:
+            raise exc
+        return value
+
+
+def _group_key(job: Job) -> tuple:
+    """Jobs with the same key differ only in method and field."""
+    return (job.fixed_seg, job.moving_seg, job.landmarks_fixed, job.landmarks_moving, job.mask)
+
+
+def run_job(job: Job, units: str = "voxel", shared: _Shared | None = None) -> PairReport:
+    """Load a job's inputs, evaluate the pair, and return the report.
+
+    Inputs are read in the order fixed, moving, field, landmarks, mask.
+    ``shared`` keeps every input but the field, and the fixed side, for
+    the next job of the same group (``_group_key``); without it the job
+    reads all of them itself.
+    """
+    shared = _Shared() if shared is None else shared
+    fixed_seg = shared.get("fixed", read_volume, job.fixed_seg, kind="label")
+    moving_seg = shared.get("moving", read_volume, job.moving_seg, kind="label")
     if job.field == ZERO_FIELD:
         phi = DisplacementField.zero(fixed_seg.header)
     else:
         phi = scale_field_units(read_field(job.field), units)
     landmarks = None
     if job.landmarks_fixed and job.landmarks_moving:
-        landmarks = (read_landmarks(job.landmarks_fixed), read_landmarks(job.landmarks_moving))
-    mask = read_volume(job.mask, kind="label") if job.mask else None
+        landmarks = shared.get(
+            "landmarks",
+            lambda: (read_landmarks(job.landmarks_fixed), read_landmarks(job.landmarks_moving)),
+        )
+    mask = shared.get("mask", read_volume, job.mask, kind="label") if job.mask else None
     return evaluate_pair(
-        fixed_seg,
+        shared.get("fixed side", FixedSide, fixed_seg, mask=mask),
         moving_seg,
         phi,
         landmarks=landmarks,
-        mask=mask,
         method_id=job.method,
         pair_id=job.pair_id,
     )
 
 
-def _eval_one(args: tuple) -> tuple[str, str, str | None]:
-    """Worker body: returns (method, pair_id, error message or None)."""
-    job, out_dir, units = args
-    try:
-        report = run_job(job, units=units)
-        _write_json(report.to_dict(), Path(out_dir) / _report_name(job))
-        return job.method, job.pair_id, None
-    except Exception as exc:  # per-job isolation: record, never abort others
-        return job.method, job.pair_id, f"{type(exc).__name__}: {exc}"
+def _eval_task(task: tuple) -> list[tuple[str, str, str | None]]:
+    """Worker body for jobs of one group: (method, pair_id, error message
+    or None) per job."""
+    jobs, out_dir, units = task
+    shared = _Shared()
+    results = []
+    for job in jobs:
+        try:
+            report = run_job(job, units=units, shared=shared)
+            _write_json(report.to_dict(), Path(out_dir) / _report_name(job))
+            results.append((job.method, job.pair_id, None))
+        except Exception as exc:  # per-job isolation: record, never abort others
+            results.append((job.method, job.pair_id, f"{type(exc).__name__}: {exc}"))
+    return results
+
+
+def _eval_tasks(job_list: list[Job], out_dir: str, units: str, workers: int) -> list[tuple]:
+    """The jobs grouped by ``_group_key`` (in order of first appearance),
+    each group cut into tasks of at most len(job_list) // workers jobs,
+    so that there are at least as many tasks as workers."""
+    groups: dict[tuple, list[Job]] = {}
+    for job in job_list:
+        groups.setdefault(_group_key(job), []).append(job)
+    size = max(1, len(job_list) // max(1, workers))
+    return [
+        (group[i : i + size], out_dir, units)
+        for group in groups.values()
+        for i in range(0, len(group), size)
+    ]
 
 
 def cpu_count() -> int:
@@ -136,18 +192,32 @@ def _load_kdtree() -> None:
 
 def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
-    for failures.  Output bytes are independent of the worker count."""
+    for failures.  Output bytes are independent of the worker count.
+
+    If a worker process dies, every job of a task whose results never
+    came back is recorded as failed and any report it left is removed."""
     job_list = read_manifest(manifest)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    work = [(job, str(out), units) for job in job_list]
-    jobs = worker_count(jobs, len(work))
-    if jobs <= 1:
-        results = [_eval_one(w) for w in work]
+    workers = worker_count(jobs, len(job_list))
+    tasks = _eval_tasks(job_list, str(out), units, workers)
+    results = []
+    if workers <= 1:
+        for task in tasks:
+            results.extend(_eval_task(task))
     else:
         _load_kdtree()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_one, work))
+        received = 0
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            try:
+                for task_results in pool.map(_eval_task, tasks):
+                    results.extend(task_results)
+                    received += 1
+            except BrokenProcessPool as exc:
+                for lost, _, _ in tasks[received:]:
+                    for job in lost:
+                        (out / _report_name(job)).unlink(missing_ok=True)
+                        results.append((job.method, job.pair_id, f"{type(exc).__name__}: {exc}"))
     errors = sorted(
         [{"method": m, "pair_id": p, "error": e} for m, p, e in results if e is not None],
         key=lambda d: (d["method"], d["pair_id"]),
@@ -463,7 +533,7 @@ def cmd_register(args) -> int:
     if args.init:
         init = scale_field_units(read_field(args.init), args.units)
         field = refreg.instance_optimize(fixed, moving, init, cfg)
-        final_loss, _ = refreg.loss_and_grad(fixed, moving, field, cfg)
+        final_loss = refreg.loss(fixed, moving, field, cfg)
         print(f"instance optimization done, loss {final_loss!r}")
     else:
         field, trace = refreg.register(fixed, moving, cfg)

@@ -4,8 +4,10 @@ evaluation, under the header
     method,pair_id,fixed_seg,moving_seg,field,landmarks_fixed,landmarks_moving,mask
 
 Relative paths resolve against the manifest's directory; empty cells mark
-absent optional inputs.  The literal field value ``ZERO`` selects the
-ZeroDisplacement baseline, so no sentinel files are needed.
+absent optional inputs.  The literal ``field`` value ``ZERO`` selects the
+ZeroDisplacement baseline, so no sentinel files are needed; in any other
+column ``ZERO`` is a path like any other.  Cells are stripped of leading
+and trailing blanks.
 """
 from __future__ import annotations
 
@@ -58,15 +60,15 @@ def read_manifest(path) -> list[Job]:
                 raise UnpairedCases(f"duplicate job for ({method}, {pair_id})")
             seen.add((method, pair_id))
 
-            def resolve(cell: str) -> str | None:
-                cell = cell.strip()
+            def resolve(column: str) -> str | None:
+                cell = row[column].strip()
                 if not cell:
                     return None
-                if cell == ZERO_FIELD:
+                if column == "field" and cell == ZERO_FIELD:
                     return ZERO_FIELD
                 return str((base / cell) if not Path(cell).is_absolute() else Path(cell))
 
-            jobs.append(Job(method, pair_id, *(resolve(row[c]) for c in MANIFEST_COLUMNS[2:])))
+            jobs.append(Job(method, pair_id, *(resolve(c) for c in MANIFEST_COLUMNS[2:])))
     return jobs
 
 
@@ -75,8 +77,14 @@ def write_manifest(path, jobs) -> None:
 
     Paths are written as given, so relative ones stay relative to the
     manifest's directory; ``None`` becomes an empty cell.  Lines end in
-    ``\\n``, and a cell is quoted only where CSV needs it.
+    ``\\n``, and a cell is quoted only where CSV needs it.  A cell with
+    leading or trailing blanks, which the reader would strip, raises
+    UnpairedCases before anything is written.
     """
+    for job in jobs:
+        for cell in astuple(job):
+            if cell is not None and cell != cell.strip():
+                raise UnpairedCases(f"manifest cell {cell!r} has leading or trailing blanks")
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_COLUMNS)

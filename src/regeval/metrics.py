@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -135,8 +136,9 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
 # HD95
 
 
-def _boundary_coords_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarray]:
-    """Boundary voxel coordinates per label in one pass over the volume.
+def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarray]:
+    """Ascending flat indices of each label's boundary voxels, in one pass
+    over the volume.
 
     A voxel belongs to its label's boundary when any of its six neighbors
     carries a different label or lies beyond the grid edge.
@@ -168,9 +170,12 @@ def _boundary_coords_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np
     uniq, starts = np.unique(labs_at, return_index=True)
     bounds = list(starts) + [labs_at.size]
     for i, lab_val in enumerate(uniq):
-        idx = flat_idx[bounds[i] : bounds[i + 1]]
-        out[int(lab_val)] = np.stack(np.unravel_index(idx, lab.shape), axis=1)
+        out[int(lab_val)] = flat_idx[bounds[i] : bounds[i + 1]]
     return out
+
+
+def _points_mm(flat: np.ndarray, shape, spacing: np.ndarray) -> np.ndarray:
+    return np.stack(np.unravel_index(flat, shape), axis=1) * spacing
 
 
 def _diagonal_mm(dims, spacing) -> float:
@@ -178,17 +183,45 @@ def _diagonal_mm(dims, spacing) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
-def _hd95_from_coords(coords_a: np.ndarray, coords_b: np.ndarray, spacing) -> float:
+class _FixedSurfaces:
+    """One side of HD95, kept for every segmentation compared with it: the
+    boundary voxels of each wanted label, as flat indices and as points in
+    mm, and each label's KD-tree, built on its first query."""
+
+    def __init__(self, lab: np.ndarray, labels, spacing):
+        self.shape = lab.shape
+        self.spacing = np.asarray(spacing, dtype=np.float64)
+        self.diag = _diagonal_mm(lab.shape, spacing)
+        self.flat = _boundary_by_label(lab, {int(l) for l in labels})
+        self.points = {l: _points_mm(f, self.shape, self.spacing) for l, f in self.flat.items()}
+        self._trees: dict = {}
+
+    def tree(self, label: int):
+        if label not in self._trees:
+            from scipy.spatial import cKDTree
+
+            self._trees[label] = cKDTree(self.points[label])
+        return self._trees[label]
+
+
+def _hd95_from_coords(fixed: _FixedSurfaces, label: int, flat_b: np.ndarray) -> float:
     # imported here so that commands without HD95 (rank, correlate, ic)
     # never load scipy; eval loads it once before its workers fork
     from scipy.spatial import cKDTree
 
-    sp = np.asarray(spacing, dtype=np.float64)
-    pa = coords_a * sp
-    pb = coords_b * sp
+    flat_a, pa = fixed.flat[label], fixed.points[label]
+    pb = _points_mm(flat_b, fixed.shape, fixed.spacing)
+    # a voxel on both boundaries is at distance exactly 0, as a query would
+    # return; only the others are queried
+    a_off_b = ~np.isin(flat_a, flat_b, assume_unique=True)
+    b_off_a = ~np.isin(flat_b, flat_a, assume_unique=True)
     workers = _query_workers()
-    d_ab, _ = cKDTree(pb).query(pa, workers=workers)
-    d_ba, _ = cKDTree(pa).query(pb, workers=workers)
+    d_ab = np.zeros(flat_a.size)
+    if a_off_b.any():
+        d_ab[a_off_b] = cKDTree(pb).query(pa[a_off_b], workers=workers)[0]
+    d_ba = np.zeros(flat_b.size)
+    if b_off_a.any():
+        d_ba[b_off_a] = fixed.tree(label).query(pb[b_off_a], workers=workers)[0]
     return max(percentile(d_ab, 95.0), percentile(d_ba, 95.0))
 
 
@@ -209,25 +242,24 @@ def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
     _check_same_dims(fixed_labels, warped_labels)
     if spacing is None:
         spacing = fixed_labels.spacing
-    return _hd95_many(fixed_labels, warped_labels, [label], spacing)[int(label)]
+    fixed = _FixedSurfaces(fixed_labels.data, [label], spacing)
+    return _hd95_many(fixed, warped_labels, [label])[int(label)]
 
 
-def _hd95_many(fixed_labels: Volume, warped_labels: Volume, labels, spacing):
-    """hd95 for many labels with boundary extraction shared across labels."""
-    wanted = {int(l) for l in labels}
-    fb = _boundary_coords_by_label(fixed_labels.data, wanted)
-    wb = _boundary_coords_by_label(warped_labels.data, wanted)
-    diag = _diagonal_mm(fixed_labels.dims, spacing)
+def _hd95_many(fixed: _FixedSurfaces, warped_labels: Volume, labels):
+    """hd95 for many labels against one prepared fixed side, with the
+    warped boundary extraction shared across labels."""
+    wb = _boundary_by_label(warped_labels.data, {int(l) for l in labels})
     out: dict[int, float | None] = {}
     for lab in labels:
         lab = int(lab)
-        in_f, in_w = lab in fb, lab in wb
+        in_f, in_w = lab in fixed.flat, lab in wb
         if not in_f and not in_w:
             out[lab] = None
         elif in_f != in_w:
-            out[lab] = diag
+            out[lab] = fixed.diag
         else:
-            out[lab] = _hd95_from_coords(fb[lab], wb[lab], spacing)
+            out[lab] = _hd95_from_coords(fixed, lab, wb[lab])
     return out
 
 
@@ -279,27 +311,67 @@ _KUHN_PAIRS = (
 _AXIS_OFFSETS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _folded_volume_chunk(psi_comps, cell_mask: np.ndarray) -> float:
-    """Negative signed volume summed over the Kuhn tetrahedra of a cell slab.
+class NdvMask:
+    """The cells an NDV sum covers, found once per mask and grid.
 
-    ``psi_comps`` holds the three deformed coordinate components, each of
-    shape (sx+1, ny, nz); ``cell_mask`` selects cells (sx, ny-1, nz-1).
-    Working per component keeps every array contiguous in z.
+    A cell counts when any of its 8 corner voxels is masked (> 0); the
+    normalizer is the mask's nonzero voxel count.  The cells are split
+    into slabs along x, and each slab keeps the flat index, in its
+    (sx + 1, ny, nz) lattice, of every counted cell's first corner, in C
+    order.  Raises DimMismatch or EmptyMask as ``ndv`` does.
     """
-    sx1, ny, nz = psi_comps[0].shape
+
+    def __init__(self, mask: Volume | np.ndarray, dims):
+        mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
+        if tuple(mdata.shape) != tuple(dims):
+            raise DimMismatch(f"mask dims {mdata.shape} do not match field dims {dims}")
+        self.dims = tuple(dims)
+        self.voxels = int(np.count_nonzero(mdata))
+        if self.voxels == 0:
+            raise EmptyMask("ndv mask selects no voxels")
+        in_mask = mdata > 0
+        cm = (
+            in_mask[:-1, :-1, :-1]
+            | in_mask[1:, :-1, :-1]
+            | in_mask[:-1, 1:, :-1]
+            | in_mask[:-1, :-1, 1:]
+            | in_mask[1:, 1:, :-1]
+            | in_mask[1:, :-1, 1:]
+            | in_mask[:-1, 1:, 1:]
+            | in_mask[1:, 1:, 1:]
+        )
+        nx, ny, nz = self.dims
+        # keep per-slab temporaries a few MB so the kernel stays in cache
+        slab = max(1, int(2**19 // (ny * nz + 1)))
+        self.slabs: list[tuple[int, int, np.ndarray]] = []
+        for x0 in range(0, nx - 1, slab):
+            x1 = min(x0 + slab, nx - 1)
+            i, j, k = np.nonzero(cm[x0:x1])
+            if i.size:
+                self.slabs.append((x0, x1, (i * ny + j) * nz + k))
+
+
+def _folded_volume_cells(psi_flat, cells: np.ndarray, ny: int, nz: int) -> float:
+    """Negative signed volume summed over the Kuhn tetrahedra of some cells.
+
+    ``psi_flat`` holds the three deformed coordinate components of a slab
+    lattice, raveled; ``cells`` the flat index of each cell's first corner.
+    Every value goes through the same float operations as on the full
+    grid, and the per-cell sums enter ``np.sum`` in C order.
+    """
 
     def corner(comp: int, offset) -> np.ndarray:
         ox, oy, oz = offset
-        return psi_comps[comp][ox : sx1 - 1 + ox, oy : ny - 1 + oy, oz : nz - 1 + oz]
+        return psi_flat[comp][(ox * ny + oy) * nz + oz :].take(cells)
 
     c000 = [corner(c, (0, 0, 0)) for c in range(3)]
     w = [corner(c, (1, 1, 1)) - c000[c] for c in range(3)]
     axis_delta = [[corner(c, off) - c000[c] for c in range(3)] for off in _AXIS_OFFSETS]
 
-    folded = np.zeros(cell_mask.shape, dtype=np.float64)
+    folded = np.zeros(cells.shape, dtype=np.float64)
     for edge_offset, first_a, first_b in _KUHN_PAIRS:
         e = [corner(c, edge_offset) - c000[c] for c in range(3)]
-        # cross = e x d111, one contiguous array per component
+        # cross = e x d111
         cx = e[1] * w[2] - e[2] * w[1]
         cy = e[2] * w[0] - e[0] * w[2]
         cz = e[0] * w[1] - e[1] * w[0]
@@ -309,54 +381,35 @@ def _folded_volume_chunk(psi_comps, cell_mask: np.ndarray) -> float:
             signed = det if sign > 0 else -det
             np.minimum(signed, 0.0, out=signed)
             folded -= signed
-    return float(np.sum(folded[cell_mask])) / 6.0
+    return float(np.sum(folded)) / 6.0
 
 
-def ndv(phi: DisplacementField, mask: Volume | np.ndarray) -> float:
+def ndv(phi: DisplacementField, mask: Volume | np.ndarray | NdvMask) -> float:
     """Non-diffeomorphic volume fraction of the deformed grid inside a mask.
 
     The deformed lattice psi(x) = x + u(x) is cut into six tetrahedra per
     cell; folded volume is the accumulated magnitude of negative signed
     tetrahedron volumes over cells touching the mask, normalized by the
     mask's voxel count.  Orientation-preserving fields give exactly 0.
+    Only the cells touching the mask are computed; an ``NdvMask`` built
+    for ``phi``'s grid skips finding them again.
     """
-    mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-    if tuple(mdata.shape) != phi.dims:
-        raise DimMismatch(f"mask dims {mdata.shape} do not match field dims {phi.dims}")
-    voxels_in_mask = int(np.count_nonzero(mdata))
-    if voxels_in_mask == 0:
-        raise EmptyMask("ndv mask selects no voxels")
-
-    dims = phi.dims
+    cells = mask if isinstance(mask, NdvMask) else NdvMask(mask, phi.dims)
+    if cells.dims != phi.dims:
+        raise DimMismatch(f"mask dims {cells.dims} do not match field dims {phi.dims}")
+    _, ny, nz = phi.dims
     u = np.asarray(phi.data, dtype=np.float64)
-    axes = [np.arange(dims[c], dtype=np.float64) for c in range(3)]
-    psi_comps = [
-        u[..., 0] + axes[0][:, None, None],
-        u[..., 1] + axes[1][None, :, None],
-        u[..., 2] + axes[2][None, None, :],
-    ]
-    in_mask = mdata > 0
-    # a cell intersects the mask when any of its 8 corner voxels is masked
-    cm = (
-        in_mask[:-1, :-1, :-1]
-        | in_mask[1:, :-1, :-1]
-        | in_mask[:-1, 1:, :-1]
-        | in_mask[:-1, :-1, 1:]
-        | in_mask[1:, 1:, :-1]
-        | in_mask[1:, :-1, 1:]
-        | in_mask[:-1, 1:, 1:]
-        | in_mask[1:, 1:, 1:]
-    )
-
+    axes = [np.arange(n, dtype=np.float64) for n in phi.dims]
     folded = 0.0
-    # keep per-slab temporaries a few MB so the kernel stays in cache
-    slab = max(1, int(2**19 // (dims[1] * dims[2] + 1)))
-    for x0 in range(0, dims[0] - 1, slab):
-        x1 = min(x0 + slab, dims[0] - 1)
-        folded += _folded_volume_chunk(
-            [comp[x0 : x1 + 1] for comp in psi_comps], cm[x0:x1]
-        )
-    return folded / float(voxels_in_mask)
+    for x0, x1, first_corners in cells.slabs:
+        lattice = u[x0 : x1 + 1]
+        psi_flat = [
+            (lattice[..., 0] + axes[0][x0 : x1 + 1, None, None]).ravel(),
+            (lattice[..., 1] + axes[1][None, :, None]).ravel(),
+            (lattice[..., 2] + axes[2][None, None, :]).ravel(),
+        ]
+        folded += _folded_volume_cells(psi_flat, first_corners, ny, nz)
+    return folded / float(cells.voxels)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +509,43 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
 # Pair orchestration
 
 
+class FixedSide:
+    """What evaluating a pair derives from the fixed segmentation and the
+    NDV mask alone: the label list, the HD95 fixed side and the NDV cells.
+
+    ``labels`` defaults to the sorted nonzero labels of ``seg``; ``mask``
+    (for NDV) defaults to the union of those labels.  The HD95 side and
+    the NDV cells are built on first use and then kept, so one FixedSide
+    serves every field evaluated against the same pair.
+    """
+
+    def __init__(
+        self,
+        seg: Volume,
+        labels: Sequence[int] | None = None,
+        mask: Volume | np.ndarray | None = None,
+    ):
+        self.seg = seg
+        if labels is None:
+            labels = [int(l) for l in np.unique(seg.data) if l != 0]
+        self.labels = [int(l) for l in labels]
+        self._mask = mask
+
+    @cached_property
+    def surfaces(self) -> _FixedSurfaces:
+        return _FixedSurfaces(self.seg.data, self.labels, self.seg.spacing)
+
+    @cached_property
+    def ndv_mask(self) -> NdvMask:
+        if self._mask is not None:
+            return NdvMask(self._mask, self.seg.dims)
+        labels = self.labels
+        data = self.seg.data
+        return NdvMask(np.isin(data, np.asarray(labels)) if labels else data > 0, self.seg.dims)
+
+
 def evaluate_pair(
-    fixed_seg: Volume,
+    fixed_seg: Volume | FixedSide,
     moving_seg: Volume,
     phi: DisplacementField,
     labels: Sequence[int] | None = None,
@@ -468,35 +556,36 @@ def evaluate_pair(
 ) -> PairReport:
     """Warp the moving segmentation and fill a PairReport.
 
-    ``labels`` defaults to the sorted nonzero labels of the fixed
-    segmentation; ``mask`` (for NDV) defaults to the union of those labels.
-    The ZeroDisplacement baseline is this function applied to the zero field.
+    ``fixed_seg`` is the fixed segmentation, or a ``FixedSide`` already
+    built from it (which then holds ``labels`` and ``mask``); see
+    ``FixedSide`` for their defaults.  The ZeroDisplacement baseline is
+    this function applied to the zero field.
     """
-    _check_same_dims(fixed_seg, moving_seg)
-    if fixed_seg.header.dims != phi.header.dims:
-        raise DimMismatch(f"field dims {phi.header.dims} do not match segmentation {fixed_seg.header.dims}")
-    if labels is None:
-        labels = [int(l) for l in np.unique(fixed_seg.data) if l != 0]
-    labels = [int(l) for l in labels]
-    spacing = fixed_seg.spacing
+    if isinstance(fixed_seg, FixedSide):
+        if labels is not None or mask is not None:
+            raise ValueError("labels and mask come from the FixedSide")
+        fixed = fixed_seg
+    else:
+        fixed = FixedSide(fixed_seg, labels, mask)
+    seg = fixed.seg
+    _check_same_dims(seg, moving_seg)
+    if seg.header.dims != phi.header.dims:
+        raise DimMismatch(f"field dims {phi.header.dims} do not match segmentation {seg.header.dims}")
+    labels = fixed.labels
 
     warped = warp_labels(moving_seg, phi)
-    dsc_per_label, dsc_mean = dsc(fixed_seg, warped, labels)
-    hd95_per_label = _hd95_many(fixed_seg, warped, labels, spacing)
+    dsc_per_label, dsc_mean = dsc(seg, warped, labels)
+    hd95_per_label = _hd95_many(fixed.surfaces, warped, labels)
     hd95_present = [v for v in hd95_per_label.values() if v is not None]
     hd95_mean = float(np.mean(hd95_present)) if hd95_present else None
 
-    if mask is None:
-        mask_arr = np.isin(fixed_seg.data, np.asarray(labels)) if labels else fixed_seg.data > 0
-    else:
-        mask_arr = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-    ndv_value = ndv(phi, mask_arr)
+    ndv_value = ndv(phi, fixed.ndv_mask)
 
     tre_list: list[float] = []
     tre_mean = None
     if landmarks is not None:
         lm_fixed, lm_moving = landmarks
-        distances = tre(lm_fixed, lm_moving, phi, spacing)
+        distances = tre(lm_fixed, lm_moving, phi, seg.spacing)
         tre_list = [float(d) for d in distances]
         tre_mean = float(np.mean(distances)) if len(tre_list) else None
 

@@ -148,6 +148,13 @@ def loss_and_grad(fixed: Volume, moving: Volume, phi: DisplacementField, cfg: Re
     return _loss_and_grad(terms, mdata, np.asarray(phi.data, dtype=np.float64), cfg.lambda_diffusion)
 
 
+def loss(fixed: Volume, moving: Volume, phi: DisplacementField, cfg: RegConfig) -> float:
+    """Registration loss alone, as the optimizer's line search computes it."""
+    fdata, mdata = _prepare(fixed, moving, phi)
+    terms = _LnccTerms(fdata, cfg.lncc_window)
+    return _loss_only(terms, mdata, np.asarray(phi.data, dtype=np.float64), cfg.lambda_diffusion)
+
+
 # ---------------------------------------------------------------------------
 # pyramid plumbing
 

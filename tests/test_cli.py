@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regeval import cli
 from regeval.metrics import PairReport
@@ -104,6 +106,127 @@ class TestEval:
         per_label, mean = dsc(fixed, moving, labels)
         assert report.dsc_per_label == per_label
         assert report.dsc_mean == mean
+
+
+class TestGroupedEval:
+    """eval reads and prepares what the jobs of one pair share once."""
+
+    def test_reports_equal_evaluate_pair_per_job(self, cohort, tmp_path):
+        from regeval.metrics import evaluate_pair
+        from regeval.volio import read_field, read_landmarks, read_volume
+
+        out = tmp_path / "reports"
+        assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
+        for job in cli.read_manifest(cohort / "manifest.csv"):
+            fixed = read_volume(job.fixed_seg, kind="label")
+            if job.field == cli.ZERO_FIELD:
+                phi = DisplacementField.zero(fixed.header)
+            else:
+                phi = read_field(job.field)
+            report = evaluate_pair(
+                fixed,
+                read_volume(job.moving_seg, kind="label"),
+                phi,
+                landmarks=(read_landmarks(job.landmarks_fixed), read_landmarks(job.landmarks_moving)),
+                method_id=job.method,
+                pair_id=job.pair_id,
+            )
+            written = json.loads((out / f"{job.method}__{job.pair_id}.json").read_text())
+            assert written == report.to_dict()
+
+    def test_fixed_side_built_once_per_group(self, cohort, tmp_path, monkeypatch):
+        from regeval import metrics
+
+        extracted = []
+        extract = metrics._boundary_by_label
+
+        def counting(lab, wanted):
+            extracted.append(lab.shape)
+            return extract(lab, wanted)
+
+        monkeypatch.setattr(metrics, "_boundary_by_label", counting)
+        out = tmp_path / "reports"
+        assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
+        # one fixed side per pair (3) and one warped side per job (6)
+        assert len(extracted) == 3 + 6
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_missing_shared_fixed_seg_fails_each_job_of_its_pair(self, cohort, tmp_path, jobs):
+        import shutil
+
+        copy = tmp_path / "cohort"
+        shutil.copytree(cohort, copy)
+        (copy / "labels" / "case000_fixed.nii").unlink()
+        out = tmp_path / "reports"
+        assert cli.main(["--jobs", jobs, "--out", str(out), "eval", str(copy / "manifest.csv")]) == 1
+        lone = []
+        for job in cli.read_manifest(copy / "manifest.csv"):
+            if job.pair_id == "case000":
+                with pytest.raises(cli.IoFailure) as failure:
+                    cli.run_job(job)
+                lone.append({"method": job.method, "pair_id": job.pair_id,
+                             "error": f"IoFailure: {failure.value}"})
+        assert json.loads((out / "errors.json").read_text()) == sorted(
+            lone, key=lambda d: (d["method"], d["pair_id"])
+        )
+        assert len(lone) == 2
+        assert len(sorted(out.glob("*__*.json"))) == 4
+
+    def test_worker_death_recorded_per_job(self, cohort, tmp_path, monkeypatch, capsys):
+        from concurrent.futures.process import BrokenProcessPool
+
+        class DyingPool:
+            """Returns the first task's results, runs the second (which
+            writes its reports) and then reports a dead worker."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                yield fn(items[0])
+                fn(items[1])
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(cli, "cpu_count", lambda: 2)
+        out = tmp_path / "reports"
+        code = cli.main(["--jobs", "2", "--out", str(out), "eval", str(cohort / "manifest.csv")])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+        # 6 jobs over 2 workers: tasks of 3 jobs at most, one per pair
+        errors = json.loads((out / "errors.json").read_text())
+        lost = {(e["method"], e["pair_id"]) for e in errors}
+        assert lost == {(m, p) for m in ("truth", "zero") for p in ("case001", "case002")}
+        assert {e["error"] for e in errors} == {"BrokenProcessPool: a worker died"}
+        assert sorted(p.name for p in out.glob("*__*.json")) == [
+            "truth__case000.json", "zero__case000.json"
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        requested=st.integers(1, 12),
+    )
+    def test_tasks_cover_jobs_within_groups(self, sizes, requested):
+        job_list = [
+            cli.Job(f"m{i}", f"p{g}", f"f{g}", f"m{g}", "ZERO")
+            for g, n in enumerate(sizes)
+            for i in range(n)
+        ]
+        workers = min(requested, len(job_list))
+        tasks = cli._eval_tasks(job_list, "out", "voxel", workers)
+        assert len(tasks) >= workers
+        in_tasks = [j for jobs, _, _ in tasks for j in jobs]
+        assert len(in_tasks) == len(job_list) and set(in_tasks) == set(job_list)
+        for jobs, _, _ in tasks:
+            assert len({cli._group_key(j) for j in jobs}) == 1
 
 
 class TestWorkerCount:
@@ -656,6 +779,40 @@ class TestRegisterCommand:
 
         fld = read_field(out)
         assert fld.dims == dims
+
+    def test_init_prints_the_loss_alone(self, tmp_path, capsys, monkeypatch):
+        from regeval import refreg
+        from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
+        from regeval.volio import read_field
+
+        dims = (20, 20, 20)
+        pair = make_pair(
+            make_phantom(PhantomSpec(dims=dims, label_count=2, seed=4)),
+            make_velocity(Svf(seed=5, amplitude=1.0), dims),
+        )
+        write_nifti(pair.fixed_image, tmp_path / "fixed.nii")
+        write_nifti(pair.moving_image, tmp_path / "moving.nii")
+        init = DisplacementField(header=pair.truth.header, data=0.5 * pair.truth.data)
+        write_nifti(init, tmp_path / "init.nii")
+        loss_and_grad = refreg.loss_and_grad
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("register --init computed a gradient it does not print")
+
+        monkeypatch.setattr(refreg, "loss_and_grad", no_gradient)
+        out = tmp_path / "field.nii"
+        assert cli.main([
+            "--out", str(out), "register", str(tmp_path / "fixed.nii"), str(tmp_path / "moving.nii"),
+            "--levels", "1", "--iters", "4", "--window", "5", "--init", str(tmp_path / "init.nii"),
+        ]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        printed = float(line.rsplit(" ", 1)[1])
+        cfg = refreg.RegConfig(levels=1, iters_per_level=(4,), lncc_window=5, parameterization="svf")
+        field = read_field(out)
+        assert printed == refreg.loss(pair.fixed_image, pair.moving_image, field, cfg)
+        # the gradient pass forms the same LNCC with another rounding order
+        full = loss_and_grad(pair.fixed_image, pair.moving_image, field, cfg)[0]
+        assert printed == pytest.approx(full, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "options, message",

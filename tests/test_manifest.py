@@ -1,12 +1,15 @@
+from dataclasses import astuple, replace
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from regeval.manifest import ZERO_FIELD, Job, read_manifest, write_manifest
+from regeval.errors import UnpairedCases
+from regeval.manifest import MANIFEST_COLUMNS, ZERO_FIELD, Job, read_manifest, write_manifest
 from regeval.synth import make_cohort
 
 # cell text with the characters CSV must quote; no surrounding blanks,
-# since the reader strips every cell
+# since the reader strips every cell (``padded`` adds them)
 _CHARS = st.sampled_from(list("abcXYZ019_-./ ,\"'é"))
 _TEXT = st.text(_CHARS, min_size=1, max_size=12).map(str.strip).filter(bool)
 _PATH = st.one_of(
@@ -28,26 +31,52 @@ def job_lists(draw):
     ]
 
 
+@st.composite
+def padded(draw, jobs):
+    """``jobs`` with one non-empty cell given a leading or trailing blank."""
+    i = draw(st.integers(0, len(jobs) - 1))
+    column = draw(st.sampled_from([c for c, v in zip(MANIFEST_COLUMNS, astuple(jobs[i])) if v]))
+    blank = draw(st.sampled_from([" ", "\t"]))
+    cell = getattr(jobs[i], column)
+    cell = blank + cell if draw(st.booleans()) else cell + blank
+    return jobs[:i] + [replace(jobs[i], **{column: cell})] + jobs[i + 1 :]
+
+
 def resolved(job: Job, base: Path) -> Job:
     """``job`` as the reader returns it: relative paths joined to the
-    manifest's directory, ``ZERO`` and empty cells kept as they are."""
+    manifest's directory, empty cells and a ``ZERO`` field kept as they are."""
 
     def res(cell):
-        return cell if cell in (None, ZERO_FIELD) else str(base / cell)
+        return cell if cell is None else str(base / cell)
 
-    cells = (job.fixed_seg, job.moving_seg, job.field, job.landmarks_fixed,
-             job.landmarks_moving, job.mask)
-    return Job(job.method, job.pair_id, *(res(c) for c in cells))
+    field = job.field if job.field == ZERO_FIELD else res(job.field)
+    return Job(job.method, job.pair_id, res(job.fixed_seg), res(job.moving_seg), field,
+               res(job.landmarks_fixed), res(job.landmarks_moving), res(job.mask))
 
 
 @settings(max_examples=60, deadline=None)
-@given(jobs=job_lists())
+@given(jobs=job_lists().flatmap(lambda js: st.one_of(st.just(js), padded(js)) if js else st.just(js)))
 # cells that a plain ",".join writer would split or mangle
 @example(jobs=[Job('m,"1"', "p 0", "a,b.nii", 'say "x".nii', ZERO_FIELD, mask="/abs/m,k.nii")])
+@example(jobs=[Job("m", "p", "a.nii", "b.nii", "f.nii", mask="m.nii ")])
 def test_read_returns_written_jobs_resolved(tmp_path_factory, jobs):
     path = tmp_path_factory.mktemp("manifest") / "m.csv"
+    if any(c is not None and c != c.strip() for j in jobs for c in astuple(j)):
+        with pytest.raises(UnpairedCases, match="leading or trailing blanks"):
+            write_manifest(path, jobs)
+        assert not path.exists()
+        return
     write_manifest(path, jobs)
     assert read_manifest(path) == [resolved(j, path.parent) for j in jobs]
+
+
+def test_zero_is_special_only_in_the_field_column(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(MANIFEST_COLUMNS) + "\nm,p,ZERO,b.nii,ZERO,ZERO,,ZERO\n")
+    job, = read_manifest(path)
+    assert job.field == ZERO_FIELD
+    assert job.mask == str(tmp_path / "ZERO")
+    assert job.fixed_seg == job.landmarks_fixed == str(tmp_path / "ZERO")
 
 
 def test_synth_manifest_bytes(tmp_path):

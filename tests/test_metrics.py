@@ -2,6 +2,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regeval import errors, metrics
 from regeval.metrics import dsc, evaluate_pair, hd95, lncc, ndv, tre
@@ -214,6 +216,36 @@ class TestHd95:
             want = hd95_oracle(a, b, 1, spacing)
             assert got == pytest.approx(want, abs=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(*[st.integers(2, 12)] * 3),
+        flip=st.sampled_from([0.0, 0.02, 0.1, 0.5]),
+        spacing=st.tuples(*[st.sampled_from([1.0, 0.7, 1.3, 0.9375, 2.0])] * 3),
+    )
+    def test_equals_querying_every_point_bit_for_bit(self, seed, dims, flip, spacing):
+        # boundary voxels on both sides are not queried; the distances and
+        # percentiles must be those of querying every point both ways
+        from scipy.spatial import cKDTree
+
+        from regeval.stats import percentile
+
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=dims)
+        b = np.where(rng.random(dims) < flip, rng.integers(0, 3, size=dims), a)
+        sp = np.asarray(spacing)
+        for label in (1, 2):
+            pa = np.argwhere(boundary_oracle(a == label)) * sp
+            pb = np.argwhere(boundary_oracle(b == label)) * sp
+            got = hd95(label_volume(a), label_volume(b), label, spacing=spacing)
+            if len(pa) == 0 or len(pb) == 0:
+                continue
+            want = max(
+                percentile(cKDTree(pb).query(pa)[0], 95.0),
+                percentile(cKDTree(pa).query(pb)[0], 95.0),
+            )
+            assert got == want
+
     def test_query_threads_one_per_pool_worker_and_same_distance(self, rng):
         # a lone process queries on every CPU; a pool worker, whose siblings
         # already use the other CPUs, on one thread; the value is the same
@@ -404,6 +436,105 @@ class TestNdv:
             ndv(phi, np.zeros(dims, dtype=np.int16))
 
 
+# The full-grid NDV that computes every cell and masks afterwards, as
+# metrics.ndv did before it computed only the cells touching the mask.
+_KUHN_PAIRS_ORACLE = (((1, 1, 0), 0, 1), ((1, 0, 1), 2, 0), ((0, 1, 1), 1, 2))
+_AXIS_OFFSETS_ORACLE = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _folded_volume_chunk_oracle(psi_comps, cell_mask):
+    sx1, ny, nz = psi_comps[0].shape
+
+    def corner(comp, offset):
+        ox, oy, oz = offset
+        return psi_comps[comp][ox : sx1 - 1 + ox, oy : ny - 1 + oy, oz : nz - 1 + oz]
+
+    c000 = [corner(c, (0, 0, 0)) for c in range(3)]
+    w = [corner(c, (1, 1, 1)) - c000[c] for c in range(3)]
+    axis_delta = [[corner(c, off) - c000[c] for c in range(3)] for off in _AXIS_OFFSETS_ORACLE]
+    folded = np.zeros(cell_mask.shape, dtype=np.float64)
+    for edge_offset, first_a, first_b in _KUHN_PAIRS_ORACLE:
+        e = [corner(c, edge_offset) - c000[c] for c in range(3)]
+        cx = e[1] * w[2] - e[2] * w[1]
+        cy = e[2] * w[0] - e[0] * w[2]
+        cz = e[0] * w[1] - e[1] * w[0]
+        for sign, first in ((1.0, first_a), (-1.0, first_b)):
+            d1 = axis_delta[first]
+            det = d1[0] * cx + d1[1] * cy + d1[2] * cz
+            signed = det if sign > 0 else -det
+            np.minimum(signed, 0.0, out=signed)
+            folded -= signed
+    return float(np.sum(folded[cell_mask])) / 6.0
+
+
+def full_grid_ndv_oracle(u: np.ndarray, mdata: np.ndarray) -> float:
+    dims = mdata.shape
+    axes = [np.arange(dims[c], dtype=np.float64) for c in range(3)]
+    psi_comps = [
+        u[..., 0] + axes[0][:, None, None],
+        u[..., 1] + axes[1][None, :, None],
+        u[..., 2] + axes[2][None, None, :],
+    ]
+    m = mdata > 0
+    cm = (
+        m[:-1, :-1, :-1] | m[1:, :-1, :-1] | m[:-1, 1:, :-1] | m[:-1, :-1, 1:]
+        | m[1:, 1:, :-1] | m[1:, :-1, 1:] | m[:-1, 1:, 1:] | m[1:, 1:, 1:]
+    )
+    folded = 0.0
+    slab = max(1, int(2**19 // (dims[1] * dims[2] + 1)))
+    for x0 in range(0, dims[0] - 1, slab):
+        x1 = min(x0 + slab, dims[0] - 1)
+        folded += _folded_volume_chunk_oracle([c[x0 : x1 + 1] for c in psi_comps], cm[x0:x1])
+    return folded / float(np.count_nonzero(mdata))
+
+
+@st.composite
+def folded_fields_and_masks(draw):
+    dims = tuple(draw(st.integers(2, 7)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(-1.0, 1.0, size=dims + (3,)) * draw(st.sampled_from([0.3, 0.8, 1.5]))
+    # -1 is nonzero (counted in the normalizer) but not > 0 (no cell)
+    mask = np.where(rng.random(dims) < draw(st.floats(0.0, 1.0)), rng.integers(-1, 3, dims), 0)
+    if draw(st.booleans()):
+        for axis in range(3):
+            for end in (0, dims[axis] - 1):
+                face = [slice(None)] * 3
+                face[axis] = end
+                mask[tuple(face)] = 1
+    return u, mask.astype(np.int16)
+
+
+class TestNdvMaskedCells:
+    @settings(max_examples=150, deadline=None)
+    @given(case=folded_fields_and_masks())
+    def test_equals_full_grid_oracle_bit_for_bit(self, case):
+        u, mask = case
+        phi = field_from(u)
+        if not np.any(mask):
+            with pytest.raises(errors.EmptyMask):
+                ndv(phi, mask)
+            return
+        want = full_grid_ndv_oracle(u, mask)
+        assert ndv(phi, mask) == want
+        assert ndv(phi, metrics.NdvMask(mask, phi.dims)) == want
+
+    def test_multi_slab_equals_oracle_bit_for_bit(self, rng):
+        dims = (5, 400, 330)  # ny * nz > 2**17: three x cells per slab, two slabs
+        assert dims[1] * dims[2] > 2**17
+        u = rng.uniform(-1.2, 1.2, size=dims + (3,))
+        mask = (rng.random(dims) < 0.3).astype(np.int16)
+        cells = metrics.NdvMask(mask, dims)
+        assert [(x0, x1) for x0, x1, _ in cells.slabs] == [(0, 3), (3, 4)]
+        got = ndv(field_from(u), cells)
+        assert got > 0.0
+        assert got == full_grid_ndv_oracle(u, mask)
+
+    def test_prepared_mask_for_another_grid_rejected(self):
+        phi = DisplacementField.zero(AffineHeader.isotropic((6, 6, 6)))
+        with pytest.raises(errors.DimMismatch):
+            ndv(phi, metrics.NdvMask(np.ones((6, 6, 5), dtype=np.int16), (6, 6, 5)))
+
+
 # --- LNCC --------------------------------------------------------------------
 
 
@@ -511,6 +642,19 @@ class TestEvaluatePair:
                 hd95_oracle(a, b, lab, (1.0, 1.0, 1.0)), abs=1e-9
             )
         assert report.ndv == 0.0
+
+    def test_fixed_side_serves_many_fields(self, rng):
+        dims = (16, 16, 16)
+        fixed = label_volume(rng.integers(0, 4, size=dims))
+        moving = label_volume(rng.integers(0, 4, size=dims))
+        mask = label_volume(rng.integers(0, 2, size=dims))
+        side = metrics.FixedSide(fixed, mask=mask)
+        for amplitude in (0.0, 0.7, 1.5):
+            phi = field_from(rng.uniform(-amplitude, amplitude, size=dims + (3,)))
+            alone = evaluate_pair(fixed, moving, phi, mask=mask)
+            assert evaluate_pair(side, moving, phi) == alone
+        with pytest.raises(ValueError):
+            evaluate_pair(side, moving, phi, labels=[1])
 
     def test_report_json_round_trip(self):
         data = np.zeros((8, 8, 8), dtype=np.int16)
