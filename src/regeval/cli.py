@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -152,6 +153,10 @@ def _eval_task(task: tuple) -> list[tuple[str, str, str | None]]:
             _write_json(report.to_dict(), Path(out_dir) / _report_name(job))
             results.append((job.method, job.pair_id, None))
         except Exception as exc:  # per-job isolation: record, never abort others
+            # a report an earlier run left here would contradict errors.json;
+            # where it cannot be removed, writing errors.json fails as well
+            with contextlib.suppress(OSError):
+                (Path(out_dir) / _report_name(job)).unlink(missing_ok=True)
             results.append((job.method, job.pair_id, f"{type(exc).__name__}: {exc}"))
     return results
 

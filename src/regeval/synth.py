@@ -352,6 +352,7 @@ def make_cohort(
         write_landmarks(pair.fixed_landmarks, out / paths["fixed_landmarks"])
         write_landmarks(pair.moving_landmarks, out / paths["moving_landmarks"])
         write_nifti(pair.truth, out / paths["truth_field"], use_gzip=gzip_files)
+        del pair  # one case in memory at a time: free it before the next make_pair
         manifest["cases"].append(
             {
                 "case_id": case_id,

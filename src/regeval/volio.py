@@ -416,17 +416,26 @@ def write_nifti(obj, path, use_gzip: bool = False) -> None:
     read reproduces the object bit-exactly.  Fields are emitted in the
     5D ``dim[4] == 1, dim[5] == 3`` layout.  The file is written through
     ``atomic_open``, so a failed write keeps any earlier file at ``path``.
+
+    ``.nii.gz`` output is one gzip member with mtime 0, so identical
+    objects give identical bytes: zlib level 6 with run-length matching
+    for float payloads (whose bytes barely repeat, so a full match search
+    costs time and saves nothing) and the default strategy for labels.
     """
     dtype = _payload_dtype(obj)
-    header = _build_header(obj, dtype)
-    payload = np.ascontiguousarray(obj.data.ravel(order="F"), dtype=dtype).tobytes()
-    blob = header + b"\x00\x00\x00\x00" + payload
-    if use_gzip:
-        # mtime pinned so identical objects produce identical bytes
-        blob = gzip.compress(blob, mtime=0)
+    head = _build_header(obj, dtype) + b"\x00\x00\x00\x00"
+    payload = memoryview(np.asfortranarray(obj.data, dtype=dtype).ravel(order="F")).cast("B")
     try:
         with atomic_open(path, binary=True) as fh:
-            fh.write(blob)
+            if use_gzip:
+                strategy = zlib.Z_RLE if dtype.kind == "f" else zlib.Z_DEFAULT_STRATEGY
+                deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, strategy)
+                fh.write(deflate.compress(head))
+                fh.write(deflate.compress(payload))
+                fh.write(deflate.flush())
+            else:
+                fh.write(head)
+                fh.write(payload)
     except OSError as exc:
         raise IoFailure(f"could not write {path}: {exc}") from exc
 

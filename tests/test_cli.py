@@ -89,6 +89,43 @@ class TestEval:
         assert errors[0]["method"] == "bad"
         assert len(sorted(out.glob("*__*.json"))) == 6  # the other jobs completed
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_job_removes_the_report_of_an_earlier_run(self, cohort, tmp_path, jobs):
+        import dataclasses
+        import shutil
+
+        from regeval.manifest import write_manifest
+
+        # a third method whose three jobs share one field file
+        shared = tmp_path / "shared_field.nii"
+        shutil.copyfile(cohort / "fields" / "case000_truth.nii", shared)
+        base = cli.read_manifest(cohort / "manifest.csv")
+        copies = [
+            dataclasses.replace(job, method="copy", field=str(shared))
+            for job in base if job.method == "truth"
+        ]
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, base + copies)
+        out = tmp_path / "reports"
+        assert cli.main(["--jobs", jobs, "--out", str(out), "eval", str(manifest)]) == 0
+        assert len(list(out.glob("copy__*.json"))) == 3
+
+        shared.write_bytes(b"not a nifti file")
+        assert cli.main(["--jobs", jobs, "--out", str(out), "eval", str(manifest)]) == 1
+        assert list(out.glob("copy__*.json")) == []
+        errors = json.loads((out / "errors.json").read_text())
+        assert [(e["method"], e["pair_id"]) for e in errors] == [
+            ("copy", f"case{i:03d}") for i in range(3)
+        ]
+        # rank sees what a fresh directory of the jobs that succeeded holds
+        fresh = tmp_path / "fresh"
+        assert cli.main(["--out", str(fresh), "eval", str(cohort / "manifest.csv")]) == 0
+        boards = tmp_path / "reused_board", tmp_path / "fresh_board"
+        assert cli.main(["--out", str(boards[0]), "rank", str(out)]) == 0
+        assert cli.main(["--out", str(boards[1]), "rank", str(fresh)]) == 0
+        for name in ("leaderboard.csv", "leaderboard.json"):
+            assert (boards[0] / name).read_bytes() == (boards[1] / name).read_bytes()
+
     def test_zero_field_matches_direct_overlap(self, cohort, tmp_path):
         out = tmp_path / "reports"
         assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0

@@ -1,4 +1,6 @@
+import gzip
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +166,31 @@ class TestMakeCohort:
         a = read_nifti(root / loaded["cases"][0]["paths"]["fixed_image"])
         b = read_nifti(tmp_path / "cohort2" / loaded["cases"][0]["paths"]["fixed_image"])
         assert np.array_equal(a.data, b.data)
+
+    def test_gzip_cohort_decompresses_to_the_raw_cohort(self, tmp_path):
+        make_cohort(tmp_path / "raw", cases=2, dims=(12, 10, 8), seed=3)
+        make_cohort(tmp_path / "gz", cases=2, dims=(12, 10, 8), seed=3, gzip_files=True)
+        raw_files = sorted(p.relative_to(tmp_path / "raw") for p in (tmp_path / "raw").glob("*/*.nii"))
+        gz_files = sorted(p.relative_to(tmp_path / "gz") for p in (tmp_path / "gz").glob("*/*.nii.gz"))
+        assert len(raw_files) == 10
+        assert gz_files == [p.with_name(p.name + ".gz") for p in raw_files]
+        for rel in raw_files:
+            gz = (tmp_path / "gz" / rel.with_name(rel.name + ".gz")).read_bytes()
+            assert gzip.decompress(gz) == (tmp_path / "raw" / rel).read_bytes()
+
+    def test_peak_memory_does_not_grow_with_the_case_count(self, tmp_path):
+        # each case's arrays are freed before the next case is built
+        make_cohort(tmp_path / "warm", cases=1, dims=(24, 24, 24), seed=0)
+        peaks = []
+        for cases in (1, 2, 3):
+            tracemalloc.start()
+            try:
+                make_cohort(tmp_path / f"c{cases}", cases=cases, dims=(24, 24, 24), seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one more 24^3 float64 array (110 KiB) than one case needs is too many
+        assert max(peaks) - peaks[0] < 24**3 * 8
 
     def test_landmarks_round_trip_through_cohort(self, tmp_path):
         make_cohort(tmp_path / "c", cases=1, dims=(20, 20, 20), seed=1)

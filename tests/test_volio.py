@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,46 @@ except errors.IoFailure as exc:
 """
 
 
+_WRITE_KINDS = [
+    ("label", np.uint8), ("label", np.int16), ("label", np.int32),
+    ("scalar", np.float32), ("scalar", np.float64),
+    ("field", np.float32), ("field", np.float64),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(*[st.integers(1, 7)] * 3),
+    st.sampled_from(_WRITE_KINDS),
+    st.sampled_from("CF"),
+    st.integers(0, 2**32 - 1),
+)
+def test_gzip_file_decompresses_to_the_raw_file(dims, kind_dtype, order, seed):
+    kind, np_dtype = kind_dtype
+    rng = np.random.default_rng(seed)
+    header = AffineHeader.isotropic(dims, 1.5)
+    if kind == "field":
+        data = rng.standard_normal(dims + (3,)).astype(np_dtype)
+    elif kind == "label":
+        data = rng.integers(0, 5, size=dims).astype(np_dtype)
+    else:
+        data = rng.standard_normal(dims).astype(np_dtype)
+    data = np.asfortranarray(data) if order == "F" else np.ascontiguousarray(data)
+    obj = DisplacementField(header, data) if kind == "field" else Volume(header, kind, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        raw_path, gz_path, again = (Path(tmp) / n for n in ("a.nii", "a.nii.gz", "b.nii.gz"))
+        volio.write_nifti(obj, raw_path)
+        volio.write_nifti(obj, gz_path, use_gzip=True)
+        volio.write_nifti(obj, again, use_gzip=True)
+        raw, gz = raw_path.read_bytes(), gz_path.read_bytes()
+        assert gzip.decompress(gz) == raw
+        assert zlib.decompress(gz, 31) == raw
+        assert again.read_bytes() == gz
+        back = volio.read_nifti(gz_path)
+    assert back.data.dtype == data.dtype
+    assert np.array_equal(back.data, data)
+
+
 class TestAtomicWriteNifti:
     @pytest.mark.parametrize("mode", ["gzip", "raw"])
     def test_write_failing_midway_keeps_old_file(self, tmp_path, mode):
@@ -387,7 +428,13 @@ class TestAtomicWriteNifti:
         volio.write_nifti(vol, target, use_gzip=use_gzip)
         dtype = np.dtype(np.float64)
         want = volio._build_header(vol, dtype) + b"\x00" * 4 + vol.data.tobytes(order="F")
-        assert target.read_bytes() == (gzip.compress(want, mtime=0) if use_gzip else want)
+        if use_gzip:
+            deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+            got = target.read_bytes()
+            assert got == deflate.compress(want) + deflate.flush()
+            assert gzip.decompress(got) == want
+        else:
+            assert target.read_bytes() == want
         assert list(tmp_path.iterdir()) == [target]
 
     def test_symlink_target_replaced_at_its_real_location(self, tmp_path):
