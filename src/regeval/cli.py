@@ -51,27 +51,6 @@ from .volio import (
 )
 from .warp import ic_residual
 
-LEADERBOARD_COLUMNS = (
-    "method",
-    "dsc_mean",
-    "dsc_std",
-    "dsc30_mean",
-    "dsc30_std",
-    "hd95_mean",
-    "hd95_std",
-    "tre_mean",
-    "tre_std",
-    "tre30_mean",
-    "tre30_std",
-    "ndv_mean",
-    "ndv_std",
-    "rank_dsc",
-    "rank_hd95",
-    "rank_tre",
-    "acc_score",
-    "final_rank",
-)
-
 
 def _report_name(job: Job) -> str:
     return f"{job.method}__{job.pair_id}.json"
@@ -277,14 +256,25 @@ def _tre30(report: PairReport) -> float | None:
     return stats.tre30(report.tre_per_landmark) if report.tre_per_landmark else None
 
 
+# every metric a report yields, in leaderboard column order
 METRICS = {
     "dsc": Metric(ranking.HIGHER_BETTER, "paired", lambda r: r.dsc_mean),
+    "dsc30": Metric(ranking.HIGHER_BETTER, "unpaired", _dsc30),
     "hd95": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.hd95_mean),
     "tre": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.tre_mean),
-    "ndv": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.ndv),
-    "dsc30": Metric(ranking.HIGHER_BETTER, "unpaired", _dsc30),
     "tre30": Metric(ranking.LOWER_BETTER, "unpaired", _tre30),
+    "ndv": Metric(ranking.LOWER_BETTER, "paired", lambda r: r.ndv),
 }
+# the metrics whose rank scores the accuracy score pools
+ACC_METRICS = ("dsc", "hd95", "tre")
+
+LEADERBOARD_COLUMNS = (
+    "method",
+    *(f"{m}_{s}" for m in METRICS for s in ("mean", "std")),
+    *(f"rank_{m}" for m in ACC_METRICS),
+    "acc_score",
+    "final_rank",
+)
 
 
 def metric_spec(metric_id: str) -> Metric:
@@ -294,20 +284,25 @@ def metric_spec(metric_id: str) -> Metric:
         raise MissingMethods(f"unknown metric {metric_id!r}") from None
 
 
+def _by_method(reports: list[PairReport]) -> dict[str, list[PairReport]]:
+    """Reports grouped by method id; methods and each method's cases in
+    sorted order."""
+    groups: dict[str, list[PairReport]] = {}
+    for r in sorted(reports, key=lambda r: (r.method_id, r.pair_id)):
+        groups.setdefault(r.method_id, []).append(r)
+    return groups
+
+
 def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.MetricMatrix:
     """Assemble a methods-by-cases matrix for one metric from pair reports."""
     methods = sorted({r.method_id for r in reports})
     cases = sorted({r.pair_id for r in reports})
-    if not methods:
-        raise MissingMethods("reports carry no method ids")
     spec = metric_spec(metric)
     values = np.full((len(methods), len(cases)), np.nan)
     for r in reports:
         v = spec.value(r)
         if v is not None:
             values[methods.index(r.method_id), cases.index(r.pair_id)] = v
-    if spec.pairing == "paired" and not np.all(np.isfinite(values)):
-        raise UnpairedCases(f"{metric}: not every method covers every case")
     return ranking.MetricMatrix(
         metric_id=metric,
         direction=spec.direction,
@@ -318,72 +313,50 @@ def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.Metri
     )
 
 
+def _cell(v) -> str:
+    """A leaderboard CSV cell: empty when missing, floats in shortest
+    round-trip form."""
+    if v is None:
+        return ""
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0.05) -> int:
     """Build the leaderboard CSV and rank JSON from a report directory.
 
-    The accuracy score pools dsc, hd95 and, when every report has landmark
-    results, tre; further requested metrics (e.g. ndv) are ranked and
-    reported but stay out of the accuracy score.
+    The accuracy score pools the requested ``ACC_METRICS``, tre only when
+    every report has landmark results; further requested metrics (e.g. ndv)
+    are ranked and reported but stay out of the accuracy score.
     """
     reports = load_reports(report_dir)
-    methods = sorted({r.method_id for r in reports})
-
     have_tre = all(r.tre_mean is not None for r in reports)
     usable = [m for m in metrics if m != "tre" or have_tre]
     matrices = [build_metric_matrix(reports, m) for m in usable]
-    acc_metrics = [m for m in ("dsc", "hd95", "tre") if m in usable]
+    acc_metrics = [m for m in ACC_METRICS if m in usable]
     if not acc_metrics:
-        raise MissingMethods(f"accuracy ranking needs dsc/hd95/tre among metrics {metrics}")
-
-    if len(methods) == 1:
-        scores = {m.metric_id: {methods[0]: 0.1} for m in matrices}
-        wins = {m.metric_id: {methods[0]: 0} for m in matrices}
-        table = ranking.aggregate(scores, acc_metrics, wins=wins)
-    else:
-        table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=alpha)
-
-    summary_metrics = ("dsc", "dsc30", "hd95", "tre", "tre30", "ndv")
-    cohorts: dict[str, stats.CohortStats] = {}
-    for method in methods:
-        mine = sorted(
-            (r for r in reports if r.method_id == method), key=lambda r: r.pair_id
+        raise MissingMethods(
+            f"accuracy ranking needs {'/'.join(ACC_METRICS)} among metrics {metrics}"
         )
-        per_case = {}
-        for metric in summary_metrics:
-            value = METRICS[metric].value
-            vals = [v for r in mine if (v := value(r)) is not None]
-            if vals:
-                per_case[metric] = vals
-        cohorts[method] = stats.summarize_cohort(per_case)
+    table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=alpha)
+    by_method = _by_method(reports)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for row in table.rows:
-        cohort = cohorts[row.method]
-        cells: dict[str, object] = {"method": row.method}
-        for metric in summary_metrics:
-            cells[f"{metric}_mean"] = cohort.means.get(metric)
-            cells[f"{metric}_std"] = cohort.stds.get(metric)
-        for metric in ("dsc", "hd95", "tre"):
-            cells[f"rank_{metric}"] = row.rank_scores.get(metric)
-        cells["acc_score"] = row.acc_score
-        cells["final_rank"] = row.final_rank
-        rows.append(cells)
-
-    def fmt(v) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     csv_path = out / "leaderboard.csv"
     with atomic_open(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEADERBOARD_COLUMNS)
-        for cells in rows:
-            writer.writerow([fmt(cells.get(col)) for col in LEADERBOARD_COLUMNS])
+        for row in table.rows:
+            per_case = {}
+            for metric, spec in METRICS.items():
+                vals = [v for r in by_method[row.method] if (v := spec.value(r)) is not None]
+                if vals:
+                    per_case[metric] = vals
+            cohort = stats.summarize_cohort(per_case)
+            cells = [row.method]
+            cells += [s.get(m) for m in METRICS for s in (cohort.means, cohort.stds)]
+            cells += [row.rank_scores.get(m) for m in ACC_METRICS]
+            writer.writerow([_cell(v) for v in cells + [row.acc_score, row.final_rank]])
 
     rank_json = {
         "alpha": alpha,
@@ -426,16 +399,12 @@ def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> in
     method,n_cases,r,slope,intercept,note."""
     reports = load_reports(report_dir)
     x_value, y_value = metric_spec(x_metric).value, metric_spec(y_metric).value
-    methods = sorted({r.method_id for r in reports})
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
-        for method in methods:
-            mine = sorted(
-                (r for r in reports if r.method_id == method), key=lambda r: r.pair_id
-            )
+        for method, mine in _by_method(reports).items():
             xs, ys = [], []
             for r in mine:
                 xv, yv = x_value(r), y_value(r)
@@ -493,19 +462,18 @@ def cmd_bench(manifest: str, row: int, repeats: int, units: str, out: str | None
 # synth and register
 
 
-def cmd_synth(out_dir: str, cases: int, dims, labels: int, seed: int, amplitude: float,
-              smoothness: float, gzip_files: bool) -> int:
+def cmd_synth(args) -> int:
     manifest = synth.make_cohort(
-        out_dir,
-        cases=cases,
-        dims=tuple(dims),
-        seed=seed,
-        label_count=labels,
-        amplitude=amplitude,
-        smoothness=smoothness,
-        gzip_files=gzip_files,
+        args.out,
+        cases=args.cases,
+        dims=tuple(args.dims),
+        seed=args.seed,
+        label_count=args.labels,
+        amplitude=args.amplitude,
+        smoothness=args.smoothness,
+        gzip_files=args.gzip,
     )
-    print(f"cohort with {len(manifest['cases'])} cases written to {out_dir}")
+    print(f"cohort with {len(manifest['cases'])} cases written to {args.out}")
     return 0
 
 
@@ -618,49 +586,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the --out path each command requires
+_OUT_REQUIRED = {
+    "eval": "DIR", "rank": "DIR", "correlate": "FILE", "synth": "DIR", "register": "FILE"
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in _OUT_REQUIRED and not args.out:
+        parser.error(f"{args.command} requires --out {_OUT_REQUIRED[args.command]}")
     try:
         if args.command == "eval":
-            if not args.out:
-                parser.error("eval requires --out DIR")
             return cmd_eval(args.manifest, args.out, jobs=args.jobs, units=args.units)
         if args.command == "rank":
-            if not args.out:
-                parser.error("rank requires --out DIR")
             metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
             return cmd_rank(args.report_dir, args.out, metrics, alpha=args.alpha)
         if args.command == "ic":
             return cmd_ic(args.fwd, args.bwd, args.mask, args.norm, args.units, args.out)
         if args.command == "correlate":
-            if not args.out:
-                parser.error("correlate requires --out FILE")
             return cmd_correlate(args.report_dir, args.x_metric, args.y_metric, args.out)
         if args.command == "bench":
             return cmd_bench(args.manifest, args.row, args.repeats, args.units, args.out)
         if args.command == "synth":
-            if not args.out:
-                parser.error("synth requires --out DIR")
-            return cmd_synth(
-                args.out,
-                cases=args.cases,
-                dims=args.dims,
-                labels=args.labels,
-                seed=args.seed,
-                amplitude=args.amplitude,
-                smoothness=args.smoothness,
-                gzip_files=args.gzip,
-            )
-        if args.command == "register":
-            if not args.out:
-                parser.error("register requires --out FILE")
-            return cmd_register(args)
-        parser.error(f"unknown command {args.command!r}")
+            return cmd_synth(args)
+        return cmd_register(args)
     except RegEvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

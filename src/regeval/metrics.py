@@ -465,20 +465,22 @@ class _LnccTerms:
         self.abar = self.sa / self.n
         self.va = _box_sum(fdata * fdata, self.r) - self.sa * self.abar + LNCC_EPS
 
-    def value(self, w: np.ndarray) -> float:
-        sb = _box_sum(w, self.r)
-        vb = _box_sum(w * w, self.r) - sb * sb / self.n + LNCC_EPS
-        cross = _box_sum(self.fdata * w, self.r) - self.abar * sb
-        return float(np.mean(cross / np.sqrt(self.va * vb)))
-
-    def value_and_adjoint(self, w: np.ndarray):
-        """LNCC mean and its exact derivative with respect to ``w``."""
+    def _ncc(self, w: np.ndarray):
+        """The per-voxel NCC map of ``w`` and the terms its adjoint reuses:
+        (ncc, window mean of w, variance sum of w, 1 / sqrt(va * vb))."""
         sb = _box_sum(w, self.r)
         bbar = sb / self.n
         vb = _box_sum(w * w, self.r) - sb * bbar + LNCC_EPS
         cross = _box_sum(self.fdata * w, self.r) - self.sa * bbar
         inv_sqrt = 1.0 / np.sqrt(self.va * vb)
-        ncc = cross * inv_sqrt
+        return cross * inv_sqrt, bbar, vb, inv_sqrt
+
+    def value(self, w: np.ndarray) -> float:
+        return float(np.mean(self._ncc(w)[0]))
+
+    def value_and_adjoint(self, w: np.ndarray):
+        """LNCC mean and its exact derivative with respect to ``w``."""
+        ncc, bbar, vb, inv_sqrt = self._ncc(w)
         value = float(np.mean(ncc))
 
         beta = ncc / vb

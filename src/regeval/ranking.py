@@ -51,7 +51,7 @@ class MetricMatrix:
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("method ids must be unique")
         if self.pairing == "paired" and not np.all(np.isfinite(vals)):
-            raise UnpairedCases(f"{self.metric_id}: paired matrix has missing cells")
+            raise UnpairedCases(f"{self.metric_id}: not every method covers every case")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "values", vals)
@@ -75,13 +75,6 @@ class RankTable:
     """
 
     rows: tuple[RankRow, ...]
-    metrics: tuple[str, ...]
-
-    def row(self, method: str) -> RankRow:
-        for r in self.rows:
-            if r.method == method:
-                return r
-        raise KeyError(method)
 
 
 def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
@@ -166,7 +159,7 @@ def aggregate(
         )
         for meth in ordered
     )
-    return RankTable(rows=rows, metrics=tuple(metrics))
+    return RankTable(rows=rows)
 
 
 def rank_methods(

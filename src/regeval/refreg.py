@@ -31,6 +31,8 @@ from .warp import _exp, _trilinear, _warp, _warp_with_grad, identity_grid
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
+# relative loss improvement at or below which an accepted step has stalled
+STALL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -51,13 +53,10 @@ class RegConfig:
     parameterization: str = DISPLACEMENT
     squarings: int = 7
     update_smoothing_sigma: float = 1.0
-    tol: float = 1e-5
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         if len(self.iters_per_level) != self.levels:
             raise ValueError(
                 f"iters_per_level has {len(self.iters_per_level)} entries for {self.levels} levels"
@@ -219,7 +218,7 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     state as already computed (``_to_field(state)``).  The loss sequence is
     non-increasing because updates are only accepted when they do not raise
     the loss.  The level converges early once three consecutive accepted
-    steps each improve the loss by less than cfg.tol relative.
+    steps each improve the loss by at most STALL_TOL relative.
     """
     terms = _LnccTerms(fdata, cfg.lncc_window)
     u = _to_field(state, cfg)
@@ -253,7 +252,7 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
         state, u, loss = cand_state, cand_u, cand_loss
         step = trial * 1.1
         losses.append(loss)
-        stalled = stalled + 1 if improvement <= cfg.tol * (1.0 + abs(loss)) else 0
+        stalled = stalled + 1 if improvement <= STALL_TOL * (1.0 + abs(loss)) else 0
         if stalled >= 3:
             break
     return state, losses, u

@@ -16,7 +16,7 @@ same counts as the distribution it sums, so the p-values are unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -140,8 +140,20 @@ def _tie_counts(values: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _norm_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+def _check_options(alternative: str, method: str) -> None:
+    if alternative not in ("greater", "less"):
+        raise ValueError(f"alternative must be 'greater' or 'less', got {alternative!r}")
+    if method not in ("auto", "exact", "normal"):
+        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
+
+
+def _normal_result(stat: float, mean: float, var: float, n: int) -> TestResult:
+    """Upper-tail p-value of ``stat`` under a normal null with a 0.5
+    continuity correction; "degenerate" with p = 1 when ``var`` vanishes."""
+    if var <= 0.0:
+        return TestResult(stat, 1.0, n, "degenerate")
+    z = (stat - 0.5 - mean) / math.sqrt(var)
+    return TestResult(stat, min(0.5 * math.erfc(z / math.sqrt(2.0)), 1.0), n, "normal")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +211,7 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto
 
     ``alternative`` "greater" tests whether x tends to exceed y.
     """
-    if alternative not in ("greater", "less"):
-        raise ValueError(f"alternative must be 'greater' or 'less', got {alternative!r}")
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
+    _check_options(alternative, method)
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
     if xv.size != yv.size:
@@ -210,26 +219,18 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto
     if xv.size == 0:
         raise EmptyInput("wilcoxon_signed_rank needs at least one pair")
 
-    if alternative == "less":
-        # p(less on (x, y)) equals p(greater on (y, x)); route through one
-        # code path so the identity holds bit for bit.
-        swapped = wilcoxon_signed_rank(y, x, "greater", method)
-        d = xv - yv
-        nz = d[d != 0.0]
-        stat = 0.0
-        if nz.size:
-            stat = float(np.sum(_average_ranks(np.abs(nz))[nz > 0]))
-        return TestResult(stat, swapped.p_one_sided, swapped.n_effective, swapped.method)
-
     d = xv - yv
     nz = d[d != 0.0]
     n = int(nz.size)
-    if n == 0:
-        return TestResult(statistic=0.0, p_one_sided=1.0, n_effective=0, method="degenerate")
-
     abs_d = np.abs(nz)
     ranks = _average_ranks(abs_d)
     w_plus = float(np.sum(ranks[nz > 0]))
+    if alternative == "less":
+        # p(less on (x, y)) equals p(greater on (y, x)); route through one
+        # code path so the identity holds bit for bit.
+        return replace(wilcoxon_signed_rank(yv, xv, "greater", method), statistic=w_plus)
+    if n == 0:
+        return TestResult(statistic=0.0, p_one_sided=1.0, n_effective=0, method="degenerate")
 
     use_exact = method == "exact" or (method == "auto" and n <= 25)
     if use_exact:
@@ -238,13 +239,9 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto
         p = _wilcoxon_exact_p_ge([int(r) for r in doubled], w2)
         return TestResult(w_plus, min(p, 1.0), n, "exact")
 
-    mean = n * (n + 1) / 4.0
     ties = _tie_counts(abs_d)
     var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
-    if var <= 0.0:
-        return TestResult(w_plus, 1.0, n, "degenerate")
-    z = (w_plus - 0.5 - mean) / math.sqrt(var)
-    return TestResult(w_plus, min(_norm_sf(z), 1.0), n, "normal")
+    return _normal_result(w_plus, n * (n + 1) / 4.0, var, n)
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +280,18 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
     exact when min(n, m) <= 10 and the pooled sample is tie-free, otherwise
     a tie-corrected normal approximation with continuity correction.
     """
-    if alternative not in ("greater", "less"):
-        raise ValueError(f"alternative must be 'greater' or 'less', got {alternative!r}")
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
+    _check_options(alternative, method)
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
     if xv.size == 0 or yv.size == 0:
         raise EmptyInput("mann_whitney_u needs nonempty samples")
 
-    if alternative == "less":
-        swapped = mann_whitney_u(y, x, "greater", method)
-        pooled = np.concatenate([xv, yv])
-        ranks = _average_ranks(pooled)
-        u_x = float(np.sum(ranks[: xv.size]) - xv.size * (xv.size + 1) / 2.0)
-        return TestResult(u_x, swapped.p_one_sided, swapped.n_effective, swapped.method)
-
     n, m = int(xv.size), int(yv.size)
     pooled = np.concatenate([xv, yv])
     ranks = _average_ranks(pooled)
     u_x = float(np.sum(ranks[:n]) - n * (n + 1) / 2.0)
+    if alternative == "less":
+        return replace(mann_whitney_u(yv, xv, "greater", method), statistic=u_x)
 
     has_ties = np.unique(pooled).size != pooled.size
     use_exact = method == "exact" or (method == "auto" and min(n, m) <= 10 and not has_ties)
@@ -314,14 +303,9 @@ def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> 
         return TestResult(u_x, min(p, 1.0), n + m, "exact")
 
     big_n = n + m
-    mean = n * m / 2.0
     ties = _tie_counts(pooled)
     tie_term = float(np.sum(ties**3 - ties)) / (big_n * (big_n - 1.0)) if big_n > 1 else 0.0
-    var = n * m / 12.0 * (big_n + 1.0 - tie_term)
-    if var <= 0.0:
-        return TestResult(u_x, 1.0, big_n, "degenerate")
-    z = (u_x - 0.5 - mean) / math.sqrt(var)
-    return TestResult(u_x, min(_norm_sf(z), 1.0), big_n, "normal")
+    return _normal_result(u_x, n * m / 2.0, n * m / 12.0 * (big_n + 1.0 - tie_term), big_n)
 
 
 # ---------------------------------------------------------------------------

@@ -53,31 +53,22 @@ _CODE_TO_DTYPE = {
     16: np.dtype("<f4"),
     64: np.dtype("<f8"),
 }
-_DTYPE_TO_CODE = {
-    np.dtype(np.uint8): 2,
-    np.dtype(np.int16): 4,
-    np.dtype(np.int32): 8,
-    np.dtype(np.float32): 16,
-    np.dtype(np.float64): 64,
-}
+_DTYPE_TO_CODE = {dt: code for code, dt in _CODE_TO_DTYPE.items()}
 
 GZIP_MAGIC = b"\x1f\x8b"
 
 
 @dataclass(frozen=True)
 class AffineHeader:
-    """Grid geometry: dimensions, spacing, voxel-to-world matrix, scaling.
+    """Grid geometry: dimensions, spacing and voxel-to-world matrix.
 
-    ``scl_slope`` / ``scl_inter`` describe the payload scaling of a file on
-    disk; objects in memory always hold already-scaled data, so the loader
-    normalizes them to (1, 0).
+    Objects in memory always hold already-scaled data: the loader applies a
+    file's ``scl_slope`` / ``scl_inter`` and the writer stores (1, 0).
     """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     affine: np.ndarray = field(repr=False)
-    scl_slope: float = 1.0
-    scl_inter: float = 0.0
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
@@ -367,7 +358,7 @@ def _build_header(obj, dtype: np.dtype) -> bytes:
     pixdim = (1.0, *obj.header.spacing, 1.0, 1.0, 1.0, 1.0)
     struct.pack_into("<8f", hdr, 76, *pixdim)
     struct.pack_into("<f", hdr, 108, float(HEADER_SIZE + 4))
-    struct.pack_into("<2f", hdr, 112, float(obj.header.scl_slope), float(obj.header.scl_inter))
+    struct.pack_into("<2f", hdr, 112, 1.0, 0.0)  # scl_slope, scl_inter: data is unscaled
     struct.pack_into("<h", hdr, 254, 1)  # sform_code
     aff = obj.header.affine
     struct.pack_into("<4f", hdr, 280, *aff[0])

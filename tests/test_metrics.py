@@ -567,6 +567,20 @@ class TestLncc:
         with pytest.raises(ValueError):
             lncc(a, a, window=4)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(3, 11)] * 3),
+        window=st.sampled_from([3, 5, 9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_value_is_the_gradient_pass_value_bit_for_bit(self, dims, window, seed):
+        # the optimizer's line search (value) and its gradient pass
+        # (value_and_adjoint) must see the same loss for the same image
+        rng = np.random.default_rng(seed)
+        terms = metrics._LnccTerms(rng.standard_normal(dims), window)
+        w = rng.standard_normal(dims)
+        assert terms.value(w) == terms.value_and_adjoint(w)[0]
+
 
 def cumsum_take_box_sum(x: np.ndarray, r: int) -> np.ndarray:
     """The box sum by np.cumsum into a zero-led array and two np.take calls

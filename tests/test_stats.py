@@ -423,6 +423,7 @@ def test_wilcoxon_less_is_swapped_greater(pairs):
     swapped = wilcoxon_signed_rank(y, x, "greater")
     assert less.p_one_sided == swapped.p_one_sided
     assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
+    assert less.statistic == wilcoxon_signed_rank(x, y, "greater").statistic
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,6 +437,7 @@ def test_mann_whitney_less_is_swapped_greater(xs, ys):
     swapped = mann_whitney_u(y, x, "greater")
     assert less.p_one_sided == swapped.p_one_sided
     assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
+    assert less.statistic == mann_whitney_u(x, y, "greater").statistic
 
 
 # --- Pearson -----------------------------------------------------------------
