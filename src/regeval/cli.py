@@ -30,6 +30,7 @@ import numpy as np
 from . import ranking, refreg, stats, synth
 from .errors import (
     BadParams,
+    DuplicateReport,
     IoFailure,
     MalformedReport,
     MissingMethods,
@@ -228,11 +229,21 @@ def _read_report(path: Path) -> PairReport:
 
 
 def load_reports(report_dir) -> list[PairReport]:
+    """Every pair report in ``report_dir``; two files for one (method, pair)
+    are an error, since a matrix cell would silently keep only one."""
     reports = []
+    paths: dict[tuple[str, str], Path] = {}
     for path in sorted(Path(report_dir).glob("*.json")):
         if path.name == "errors.json":
             continue
-        reports.append(_read_report(path))
+        report = _read_report(path)
+        key = (report.method_id, report.pair_id)
+        if key in paths:
+            raise DuplicateReport(
+                f"reports {paths[key]} and {path} both hold method {key[0]!r} on pair {key[1]!r}"
+            )
+        paths[key] = path
+        reports.append(report)
     if not reports:
         raise MissingMethods(f"no report files in {report_dir}")
     return reports

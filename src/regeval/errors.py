@@ -130,3 +130,7 @@ class UnpairedCases(RegEvalError):
 
 class MalformedReport(RegEvalError):
     """A report file is not a JSON object holding every pair-report field."""
+
+
+class DuplicateReport(RegEvalError):
+    """Two report files hold the same method on the same pair."""

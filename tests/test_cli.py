@@ -610,6 +610,19 @@ class TestRank:
         for name in ("leaderboard.csv", "leaderboard.json"):
             assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
+    def test_duplicate_report_exits_2_and_names_both_files(self, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b"])
+        first = reports / "a__c03.json"
+        copy = reports / "a__c03_copy.json"
+        copy.write_bytes(first.read_bytes())
+        out = tmp_path / "rank"
+        assert cli.main(["--out", str(out), "rank", str(reports)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: reports {first} and {copy} both hold method 'a' on pair 'c03'\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content",
         [

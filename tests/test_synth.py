@@ -1,6 +1,8 @@
 import gzip
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +152,20 @@ class TestMakePair:
             make_pair(phantom, v)
 
 
+# Warms up with a one-case cohort, then prints the traced peak bytes of
+# building a cohort of argv[2] cases under argv[1].
+_COHORT_PEAK = """
+import sys, tracemalloc
+from pathlib import Path
+from regeval.synth import make_cohort
+out = Path(sys.argv[1])
+make_cohort(out / "warm", cases=1, dims=(24, 24, 24), seed=0)
+tracemalloc.start()
+make_cohort(out / "run", cases=int(sys.argv[2]), dims=(24, 24, 24), seed=0)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 class TestMakeCohort:
     def test_cohort_layout_and_replayability(self, tmp_path):
         manifest = make_cohort(tmp_path / "cohort", cases=2, dims=(20, 20, 20), seed=5)
@@ -179,16 +195,19 @@ class TestMakeCohort:
             assert gzip.decompress(gz) == (tmp_path / "raw" / rel).read_bytes()
 
     def test_peak_memory_does_not_grow_with_the_case_count(self, tmp_path):
-        # each case's arrays are freed before the next case is built
-        make_cohort(tmp_path / "warm", cases=1, dims=(24, 24, 24), seed=0)
+        # each case's arrays are freed before the next case is built.  Each
+        # count is measured in a fresh interpreter: in a shared one, what the
+        # earlier tests left behind decides when interpreter tables grow, and
+        # such a growth inside the traced window is not the cohort's memory
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         peaks = []
         for cases in (1, 2, 3):
-            tracemalloc.start()
-            try:
-                make_cohort(tmp_path / f"c{cases}", cases=cases, dims=(24, 24, 24), seed=0)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            done = subprocess.run(
+                [sys.executable, "-c", _COHORT_PEAK, str(tmp_path / f"c{cases}"), str(cases)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            peaks.append(int(done.stdout))
         # one more 24^3 float64 array (110 KiB) than one case needs is too many
         assert max(peaks) - peaks[0] < 24**3 * 8
 

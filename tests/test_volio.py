@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regeval import errors, volio
+from regeval.synth import PhantomSpec, make_phantom
 from regeval.volio import AffineHeader, DisplacementField, Volume
 
 from conftest import craft_nifti
@@ -429,9 +430,15 @@ class TestAtomicWriteNifti:
         dtype = np.dtype(np.float64)
         want = volio._build_header(vol, dtype) + b"\x00" * 4 + vol.data.tobytes(order="F")
         if use_gzip:
-            deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+            # gzip header (mtime 0, XFL 4 for the fastest level, OS unix),
+            # one final stored deflate block, then CRC-32 and length
+            stored = (
+                b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\x03"
+                + b"\x01" + struct.pack("<HH", len(want), len(want) ^ 0xFFFF) + want
+                + struct.pack("<II", zlib.crc32(want), len(want))
+            )
             got = target.read_bytes()
-            assert got == deflate.compress(want) + deflate.flush()
+            assert got == stored
             assert gzip.decompress(got) == want
         else:
             assert target.read_bytes() == want
@@ -465,6 +472,50 @@ class TestAtomicWriteNifti:
         assert data[-8:] == vol.data.tobytes(order="F")
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert list(tmp_path.iterdir()) == [fifo]
+
+
+class TestGzipPolicy:
+    @pytest.mark.parametrize("kind", ["image", "field32", "field64"])
+    def test_float_payload_is_stored_not_deflated(self, tmp_path, kind):
+        # a 48^3 float64 field spans three 1 MiB write slices
+        image, _, _ = make_phantom(PhantomSpec(dims=(48, 48, 48), seed=3))
+        if kind == "image":
+            obj = image
+        else:
+            dtype = np.float32 if kind == "field32" else np.float64
+            data = np.random.default_rng(3).standard_normal((48, 48, 48, 3)).astype(dtype)
+            obj = DisplacementField(image.header, data)
+        raw_path, gz_path = tmp_path / "a.nii", tmp_path / "a.nii.gz"
+        volio.write_nifti(obj, raw_path)
+        volio.write_nifti(obj, gz_path, use_gzip=True)
+        raw, gz = raw_path.read_bytes(), gz_path.read_bytes()
+        assert len(gz) >= len(raw)
+        assert gzip.decompress(gz) == raw
+
+    def test_phantom_labels_still_deflated(self, tmp_path):
+        _, labels, _ = make_phantom(PhantomSpec(dims=(48, 48, 48), seed=3))
+        raw_path, gz_path = tmp_path / "a.nii", tmp_path / "a.nii.gz"
+        volio.write_nifti(labels, raw_path)
+        volio.write_nifti(labels, gz_path, use_gzip=True)
+        raw, gz = raw_path.read_bytes(), gz_path.read_bytes()
+        assert len(gz) < len(raw) / 10
+        assert gzip.decompress(gz) == raw
+
+    @pytest.mark.parametrize("np_dtype", [np.float32, np.float64])
+    def test_run_length_deflated_file_reads_bit_identically(self, tmp_path, rng, np_dtype):
+        # the stream earlier versions wrote for float payloads
+        fld = DisplacementField(
+            AffineHeader.isotropic((9, 7, 5), 1.5),
+            rng.standard_normal((9, 7, 5, 3)).astype(np_dtype),
+        )
+        raw_path, gz_path = tmp_path / "f.nii", tmp_path / "f.nii.gz"
+        volio.write_nifti(fld, raw_path)
+        deflate = zlib.compressobj(6, zlib.DEFLATED, 31, 8, zlib.Z_RLE)
+        gz_path.write_bytes(deflate.compress(raw_path.read_bytes()) + deflate.flush())
+        back = volio.read_field(gz_path)
+        assert back.data.dtype == fld.data.dtype
+        assert back.data.tobytes() == fld.data.tobytes()
+        assert np.array_equal(back.header.affine, fld.header.affine)
 
 
 class TestLandmarks:
