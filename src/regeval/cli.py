@@ -175,17 +175,16 @@ def _load_kdtree() -> None:
     import scipy.spatial  # noqa: F401
 
 
-def cmd_eval(manifest: str, out_dir: str, jobs: int = 1, units: str = "voxel") -> int:
+def cmd_eval(args) -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
     for failures.  Output bytes are independent of the worker count.
 
     If a worker process dies, every job of a task whose results never
     came back is recorded as failed and any report it left is removed."""
-    job_list = read_manifest(manifest)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    workers = worker_count(jobs, len(job_list))
-    tasks = _eval_tasks(job_list, str(out), units, workers)
+    job_list = read_manifest(args.manifest)
+    out = Path(args.out)
+    workers = worker_count(args.jobs, len(job_list))
+    tasks = _eval_tasks(job_list, str(out), args.units, workers)
     results = []
     if workers <= 1:
         for task in tasks:
@@ -332,14 +331,17 @@ def _cell(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0.05) -> int:
+def cmd_rank(args) -> int:
     """Build the leaderboard CSV and rank JSON from a report directory.
 
     The accuracy score pools the requested ``ACC_METRICS``, tre only when
     every report has landmark results; further requested metrics (e.g. ndv)
     are ranked and reported but stay out of the accuracy score.
     """
-    reports = load_reports(report_dir)
+    if not 0.0 < args.alpha < 1.0:  # at 1 or above every method beats every other
+        raise BadParams(f"--alpha must lie in (0, 1), got {args.alpha!r}")
+    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    reports = load_reports(args.report_dir)
     have_tre = all(r.tre_mean is not None for r in reports)
     usable = [m for m in metrics if m != "tre" or have_tre]
     matrices = [build_metric_matrix(reports, m) for m in usable]
@@ -348,11 +350,10 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
         raise MissingMethods(
             f"accuracy ranking needs {'/'.join(ACC_METRICS)} among metrics {metrics}"
         )
-    table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=alpha)
+    table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=args.alpha)
     by_method = _by_method(reports)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
     csv_path = out / "leaderboard.csv"
     with atomic_open(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -370,7 +371,7 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
             writer.writerow([_cell(v) for v in cells + [row.acc_score, row.final_rank]])
 
     rank_json = {
-        "alpha": alpha,
+        "alpha": args.alpha,
         "metrics": list(usable),
         "acc_metrics": acc_metrics,
         "rank_scores": {m: dict(sorted(s.items())) for m, s in scores.items()},
@@ -394,25 +395,23 @@ def cmd_rank(report_dir: str, out_dir: str, metrics: list[str], alpha: float = 0
 # inverse consistency, correlation, bench
 
 
-def cmd_ic(fwd: str, bwd: str, mask: str | None, norm: str, units: str, out: str | None) -> int:
-    phi_ab = scale_field_units(read_field(fwd), units)
-    phi_ba = scale_field_units(read_field(bwd), units)
-    mask_vol = read_volume(mask, kind="label") if mask else None
-    mae, _ = ic_residual(phi_ab, phi_ba, mask=mask_vol, norm=norm)
+def cmd_ic(args) -> int:
+    phi_ab = scale_field_units(read_field(args.fwd), args.units)
+    phi_ba = scale_field_units(read_field(args.bwd), args.units)
+    mask_vol = read_volume(args.mask, kind="label") if args.mask else None
+    mae, _ = ic_residual(phi_ab, phi_ba, mask=mask_vol, norm=args.norm)
     print(f"ic_mae_voxels {mae!r}")
-    if out:
-        _write_json({"ic_mae": mae, "norm": norm, "fwd": fwd, "bwd": bwd}, out)
+    if args.out:
+        _write_json({"ic_mae": mae, "norm": args.norm, "fwd": args.fwd, "bwd": args.bwd}, args.out)
     return 0
 
 
-def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> int:
+def cmd_correlate(args) -> int:
     """Per-method correlation between two per-case metrics, as CSV rows
     method,n_cases,r,slope,intercept,note."""
-    reports = load_reports(report_dir)
-    x_value, y_value = metric_spec(x_metric).value, metric_spec(y_metric).value
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(path) as fh:
+    reports = load_reports(args.report_dir)
+    x_value, y_value = metric_spec(args.x_metric).value, metric_spec(args.y_metric).value
+    with atomic_open(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
         for method, mine in _by_method(reports).items():
@@ -429,7 +428,7 @@ def cmd_correlate(report_dir: str, x_metric: str, y_metric: str, out: str) -> in
                 )
             except RegEvalError:
                 writer.writerow([method, len(xs), "", "", "", "degenerate"])
-    print(f"correlation table written to {path}")
+    print(f"correlation table written to {args.out}")
     return 0
 
 
@@ -455,17 +454,17 @@ def bench_job(job: Job, repeats: int = 10, units: str = "voxel") -> dict:
     }
 
 
-def cmd_bench(manifest: str, row: int, repeats: int, units: str, out: str | None) -> int:
-    jobs = read_manifest(manifest)
-    if not (0 <= row < len(jobs)):
-        raise UnpairedCases(f"row {row} outside manifest with {len(jobs)} jobs")
-    result = bench_job(jobs[row], repeats=repeats, units=units)
+def cmd_bench(args) -> int:
+    jobs = read_manifest(args.manifest)
+    if not (0 <= args.row < len(jobs)):
+        raise UnpairedCases(f"row {args.row} outside manifest with {len(jobs)} jobs")
+    result = bench_job(jobs[args.row], repeats=args.repeats, units=args.units)
     print(
         f"{result['method']} {result['pair_id']}: mean {result['mean_s']:.3f} s, "
         f"std {result['std_s']:.3f} s over {result['repeats']} runs"
     )
-    if out:
-        _write_json(result, out)
+    if args.out:
+        _write_json(result, args.out)
     return 0
 
 
@@ -497,7 +496,6 @@ def _reg_config(args) -> refreg.RegConfig:
         raise BadParams(f"--iters must be comma-separated integers, got {args.iters!r}") from None
     try:
         return refreg.RegConfig(
-            levels=args.levels,
             iters_per_level=iters,
             step_size=args.step_size,
             lambda_diffusion=args.lambda_diffusion,
@@ -533,6 +531,10 @@ def cmd_register(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``regeval`` parser.  Each subcommand carries its handler and what
+    ``--out`` names for it (a DIR, a FILE, or None where ``--out`` is
+    optional).  Handlers are looked up when the parser is built, so a
+    handler replaced on this module (as a tracer does) is the one called."""
     parser = argparse.ArgumentParser(
         prog="regeval",
         description="Deformable-registration evaluation, ranking, and reference optimizer",
@@ -548,31 +550,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="seed for synthesis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate manifest jobs into JSON reports")
+    def command(name, handler, out_kind, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, out_kind=out_kind)
+        return p
+
+    p_eval = command("eval", cmd_eval, "DIR", "evaluate manifest jobs into JSON reports")
     p_eval.add_argument("manifest")
 
-    p_rank = sub.add_parser("rank", help="leaderboard from a report directory")
+    p_rank = command("rank", cmd_rank, "DIR", "leaderboard from a report directory")
     p_rank.add_argument("report_dir")
     p_rank.add_argument("--metrics", default="dsc,hd95,tre", help="comma list to rank")
     p_rank.add_argument("--alpha", type=float, default=0.05)
 
-    p_ic = sub.add_parser("ic", help="inverse-consistency residual of two fields")
+    p_ic = command("ic", cmd_ic, None, "inverse-consistency residual of two fields")
     p_ic.add_argument("fwd")
     p_ic.add_argument("bwd")
     p_ic.add_argument("--mask", default=None)
     p_ic.add_argument("--norm", choices=("euclidean", "component"), default="euclidean")
 
-    p_corr = sub.add_parser("correlate", help="per-method metric correlation")
+    p_corr = command("correlate", cmd_correlate, "FILE", "per-method metric correlation")
     p_corr.add_argument("report_dir")
     p_corr.add_argument("x_metric")
     p_corr.add_argument("y_metric")
 
-    p_bench = sub.add_parser("bench", help="repeat-timing of one manifest job")
+    p_bench = command("bench", cmd_bench, None, "repeat-timing of one manifest job")
     p_bench.add_argument("manifest")
     p_bench.add_argument("--row", type=int, default=0)
     p_bench.add_argument("--repeats", type=int, default=10)
 
-    p_synth = sub.add_parser("synth", help="write a synthetic cohort")
+    p_synth = command("synth", cmd_synth, "DIR", "write a synthetic cohort")
     p_synth.add_argument("--cases", type=int, default=8)
     p_synth.add_argument("--dims", type=int, nargs=3, default=(32, 32, 32))
     p_synth.add_argument("--labels", type=int, default=4)
@@ -580,11 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--smoothness", type=float, default=6.0)
     p_synth.add_argument("--gzip", action="store_true")
 
-    p_reg = sub.add_parser("register", help="optimize a field aligning moving to fixed")
+    p_reg = command("register", cmd_register, "FILE", "optimize a field aligning moving to fixed")
     p_reg.add_argument("fixed")
     p_reg.add_argument("moving")
-    p_reg.add_argument("--levels", type=int, default=3)
-    p_reg.add_argument("--iters", default="100,100,50")
+    p_reg.add_argument("--iters", default="100,100,50", help="iterations per level, coarsest first")
     p_reg.add_argument("--step-size", type=float, default=1.0)
     p_reg.add_argument("--lambda-diffusion", type=float, default=1.0)
     p_reg.add_argument("--window", type=int, default=9)
@@ -597,32 +603,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the --out path each command requires
-_OUT_REQUIRED = {
-    "eval": "DIR", "rank": "DIR", "correlate": "FILE", "synth": "DIR", "register": "FILE"
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in _OUT_REQUIRED and not args.out:
-        parser.error(f"{args.command} requires --out {_OUT_REQUIRED[args.command]}")
+    if args.out_kind and not args.out:
+        parser.error(f"{args.command} requires --out {args.out_kind}")
     try:
-        if args.command == "eval":
-            return cmd_eval(args.manifest, args.out, jobs=args.jobs, units=args.units)
-        if args.command == "rank":
-            metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-            return cmd_rank(args.report_dir, args.out, metrics, alpha=args.alpha)
-        if args.command == "ic":
-            return cmd_ic(args.fwd, args.bwd, args.mask, args.norm, args.units, args.out)
-        if args.command == "correlate":
-            return cmd_correlate(args.report_dir, args.x_metric, args.y_metric, args.out)
-        if args.command == "bench":
-            return cmd_bench(args.manifest, args.row, args.repeats, args.units, args.out)
-        if args.command == "synth":
-            return cmd_synth(args)
-        return cmd_register(args)
+        return args.handler(args)
     except RegEvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

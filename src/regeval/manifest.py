@@ -7,7 +7,8 @@ Relative paths resolve against the manifest's directory; empty cells mark
 absent optional inputs.  The literal ``field`` value ``ZERO`` selects the
 ZeroDisplacement baseline, so no sentinel files are needed; in any other
 column ``ZERO`` is a path like any other.  Cells are stripped of leading
-and trailing blanks.
+and trailing blanks, every row has exactly one cell per column, and rows
+whose every cell is blank are skipped.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import csv
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .errors import IoFailure, UnpairedCases
-from .volio import atomic_open
+from .errors import UnpairedCases
+from .volio import atomic_open, read_csv_rows
 
 ZERO_FIELD = "ZERO"
 
@@ -39,36 +40,38 @@ MANIFEST_COLUMNS = tuple(f.name for f in fields(Job))
 
 
 def read_manifest(path) -> list[Job]:
+    """The jobs of a manifest file.  A row with more or fewer cells than
+    the header raises UnpairedCases naming its line; a file that cannot be
+    read or is not UTF-8 raises IoFailure."""
     base = Path(path).parent
+    rows = read_csv_rows(path)
+    header = rows[0][1] if rows else None
+    if header is None or tuple(header) != MANIFEST_COLUMNS:
+        raise UnpairedCases(f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {header}")
     jobs: list[Job] = []
     seen: set[tuple[str, str]] = set()
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != MANIFEST_COLUMNS:
+    for line, row in rows[1:]:
+        if len(row) != len(MANIFEST_COLUMNS):
             raise UnpairedCases(
-                f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {reader.fieldnames}"
+                f"{path}: line {line} has {len(row)} cells, the header {len(MANIFEST_COLUMNS)}"
             )
-        for row in reader:
-            method, pair_id = row["method"].strip(), row["pair_id"].strip()
-            if not method or not pair_id:
-                raise UnpairedCases(f"manifest row missing method/pair_id: {row}")
-            if (method, pair_id) in seen:
-                raise UnpairedCases(f"duplicate job for ({method}, {pair_id})")
-            seen.add((method, pair_id))
+        cells = dict(zip(MANIFEST_COLUMNS, (c.strip() for c in row)))
+        method, pair_id = cells["method"], cells["pair_id"]
+        if not method or not pair_id:
+            raise UnpairedCases(f"{path}: line {line} lacks a method or pair_id")
+        if (method, pair_id) in seen:
+            raise UnpairedCases(f"duplicate job for ({method}, {pair_id})")
+        seen.add((method, pair_id))
 
-            def resolve(column: str) -> str | None:
-                cell = row[column].strip()
-                if not cell:
-                    return None
-                if column == "field" and cell == ZERO_FIELD:
-                    return ZERO_FIELD
-                return str((base / cell) if not Path(cell).is_absolute() else Path(cell))
+        def resolve(column: str) -> str | None:
+            cell = cells[column]
+            if not cell:
+                return None
+            if column == "field" and cell == ZERO_FIELD:
+                return ZERO_FIELD
+            return str((base / cell) if not Path(cell).is_absolute() else Path(cell))
 
-            jobs.append(Job(method, pair_id, *(resolve(c) for c in MANIFEST_COLUMNS[2:])))
+        jobs.append(Job(method, pair_id, *(resolve(c) for c in MANIFEST_COLUMNS[2:])))
     return jobs
 
 

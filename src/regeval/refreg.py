@@ -39,13 +39,12 @@ STALL_TOL = 1e-5
 class RegConfig:
     """Optimizer settings.
 
-    ``iters_per_level`` runs coarsest first and must have ``levels``
-    entries.  ``step_size`` is the initial update magnitude in voxels (the
+    ``iters_per_level`` runs coarsest first and has one entry per pyramid
+    level.  ``step_size`` is the initial update magnitude in voxels (the
     raw gradient is rescaled once per level so the first step moves at most
     this far).  ``update_smoothing_sigma`` Gaussian-smooths each update.
     """
 
-    levels: int = 3
     iters_per_level: tuple[int, ...] = (100, 100, 50)
     step_size: float = 1.0
     lambda_diffusion: float = 1.0
@@ -55,12 +54,8 @@ class RegConfig:
     update_smoothing_sigma: float = 1.0
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if len(self.iters_per_level) != self.levels:
-            raise ValueError(
-                f"iters_per_level has {len(self.iters_per_level)} entries for {self.levels} levels"
-            )
+        if not self.iters_per_level:
+            raise ValueError("iters_per_level must have at least one entry")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if self.lambda_diffusion < 0:
@@ -266,16 +261,15 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
     config.
     """
     fdata, mdata = _prepare(fixed, moving)
-    f_pyr = _pyramid(fdata, cfg.levels)
-    m_pyr = _pyramid(mdata, cfg.levels)
+    levels = len(cfg.iters_per_level)
+    f_pyr = _pyramid(fdata, levels)
+    m_pyr = _pyramid(mdata, levels)
     state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
     trace: list[list[float]] = []
-    for level in range(cfg.levels):
-        state, losses, u = _optimize_level(
-            f_pyr[level], m_pyr[level], state, cfg.iters_per_level[level], cfg
-        )
+    for level, iters in enumerate(cfg.iters_per_level):
+        state, losses, u = _optimize_level(f_pyr[level], m_pyr[level], state, iters, cfg)
         trace.append(losses)
-        if level + 1 < cfg.levels:
+        if level + 1 < levels:
             state = _upsample_state(state, f_pyr[level + 1].shape)
 
     return DisplacementField(header=fixed.header, data=u), trace

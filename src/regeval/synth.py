@@ -310,8 +310,6 @@ def make_cohort(
     jobs for the truth fields and the ZeroDisplacement baseline.
     """
     out = Path(out_dir)
-    for sub in ("images", "labels", "landmarks", "fields"):
-        (out / sub).mkdir(parents=True, exist_ok=True)
     suffix = ".nii.gz" if gzip_files else ".nii"
 
     manifest: dict = {

@@ -338,7 +338,12 @@ def _payload_dtype(obj) -> np.dtype:
         return np.dtype(np.float32) if dt == np.float32 else np.dtype(np.float64)
     if dt in _DTYPE_TO_CODE and dt.kind in "ui":
         return dt
-    # any other integer width is widened to int32
+    # any other integer width is widened to int32, which must hold every label
+    info = np.iinfo(np.int32)
+    if dt.kind in "ui" and obj.data.size and (
+        int(obj.data.min()) < info.min or int(obj.data.max()) > info.max
+    ):
+        raise InvalidLabelData(f"label values span {obj.data.min()}..{obj.data.max()}, past int32")
     return np.dtype(np.int32)
 
 
@@ -375,29 +380,37 @@ def atomic_open(path, binary: bool = False):
 
     It is written under a temporary name in the same directory and moved
     onto ``path`` with ``os.replace``; if the block raises, the temporary
-    file is deleted and ``path`` keeps whatever it held before.  A target
+    file is deleted and ``path`` keeps whatever it held before.  Missing
+    parent directories are created when the file is opened, so a command
+    that fails before its first write leaves no directory behind.  A target
     that exists but is not a regular file (a pipe, or a device such as
     /dev/stdout) cannot be replaced and is written in place.  A symbolic
     link is followed, so the file it names is replaced and the link stays.
     The new file has the default permissions, not those of the old one.
-    Text files are UTF-8 with no newline translation.
+    Text files are UTF-8 with no newline translation.  Any ``OSError``
+    (a parent that is a regular file, a full disk, a failed replace)
+    raises ``IoFailure`` naming ``path`` as given.
     """
-    path = Path(path)
+    given, path = path, Path(path)
     mode, text = ("wb", {}) if binary else ("w", {"newline": "", "encoding": "utf-8"})
-    if path.exists() and not path.is_file():
-        with open(path, mode, **text) as fh:
-            yield fh
-        return
-    if path.is_symlink():
-        path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode, **text) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        if path.exists() and not path.is_file():
+            with open(path, mode, **text) as fh:
+                yield fh
+            return
+        if path.is_symlink():
+            path = path.resolve()
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, mode, **text) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise IoFailure(f"could not write {given}: {exc}") from exc
 
 
 def write_nifti(obj, path, use_gzip: bool = False) -> None:
@@ -424,23 +437,32 @@ def write_nifti(obj, path, use_gzip: bool = False) -> None:
     dtype = _payload_dtype(obj)
     head = _build_header(obj, dtype) + b"\x00\x00\x00\x00"
     payload = memoryview(np.asfortranarray(obj.data, dtype=dtype).ravel(order="F")).cast("B")
-    try:
-        with atomic_open(path, binary=True) as fh:
-            if use_gzip:
-                deflate = zlib.compressobj(0 if dtype.kind == "f" else 6, zlib.DEFLATED, 31)
-                fh.write(deflate.compress(head))
-                for start in range(0, len(payload), _GZIP_SLICE):
-                    fh.write(deflate.compress(payload[start : start + _GZIP_SLICE]))
-                fh.write(deflate.flush())
-            else:
-                fh.write(head)
-                fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}") from exc
+    with atomic_open(path, binary=True) as fh:
+        if use_gzip:
+            deflate = zlib.compressobj(0 if dtype.kind == "f" else 6, zlib.DEFLATED, 31)
+            fh.write(deflate.compress(head))
+            for start in range(0, len(payload), _GZIP_SLICE):
+                fh.write(deflate.compress(payload[start : start + _GZIP_SLICE]))
+            fh.write(deflate.flush())
+        else:
+            fh.write(head)
+            fh.write(payload)
 
 
 # ---------------------------------------------------------------------------
-# Landmark CSV
+# CSV: one reader for manifests and landmarks
+
+
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The rows of a UTF-8 CSV file, each with the number of the line it
+    ends on; rows whose every cell is blank are left out.  A file that
+    cannot be opened, decoded or parsed raises IoFailure."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
 
 
 def read_landmarks(path) -> LandmarkSet:
@@ -448,34 +470,30 @@ def read_landmarks(path) -> LandmarkSet:
 
     Rows keep file order; absent names are auto-numbered "0", "1", ...
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
+    rows = read_csv_rows(path)
     if not rows:
         raise MalformedRow(f"{path}: empty landmark file")
-    head = [c.strip().lower() for c in rows[0]]
+    head = [c.strip().lower() for c in rows[0][1]]
     if head == ["name", "x", "y", "z"]:
         named = True
     elif head == ["x", "y", "z"]:
         named = False
     else:
-        raise MalformedRow(f"{path}: header must be 'name,x,y,z' or 'x,y,z', got {rows[0]!r}")
+        raise MalformedRow(f"{path}: header must be 'name,x,y,z' or 'x,y,z', got {rows[0][1]!r}")
 
     names: list[str] = []
     points: list[tuple[float, float, float]] = []
-    for i, row in enumerate(rows[1:]):
+    for i, (line, row) in enumerate(rows[1:]):
         cells = [c.strip() for c in row]
         if len(cells) != (4 if named else 3):
-            raise MalformedRow(f"{path}: row {i + 2} has {len(cells)} fields")
+            raise MalformedRow(f"{path}: line {line} has {len(cells)} fields")
         name = cells[0] if named else str(i)
         try:
             x, y, z = (float(c) for c in cells[-3:])
         except ValueError as exc:
-            raise MalformedRow(f"{path}: row {i + 2}: {exc}") from exc
+            raise MalformedRow(f"{path}: line {line}: {exc}") from exc
         if not all(np.isfinite(v) for v in (x, y, z)):
-            raise NonFiniteCoordinate(f"{path}: row {i + 2} has a non-finite coordinate")
+            raise NonFiniteCoordinate(f"{path}: line {line} has a non-finite coordinate")
         if name in names:
             raise DuplicateName(f"{path}: duplicate landmark name {name!r}")
         names.append(name)
@@ -485,14 +503,11 @@ def read_landmarks(path) -> LandmarkSet:
 
 def write_landmarks(landmarks: LandmarkSet, path) -> None:
     """Write a LandmarkSet as a ``name,x,y,z`` CSV (inverse of read_landmarks)."""
-    try:
-        with atomic_open(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["name", "x", "y", "z"])
-            for name, p in zip(landmarks.names, landmarks.points):
-                writer.writerow([name, repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
-    except OSError as exc:
-        raise IoFailure(f"could not write {path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["name", "x", "y", "z"])
+        for name, p in zip(landmarks.names, landmarks.points):
+            writer.writerow([name, repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
 
 
 def scale_field_units(fld: DisplacementField, from_units: str) -> DisplacementField:

@@ -20,19 +20,21 @@ def craft_nifti(
     magic: bytes = b"n+1\x00",
     sizeof_hdr: int = 348,
     truncate: int = 0,
+    order: str = "<",
 ) -> bytes:
-    """Assemble single-file NIfTI-1 bytes from scratch."""
+    """Assemble single-file NIfTI-1 bytes from scratch, header and payload
+    in byte ``order`` ("<" little endian, ">" big endian)."""
     hdr = bytearray(348)
-    struct.pack_into("<i", hdr, 0, sizeof_hdr)
-    struct.pack_into(f"<{len(dim)}h", hdr, 40, *dim)
-    struct.pack_into("<h", hdr, 70, datatype)
+    struct.pack_into(order + "i", hdr, 0, sizeof_hdr)
+    struct.pack_into(f"{order}{len(dim)}h", hdr, 40, *dim)
+    struct.pack_into(order + "h", hdr, 70, datatype)
     itemsize = {2: 1, 4: 2, 8: 4, 16: 4, 64: 8}.get(datatype, 4)
-    struct.pack_into("<h", hdr, 72, itemsize * 8)
-    struct.pack_into("<4f", hdr, 76, 1.0, *spacing)
-    struct.pack_into("<f", hdr, 108, vox_offset)
-    struct.pack_into("<2f", hdr, 112, *scl)
+    struct.pack_into(order + "h", hdr, 72, itemsize * 8)
+    struct.pack_into(order + "4f", hdr, 76, 1.0, *spacing)
+    struct.pack_into(order + "f", hdr, 108, vox_offset)
+    struct.pack_into(order + "2f", hdr, 112, *scl)
     hdr[344:348] = magic
-    np_dtype = {2: "<u1", 4: "<i2", 8: "<i4", 16: "<f4", 64: "<f8"}[datatype if datatype in (2, 4, 8, 16, 64) else 16]
+    np_dtype = order + {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}[datatype if datatype in (2, 4, 8, 16, 64) else 16]
     payload = np.asarray(data).astype(np_dtype).tobytes(order="F")
     if truncate:
         payload = payload[:-truncate]

@@ -747,8 +747,9 @@ class TestAtomicWrites:
             raise OSError("no space left on device")
 
         monkeypatch.setattr(cli.os, "replace", refuse)
-        with pytest.raises(OSError):
-            cli._write_json({"a": 1}, tmp_path / "report.json")
+        target = tmp_path / "report.json"
+        with pytest.raises(cli.IoFailure, match=f"could not write {target}: no space left"):
+            cli._write_json({"a": 1}, target)
         assert list(tmp_path.iterdir()) == []
 
     def test_pipe_target_written_in_place(self, tmp_path):
@@ -791,7 +792,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(cli.csv, "writer", FailingWriter)
         with pytest.raises(RuntimeError):
-            cli.cmd_rank(str(reports), str(out), ["dsc", "hd95", "tre"])
+            cli.main(["--out", str(out), "rank", str(reports)])
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_correlate_failing_midway_leaves_no_file(self, tmp_path, monkeypatch):
@@ -807,7 +808,7 @@ class TestAtomicWrites:
         out_dir = tmp_path / "corr"
         out_dir.mkdir()
         with pytest.raises(RuntimeError):
-            cli.cmd_correlate(str(reports), "dsc", "tre", str(out_dir / "corr.csv"))
+            cli.main(["--out", str(out_dir / "corr.csv"), "correlate", str(reports), "dsc", "tre"])
         assert list(out_dir.iterdir()) == []
 
 
@@ -886,7 +887,7 @@ class TestRegisterCommand:
             [
                 "--out", str(out),
                 "register", str(fixed_path), str(moving_path),
-                "--levels", "2", "--iters", "5,5", "--window", "5",
+                "--iters", "5,5", "--window", "5",
             ]
         )
         assert code == 0
@@ -918,11 +919,11 @@ class TestRegisterCommand:
         out = tmp_path / "field.nii"
         assert cli.main([
             "--out", str(out), "register", str(tmp_path / "fixed.nii"), str(tmp_path / "moving.nii"),
-            "--levels", "1", "--iters", "4", "--window", "5", "--init", str(tmp_path / "init.nii"),
+            "--iters", "4", "--window", "5", "--init", str(tmp_path / "init.nii"),
         ]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         printed = float(line.rsplit(" ", 1)[1])
-        cfg = refreg.RegConfig(levels=1, iters_per_level=(4,), lncc_window=5, parameterization="svf")
+        cfg = refreg.RegConfig(iters_per_level=(4,), lncc_window=5, parameterization="svf")
         field = read_field(out)
         assert printed == refreg.loss(pair.fixed_image, pair.moving_image, field, cfg)
         assert printed == loss_and_grad(pair.fixed_image, pair.moving_image, field, cfg)[0]
@@ -932,8 +933,8 @@ class TestRegisterCommand:
         [
             (["--iters", "a,b,c"], "--iters must be comma-separated integers"),
             (["--iters", ""], "--iters must be comma-separated integers"),
-            (["--iters", "5,5"], "iters_per_level has 2 entries for 3 levels"),
-            (["--levels", "0", "--iters", ""], "--iters"),
+            (["--iters", ","], "--iters must be comma-separated integers"),
+            (["--iters", " "], "--iters"),
             (["--window", "4"], "lncc_window"),
             (["--squarings", "-1"], "squarings"),
             (["--step-size", "0"], "step_size"),
@@ -987,3 +988,147 @@ class TestIcCommand:
         code = cli.main(["--out", str(out), "ic", str(tmp_path / "fwd.nii"), str(tmp_path / "bwd.nii")])
         assert code == 0
         assert json.loads(out.read_text())["ic_mae"] == 0.0
+
+
+class TestManifestRows:
+    """Every row has one cell per column and the file is UTF-8, or the
+    command stops with exit code 2 before it writes anything."""
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            (b"b,p1,f.nii,m.nii,ZERO,,\n", "line 3 has 7 cells, the header 8"),
+            (b"b,p1,f.nii,m.nii,ZERO,,,,extra\n", "line 3 has 9 cells, the header 8"),
+            (b"b,p\xe9,f.nii,m.nii,ZERO,,,\n", "could not read"),
+        ],
+        ids=["short", "long", "not_utf8"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_bad_row_exits_2_and_writes_nothing(self, tmp_path, capsys, bad_row, message, command):
+        path = tmp_path / "m.csv"
+        header = ",".join(cli.MANIFEST_COLUMNS).encode()
+        path.write_bytes(header + b"\na,p0,f.nii,m.nii,ZERO,,,\n" + bad_row)
+        out = tmp_path / "out"
+        target = out if command == "eval" else out / "bench.json"
+        assert cli.main(["--out", str(target), command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: " if "line" in message else "error: ")
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        header = ",".join(cli.MANIFEST_COLUMNS)
+        path.write_text(f"{header}\n\n , ,,,,,,\na,p0,f.nii,m.nii,ZERO,,,\n")
+        assert [(j.method, j.pair_id) for j in cli.read_manifest(path)] == [("a", "p0")]
+
+
+class TestRankAlpha:
+    @pytest.mark.parametrize("alpha", ["2", "1", "0", "-0.5", "nan", "inf"])
+    def test_alpha_outside_the_unit_interval_exits_2(self, tmp_path, capsys, alpha):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b"])
+        out = tmp_path / "rank"
+        assert cli.main(["--out", str(out), "rank", str(reports), "--alpha", alpha]) == 2
+        assert capsys.readouterr().err == f"error: --alpha must lie in (0, 1), got {float(alpha)!r}\n"
+        assert not out.exists()
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [
+            (["eval", "m.csv"], "eval requires --out DIR"),
+            (["rank", "reports"], "rank requires --out DIR"),
+            (["correlate", "reports", "dsc", "tre"], "correlate requires --out FILE"),
+            (["synth"], "synth requires --out DIR"),
+            (["register", "f.nii", "m.nii"], "register requires --out FILE"),
+        ],
+    )
+    def test_missing_out_is_a_usage_error(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: {usage}\n")
+
+    def test_handler_looked_up_when_main_runs(self, tmp_path, monkeypatch):
+        # a wrapper set on the module after import (as a tracer does) is called
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args.out) or 0)
+        assert cli.main(["--out", str(tmp_path / "c"), "synth"]) == 0
+        assert seen == [str(tmp_path / "c")]
+        assert not (tmp_path / "c").exists()
+
+
+@pytest.fixture(scope="module")
+def boundary_reports(tmp_path_factory):
+    reports = tmp_path_factory.mktemp("boundary") / "reports"
+    TestRank().synth_reports(reports, ["a", "b"])
+    return reports
+
+
+def command_argv(command: str, out: Path, cohort: Path, reports: Path) -> list[str]:
+    """argv that runs ``command`` on the given inputs and writes into the
+    directory ``out``: the command's output directory for eval, rank and
+    synth, the parent of its output file for the others."""
+    fields, images = cohort / "fields", cohort / "images"
+    return {
+        "eval": ["--out", str(out), "eval", str(cohort / "manifest.csv")],
+        "rank": ["--out", str(out), "rank", str(reports)],
+        "correlate": ["--out", str(out / "corr.csv"), "correlate", str(reports), "dsc", "tre"],
+        "synth": ["--out", str(out), "synth", "--cases", "1", "--dims", "16", "16", "16"],
+        "ic": [
+            "--out", str(out / "ic.json"), "ic",
+            str(fields / "case000_truth.nii"), str(fields / "case001_truth.nii"),
+        ],
+        "bench": [
+            "--out", str(out / "bench.json"), "bench", str(cohort / "manifest.csv"),
+            "--repeats", "1",
+        ],
+        "register": [
+            "--out", str(out / "field.nii"), "register",
+            str(images / "case000_fixed.nii"), str(images / "case000_moving.nii"),
+            "--iters", "1", "--window", "3",
+        ],
+    }[command]
+
+
+COMMANDS = ["eval", "rank", "correlate", "synth", "ic", "bench", "register"]
+
+
+class TestOutputBoundary:
+    """``volio.atomic_open`` makes every output's missing parent directories
+    when it opens the file and turns every OSError into IoFailure, so each
+    command either writes under a new directory or exits 2 with one line."""
+
+    @staticmethod
+    def assert_no_temp_file(root: Path):
+        assert [p for p in root.rglob("*") if p.name.endswith(".tmp")] == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_under_a_regular_file_exits_2(self, cohort, boundary_reports, tmp_path, capsys, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        out = blocker / "sub"
+        assert cli.main(command_argv(command, out, cohort, boundary_reports)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write {out}") and err.count("\n") == 1
+        assert blocker.read_bytes() == b"x"
+        self.assert_no_temp_file(tmp_path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_parents_are_created(self, cohort, boundary_reports, tmp_path, capsys, command):
+        out = tmp_path / "new" / "deeper" / "out"
+        assert cli.main(command_argv(command, out, cohort, boundary_reports)) == 0
+        assert out.is_dir() and any(out.iterdir())
+        self.assert_no_temp_file(tmp_path)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failure_before_writing_leaves_no_directory(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing"
+        argv = command_argv(command, tmp_path / "new" / "out", missing, missing)
+        if command == "synth":
+            argv += ["--labels", "1"]  # a phantom needs two labels
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(tmp_path.iterdir()) == []

@@ -106,12 +106,28 @@ class TestDiffusion:
         assert full_grad.tobytes() == expected.tobytes()
 
 
+class TestPyramid:
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (3, 3, 3), (1, 2, 7)])
+    def test_odd_axes_repeat_their_last_slice(self, rng, dims):
+        # each coarse voxel is the mean of its 2x2x2 block, where an index
+        # past an odd axis's end reads that axis's last slice
+        d = rng.standard_normal(dims)
+        got = refreg._downsample_data(d)
+        assert got.shape == tuple((n + 1) // 2 for n in dims)
+        for i, j, k in np.ndindex(got.shape):
+            block = [
+                d[min(2 * i + a, dims[0] - 1), min(2 * j + b, dims[1] - 1), min(2 * k + c, dims[2] - 1)]
+                for a in (0, 1) for b in (0, 1) for c in (0, 1)
+            ]
+            assert got[i, j, k] == pytest.approx(np.mean(block), rel=1e-12, abs=1e-15)
+
+
 class TestRegister:
     def test_identity_pair_stays_near_zero(self):
         dims = (32, 32, 32)
         phantom = make_phantom(PhantomSpec(dims=dims, label_count=3, seed=41, noise_sigma=0.08))
         fixed = phantom[0]
-        cfg = RegConfig(levels=2, iters_per_level=(20, 10))
+        cfg = RegConfig(iters_per_level=(20, 10))
         field, _ = register(fixed, fixed, cfg)
         mean_norm = float(np.mean(np.sqrt(np.sum(field.data**2, axis=-1))))
         assert mean_norm < 0.1
@@ -128,20 +144,20 @@ class TestRegister:
         assert np.max(np.abs(mean_u - np.array([3.0, 0.0, 0.0]))) < 0.5
 
     def test_trace_non_increasing_within_levels(self, small_pair):
-        cfg = RegConfig(levels=2, iters_per_level=(15, 10))
+        cfg = RegConfig(iters_per_level=(15, 10))
         _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         for level_losses in trace:
             diffs = np.diff(level_losses)
             assert np.all(diffs <= 0.0)
 
     def test_deterministic(self, small_pair):
-        cfg = RegConfig(levels=2, iters_per_level=(8, 5))
+        cfg = RegConfig(iters_per_level=(8, 5))
         f1, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         f2, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         assert np.array_equal(f1.data, f2.data)
 
     def test_svf_mode_is_diffeomorphic(self, small_pair):
-        cfg = RegConfig(levels=2, iters_per_level=(15, 10), parameterization="svf")
+        cfg = RegConfig(iters_per_level=(15, 10), parameterization="svf")
         field, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         mask = np.ones(field.dims, dtype=np.int16)
         assert ndv(field, mask) < 1e-4
@@ -151,7 +167,7 @@ class TestRegister:
 
         energies = []
         for lam in (0.1, 1.0, 10.0):
-            cfg = RegConfig(levels=2, iters_per_level=(15, 10), lambda_diffusion=lam)
+            cfg = RegConfig(iters_per_level=(15, 10), lambda_diffusion=lam)
             field, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
             energies.append(_diffusion_value(field.data))
         assert energies[0] > energies[1] > energies[2]
@@ -160,7 +176,7 @@ class TestRegister:
         f, _ = random_pair(rng, (8, 8, 8))
         _, m = random_pair(rng, (10, 8, 8))
         with pytest.raises(errors.DimMismatch):
-            register(f, m, RegConfig(levels=1, iters_per_level=(1,)))
+            register(f, m, RegConfig(iters_per_level=(1,)))
 
     def test_non_finite_input_rejected(self, rng):
         dims = (8, 8, 8)
@@ -168,12 +184,12 @@ class TestRegister:
         bad = Volume(header=f.header, kind="scalar", data=m.data.copy())
         bad.data[0, 0, 0] = np.inf
         with pytest.raises(errors.NonFiniteData):
-            register(f, bad, RegConfig(levels=1, iters_per_level=(1,)))
+            register(f, bad, RegConfig(iters_per_level=(1,)))
 
     def test_label_volumes_rejected_everywhere(self, small_pair):
         fixed, moving = small_pair.fixed_labels, small_pair.moving_labels
         zero = DisplacementField.zero(fixed.header)
-        cfg = RegConfig(levels=1, iters_per_level=(1,))
+        cfg = RegConfig(iters_per_level=(1,))
         with pytest.raises(errors.UnsupportedLayout):
             register(fixed, moving, cfg)
         with pytest.raises(errors.UnsupportedLayout):
@@ -186,7 +202,7 @@ class TestRegister:
 
 class TestInstanceOptimize:
     def test_zero_init_equals_single_level_register(self, small_pair):
-        cfg = RegConfig(levels=1, iters_per_level=(12,))
+        cfg = RegConfig(iters_per_level=(12,))
         from_register, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         zero = DisplacementField.zero(small_pair.fixed_image.header)
         from_instance = instance_optimize(
@@ -197,7 +213,7 @@ class TestInstanceOptimize:
     def test_svf_field_is_exp_svf_of_state(self, small_pair):
         # with no iterations the velocity is the init itself, so the result
         # must be warp.exp_svf's exponential of it, bit for bit
-        cfg = RegConfig(levels=1, iters_per_level=(0,), parameterization="svf")
+        cfg = RegConfig(iters_per_level=(0,), parameterization="svf")
         init = small_pair.truth
         out = instance_optimize(small_pair.fixed_image, small_pair.moving_image, init, cfg)
         expected = exp_svf(VelocityField(header=init.header, data=init.data), cfg.squarings)
@@ -207,7 +223,7 @@ class TestInstanceOptimize:
     def test_level_returns_the_field_of_its_state(self, small_pair, parameterization):
         # register and instance_optimize take the field from _optimize_level
         # instead of exponentiating the final state once more
-        cfg = RegConfig(levels=1, iters_per_level=(4,), parameterization=parameterization)
+        cfg = RegConfig(iters_per_level=(4,), parameterization=parameterization)
         fdata = np.asarray(small_pair.fixed_image.data, dtype=np.float64)
         mdata = np.asarray(small_pair.moving_image.data, dtype=np.float64)
         state, losses, u = refreg._optimize_level(fdata, mdata, np.zeros(fdata.shape + (3,)), 4, cfg)
@@ -220,7 +236,7 @@ class TestInstanceOptimize:
         assert out.data.tobytes() == u.tobytes()
 
     def test_truth_init_does_not_worsen(self, small_pair):
-        cfg = RegConfig(levels=1, iters_per_level=(10,))
+        cfg = RegConfig(iters_per_level=(10,))
         refined = instance_optimize(
             small_pair.fixed_image, small_pair.moving_image, small_pair.truth, cfg
         )
@@ -242,7 +258,7 @@ class TestInstanceOptimize:
             header=small_pair.truth.header,
             data=small_pair.truth.data + rng.standard_normal(small_pair.truth.data.shape),
         )
-        cfg = RegConfig(levels=1, iters_per_level=(50,))
+        cfg = RegConfig(iters_per_level=(50,))
         refined = instance_optimize(
             small_pair.fixed_image, small_pair.moving_image, noisy, cfg
         )
@@ -253,9 +269,14 @@ class TestInstanceOptimize:
 
 
 class TestConfigValidation:
-    def test_iters_length_must_match_levels(self):
-        with pytest.raises(ValueError):
-            RegConfig(levels=2, iters_per_level=(10,))
+    def test_iters_per_level_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="iters_per_level"):
+            RegConfig(iters_per_level=())
+
+    def test_levels_follow_iters_per_level(self, small_pair):
+        cfg = RegConfig(iters_per_level=(2, 2, 1))
+        _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
+        assert len(trace) == 3
 
     def test_bad_window(self):
         with pytest.raises(ValueError):

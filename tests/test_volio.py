@@ -38,6 +38,27 @@ class TestReadNifti:
         # x-fastest order: flat value k lands at (k % 2, (k // 2) % 2, k // 4)
         assert np.array_equal(vol.data.ravel(order="F"), np.arange(8))
 
+    @pytest.mark.parametrize(
+        "datatype, shape, dim",
+        [
+            (4, (4, 3, 2), (3, 4, 3, 2, 1, 1, 1, 1)),
+            (16, (4, 3, 2), (3, 4, 3, 2, 1, 1, 1, 1)),
+            (64, (4, 3, 2, 1, 3), (5, 4, 3, 2, 1, 3, 1, 1)),
+        ],
+    )
+    def test_big_endian_file_reads_like_little_endian(self, tmp_path, rng, datatype, shape, dim):
+        data = rng.integers(0, 300, size=shape) + (0.25 if datatype != 4 else 0)
+        spacing = (1.5, 2.0, 2.5)
+        little = write_and_read(tmp_path, craft_nifti(data, datatype, dim, spacing=spacing))
+        big_blob = craft_nifti(data, datatype, dim, spacing=spacing, order=">")
+        assert struct.unpack_from(">i", big_blob, 0) == (348,)
+        big = write_and_read(tmp_path, big_blob)
+        assert type(big) is type(little)
+        assert big.header.dims == little.header.dims == shape[:3]
+        assert big.header.spacing == little.header.spacing == spacing
+        assert big.data.dtype == little.data.dtype and big.data.dtype.isnative
+        assert big.data.tobytes() == little.data.tobytes()
+
     def test_gzip_round_trip_identical(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
         blob = craft_nifti(data, datatype=16, dim=(3, 2, 2, 2, 1, 1, 1, 1))
@@ -277,6 +298,26 @@ class TestWriteNifti:
         assert back.header.spacing == (2.0, 2.0, 2.0)
         assert back.data.dtype == data.dtype
         assert np.array_equal(back.data, data)
+
+    @pytest.mark.parametrize(
+        "np_dtype, value", [(np.int64, 2**32 + 3), (np.int64, -(2**31) - 1), (np.uint32, 2**31)]
+    )
+    def test_labels_past_int32_rejected_before_writing(self, tmp_path, np_dtype, value):
+        data = np.zeros((3, 2, 2), dtype=np_dtype)
+        data[1, 1, 1] = value
+        vol = Volume(header=AffineHeader.isotropic((3, 2, 2)), kind="label", data=data)
+        with pytest.raises(errors.InvalidLabelData, match="int32"):
+            volio.write_nifti(vol, tmp_path / "sub" / "vol.nii")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("np_dtype", [np.int64, np.uint32])
+    def test_labels_in_int32_range_write_as_int32(self, tmp_path, np_dtype):
+        data = np.arange(12).reshape(3, 2, 2)
+        data[2, 1, 1] = 2**31 - 1
+        header = AffineHeader.isotropic((3, 2, 2))
+        volio.write_nifti(Volume(header, "label", data.astype(np_dtype)), tmp_path / "wide.nii")
+        volio.write_nifti(Volume(header, "label", data.astype(np.int32)), tmp_path / "i32.nii")
+        assert (tmp_path / "wide.nii").read_bytes() == (tmp_path / "i32.nii").read_bytes()
 
     def test_payload_bytes_identical_after_rewrite(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
