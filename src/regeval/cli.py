@@ -53,10 +53,6 @@ from .volio import (
 from .warp import ic_residual
 
 
-def _report_name(job: Job) -> str:
-    return f"{job.method}__{job.pair_id}.json"
-
-
 def _write_json(obj, path) -> None:
     with atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -64,24 +60,18 @@ def _write_json(obj, path) -> None:
 
 
 class _Shared:
-    """What the jobs of one group share: each input (or its read failure)
-    and the prepared fixed side, made on first use and kept for the rest
-    of the group.  A kept failure is raised again for every job that
-    needs it, so each job fails with the message it would get alone."""
+    """What the jobs of one group share: each input and the prepared fixed
+    side, made on first use and kept for the rest of the group.  Only what
+    was made is kept, so every job that needs a failed input tries it again
+    and fails with the message it would get alone."""
 
     def __init__(self):
-        self._made: dict[str, tuple] = {}
+        self._made: dict[str, object] = {}
 
     def get(self, role: str, make, *args, **kwargs):
         if role not in self._made:
-            try:
-                self._made[role] = (make(*args, **kwargs), None)
-            except Exception as exc:
-                self._made[role] = (None, exc)
-        value, exc = self._made[role]
-        if exc is not None:
-            raise exc
-        return value
+            self._made[role] = make(*args, **kwargs)
+        return self._made[role]
 
 
 def _group_key(job: Job) -> tuple:
@@ -121,27 +111,21 @@ def run_job(job: Job, units: str = "voxel", shared: _Shared | None = None) -> Pa
     )
 
 
-def _eval_task(task: tuple) -> list[tuple[str, str, str | None]]:
-    """Worker body for jobs of one group: (method, pair_id, error message
-    or None) per job."""
-    jobs, out_dir, units = task
+def _eval_task(task: tuple) -> list[tuple[Job, dict | str]]:
+    """Worker body for jobs of one group: (job, report dict or error
+    message) per job.  It reads the inputs and writes nothing."""
+    jobs, units = task
     shared = _Shared()
     results = []
     for job in jobs:
         try:
-            report = run_job(job, units=units, shared=shared)
-            _write_json(report.to_dict(), Path(out_dir) / _report_name(job))
-            results.append((job.method, job.pair_id, None))
+            results.append((job, run_job(job, units=units, shared=shared).to_dict()))
         except Exception as exc:  # per-job isolation: record, never abort others
-            # a report an earlier run left here would contradict errors.json;
-            # where it cannot be removed, writing errors.json fails as well
-            with contextlib.suppress(OSError):
-                (Path(out_dir) / _report_name(job)).unlink(missing_ok=True)
-            results.append((job.method, job.pair_id, f"{type(exc).__name__}: {exc}"))
+            results.append((job, f"{type(exc).__name__}: {exc}"))
     return results
 
 
-def _eval_tasks(job_list: list[Job], out_dir: str, units: str, workers: int) -> list[tuple]:
+def _eval_tasks(job_list: list[Job], units: str, workers: int) -> list[tuple]:
     """The jobs grouped by ``_group_key`` (in order of first appearance),
     each group cut into tasks of at most len(job_list) // workers jobs,
     so that there are at least as many tasks as workers."""
@@ -150,7 +134,7 @@ def _eval_tasks(job_list: list[Job], out_dir: str, units: str, workers: int) -> 
         groups.setdefault(_group_key(job), []).append(job)
     size = max(1, len(job_list) // max(1, workers))
     return [
-        (group[i : i + size], out_dir, units)
+        (group[i : i + size], units)
         for group in groups.values()
         for i in range(0, len(group), size)
     ]
@@ -177,35 +161,45 @@ def _load_kdtree() -> None:
 
 def cmd_eval(args) -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
-    for failures.  Output bytes are independent of the worker count.
-
-    If a worker process dies, every job of a task whose results never
-    came back is recorded as failed and any report it left is removed."""
+    (written last) for failures and jobs lost with a dead worker.  Workers
+    only return results: this is the one writer of ``--out``, a failed write
+    stops the run there (IoFailure), and a failed or lost job's error
+    replaces the report an earlier run left.  Bytes do not depend on --jobs."""
     job_list = read_manifest(args.manifest)
     out = Path(args.out)
     workers = worker_count(args.jobs, len(job_list))
-    tasks = _eval_tasks(job_list, str(out), args.units, workers)
-    results = []
+    tasks = _eval_tasks(job_list, args.units, workers)
+    errors = []
+
+    def record(results: list[tuple[Job, dict | str]]) -> None:
+        for job, result in results:
+            if isinstance(result, dict):
+                _write_json(result, out / job.report_name)
+                continue
+            errors.append({"method": job.method, "pair_id": job.pair_id, "error": result})
+            # a report an earlier run left here would contradict errors.json;
+            # where it cannot be removed, writing errors.json fails as well
+            with contextlib.suppress(OSError):
+                (out / job.report_name).unlink(missing_ok=True)
+
     if workers <= 1:
         for task in tasks:
-            results.extend(_eval_task(task))
+            record(_eval_task(task))
     else:
         _load_kdtree()
         received = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for task_results in pool.map(_eval_task, tasks):
-                    results.extend(task_results)
+                    record(task_results)
                     received += 1
             except BrokenProcessPool as exc:
-                for lost, _, _ in tasks[received:]:
-                    for job in lost:
-                        (out / _report_name(job)).unlink(missing_ok=True)
-                        results.append((job.method, job.pair_id, f"{type(exc).__name__}: {exc}"))
-    errors = sorted(
-        [{"method": m, "pair_id": p, "error": e} for m, p, e in results if e is not None],
-        key=lambda d: (d["method"], d["pair_id"]),
-    )
+                for lost, _ in tasks[received:]:
+                    record([(job, f"{type(exc).__name__}: {exc}") for job in lost])
+            except IoFailure:
+                pool.shutdown(cancel_futures=True)
+                raise
+    errors.sort(key=lambda d: (d["method"], d["pair_id"]))
     _write_json(errors, out / "errors.json")
     return 1 if errors else 0
 
@@ -441,7 +435,7 @@ def bench_job(job: Job, repeats: int = 10, units: str = "voxel") -> dict:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             report = run_job(job, units=units)
-            _write_json(report.to_dict(), Path(tmp) / _report_name(job))
+            _write_json(report.to_dict(), Path(tmp) / job.report_name)
             samples.append(time.perf_counter() - t0)
     mean, std = stats.mean_std(samples)
     return {
@@ -519,7 +513,7 @@ def cmd_register(args) -> int:
         print(f"instance optimization done, loss {final_loss!r}")
     else:
         field, trace = refreg.register(fixed, moving, cfg)
-        final_loss = trace[-1][-1] if trace and trace[-1] else float("nan")
+        final_loss = trace[-1][-1] if trace[-1] else refreg.loss(fixed, moving, field, cfg)
         print(f"registration done over {len(trace)} levels, final loss {final_loss!r}")
     write_nifti(field, args.out, use_gzip=str(args.out).endswith(".gz"))
     print(f"field written to {args.out}")
@@ -560,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = command("rank", cmd_rank, "DIR", "leaderboard from a report directory")
     p_rank.add_argument("report_dir")
-    p_rank.add_argument("--metrics", default="dsc,hd95,tre", help="comma list to rank")
+    p_rank.add_argument("--metrics", default=",".join(ACC_METRICS), help="comma list to rank")
     p_rank.add_argument("--alpha", type=float, default=0.05)
 
     p_ic = command("ic", cmd_ic, None, "inverse-consistency residual of two fields")

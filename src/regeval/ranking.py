@@ -101,31 +101,28 @@ def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
     return wins
 
 
-def wins_to_rank_scores(wins: dict, method_count: int | None = None) -> dict:
+def wins_to_rank_scores(wins: dict) -> dict:
     """Affine map from win counts onto [0.1, 1.0].
 
-    score = 0.1 + 0.9 * wins / (M - 1); equal wins give equal scores.  A
-    single method (no opponents) scores the floor 0.1.
+    score = 0.1 + 0.9 * wins / (M - 1) for the M methods in ``wins``; equal
+    wins give equal scores.  A single method (no opponents) scores 0.1.
     """
-    m = len(wins) if method_count is None else int(method_count)
-    if m <= 1:
+    if len(wins) <= 1:
         return {k: 0.1 for k in wins}
-    return {k: 0.1 + 0.9 * (w / (m - 1)) for k, w in wins.items()}
+    return {k: 0.1 + 0.9 * (w / (len(wins) - 1)) for k, w in wins.items()}
 
 
 def aggregate(
     rank_scores: dict,
-    metrics: list[str] | None = None,
+    metrics: list[str],
     wins: dict | None = None,
 ) -> RankTable:
     """Geometric-mean aggregation of per-metric rank scores into a leaderboard.
 
     ``rank_scores`` maps metric id to a {method: score} map.  ``metrics``
-    selects and orders the pooled metrics (defaults to all).  Each method
-    must appear in every included map.
+    selects and orders the pooled metrics.  Each method must appear in
+    every included map.
     """
-    if metrics is None:
-        metrics = sorted(rank_scores)
     missing = [m for m in metrics if m not in rank_scores]
     if missing:
         raise InconsistentMethodSets(f"no rank scores for metrics {missing}")
@@ -164,22 +161,20 @@ def aggregate(
 
 def rank_methods(
     matrices: list[MetricMatrix],
-    acc_metrics: list[str] | None = None,
+    acc_metrics: list[str],
     alpha: float = 0.05,
 ) -> tuple[RankTable, dict]:
     """Full pipeline: pairwise tests, rank scores, geometric-mean table.
 
-    Returns the table aggregated over ``acc_metrics`` (default: all supplied
-    matrices) plus the {metric: {method: score}} map for every matrix, so
-    callers can report per-metric rankings beyond the pooled ones.
+    Returns the table aggregated over ``acc_metrics`` plus the
+    {metric: {method: score}} map for every matrix, so callers can report
+    per-metric rankings beyond the pooled ones.
     """
     scores: dict[str, dict] = {}
     wins: dict[str, dict] = {}
     for matrix in matrices:
         w = pairwise_wins(matrix, alpha=alpha)
         wins[matrix.metric_id] = w
-        scores[matrix.metric_id] = wins_to_rank_scores(w, len(matrix.methods))
-    if acc_metrics is None:
-        acc_metrics = [m.metric_id for m in matrices]
+        scores[matrix.metric_id] = wins_to_rank_scores(w)
     table = aggregate(scores, acc_metrics, wins=wins)
     return table, scores

@@ -49,12 +49,10 @@ class PearsonFit:
 
 @dataclass(frozen=True)
 class CohortStats:
-    """Per-metric cohort summary: mean, sample (n-1) standard deviation, and
-    the number of cases each metric covered."""
+    """Per-metric cohort summary: mean and sample (n-1) standard deviation."""
 
     means: dict
     stds: dict
-    counts: dict
 
 
 def percentile(values, q: float) -> float:
@@ -104,11 +102,9 @@ def summarize_cohort(per_case_values: dict) -> CohortStats:
     """
     means = {}
     stds = {}
-    counts = {}
     for metric, vals in per_case_values.items():
         means[metric], stds[metric] = mean_std(vals)
-        counts[metric] = len(vals)
-    return CohortStats(means=means, stds=stds, counts=counts)
+    return CohortStats(means=means, stds=stds)
 
 
 # ---------------------------------------------------------------------------

@@ -329,22 +329,18 @@ def read_field(path) -> DisplacementField:
 
 
 def _payload_dtype(obj) -> np.dtype:
+    """The on-disk payload type; InvalidLabelData for label data that
+    ``read_nifti`` would reject (not integer or bool, or outside 0..2**31-1)."""
     dt = obj.data.dtype
-    if isinstance(obj, DisplacementField):
-        if dt == np.float32:
-            return np.dtype(np.float32)
-        return np.dtype(np.float64)
-    if obj.kind == "scalar":
+    if isinstance(obj, DisplacementField) or obj.kind == "scalar":
         return np.dtype(np.float32) if dt == np.float32 else np.dtype(np.float64)
-    if dt in _DTYPE_TO_CODE and dt.kind in "ui":
-        return dt
-    # any other integer width is widened to int32, which must hold every label
-    info = np.iinfo(np.int32)
-    if dt.kind in "ui" and obj.data.size and (
-        int(obj.data.min()) < info.min or int(obj.data.max()) > info.max
-    ):
-        raise InvalidLabelData(f"label values span {obj.data.min()}..{obj.data.max()}, past int32")
-    return np.dtype(np.int32)
+    if dt.kind not in "uib":
+        raise InvalidLabelData(f"label data of type {dt} is not integer")
+    lo, hi = (int(obj.data.min()), int(obj.data.max())) if obj.data.size else (0, 0)
+    if lo < 0 or hi > np.iinfo(np.int32).max:
+        raise InvalidLabelData(f"label values span {lo}..{hi}, outside the int32 labels 0..2**31-1")
+    # any integer type without a NIfTI code is widened to int32
+    return dt if dt in _DTYPE_TO_CODE else np.dtype(np.int32)
 
 
 def _build_header(obj, dtype: np.dtype) -> bytes:

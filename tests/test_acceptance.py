@@ -299,7 +299,7 @@ def test_c05_ranking_pipeline(rng):
         assert abs(row.acc_score - want_acc) <= 1e-12
 
     # hand-computed three-method example: wins 2/1/0 map to 1.0/0.55/0.1
-    hand = wins_to_rank_scores({"a": 2, "b": 1, "c": 0}, 3)
+    hand = wins_to_rank_scores({"a": 2, "b": 1, "c": 0})
     assert hand == {"a": 1.0, "b": 0.55, "c": 0.1}
     geo = math.exp((math.log(0.1) + math.log(0.9)) / 2.0)
     assert abs(geo - 0.3) <= 1e-12

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regeval import cli
+from regeval.manifest import write_manifest
 from regeval.metrics import PairReport
 from regeval.synth import make_cohort
 from regeval.volio import AffineHeader, DisplacementField, Volume, write_nifti
@@ -213,8 +215,8 @@ class TestGroupedEval:
         from concurrent.futures.process import BrokenProcessPool
 
         class DyingPool:
-            """Returns the first task's results, runs the second (which
-            writes its reports) and then reports a dead worker."""
+            """Returns the first task's results, runs the second (whose
+            results are lost) and then reports a dead worker."""
 
             def __init__(self, max_workers):
                 pass
@@ -231,9 +233,11 @@ class TestGroupedEval:
                 fn(items[1])
                 raise BrokenProcessPool("a worker died")
 
+        out = tmp_path / "reports"
+        # an earlier run's reports of the lost jobs must not outlive this run
+        assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
         monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
         monkeypatch.setattr(cli, "cpu_count", lambda: 2)
-        out = tmp_path / "reports"
         code = cli.main(["--jobs", "2", "--out", str(out), "eval", str(cohort / "manifest.csv")])
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
@@ -258,12 +262,92 @@ class TestGroupedEval:
             for i in range(n)
         ]
         workers = min(requested, len(job_list))
-        tasks = cli._eval_tasks(job_list, "out", "voxel", workers)
+        tasks = cli._eval_tasks(job_list, "voxel", workers)
         assert len(tasks) >= workers
-        in_tasks = [j for jobs, _, _ in tasks for j in jobs]
+        in_tasks = [j for jobs, _ in tasks for j in jobs]
         assert len(in_tasks) == len(job_list) and set(in_tasks) == set(job_list)
-        for jobs, _, _ in tasks:
+        for jobs, _ in tasks:
             assert len({cli._group_key(j) for j in jobs}) == 1
+
+
+class TestOneWriter:
+    """Workers return reports; cmd_eval writes every file in --out, and a
+    failed write stops the run at the first report."""
+
+    def test_eval_task_writes_nothing(self, cohort, tmp_path, monkeypatch):
+        jobs = [j for j in cli.read_manifest(cohort / "manifest.csv") if j.pair_id == "case000"]
+        broken = dataclasses.replace(jobs[0], method="broken", field=str(tmp_path / "missing.nii"))
+        want = [cli.run_job(job).to_dict() for job in jobs]
+        before = sorted((p, p.stat().st_mtime_ns) for p in cohort.rglob("*"))
+
+        def no_write(*args, **kwargs):
+            raise AssertionError("a worker wrote or removed a file")
+
+        for owner, name in [(cli, "_write_json"), (cli, "atomic_open"), (os, "replace"),
+                            (os, "unlink"), (Path, "unlink")]:
+            monkeypatch.setattr(owner, name, no_write)
+        monkeypatch.chdir(tmp_path)
+        results = cli._eval_task((jobs + [broken], "voxel"))
+        assert [job for job, _ in results] == jobs + [broken]
+        assert [result for _, result in results[:-1]] == want
+        assert results[-1][1].startswith("IoFailure: could not read")
+        assert sorted((p, p.stat().st_mtime_ns) for p in cohort.rglob("*")) == before
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_out_stops_after_the_first_task(self, cohort, tmp_path, monkeypatch, capsys):
+        # four methods per pair
+        base = cli.read_manifest(cohort / "manifest.csv")
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, base + [dataclasses.replace(j, method=j.method + "2") for j in base])
+        calls = []
+        run_job = cli.run_job
+
+        def counting(job, *args, **kwargs):
+            calls.append(job.pair_id)
+            return run_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_job", counting)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        out = blocker / "reports"
+        assert cli.main(["--out", str(out), "eval", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: could not write {out / 'truth__case000.json'}")
+        assert err.count("\n") == 1
+        # 12 jobs at --jobs 1: three tasks, one per pair, of 4 jobs each
+        assert calls == ["case000"] * 4
+
+    def test_failed_write_cancels_the_pending_tasks(self, cohort, tmp_path, monkeypatch, capsys):
+        events = []
+
+        class LazyPool:
+            """Runs a task when its result is asked for and notes shutdowns."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                for item in items:
+                    events.append("task")
+                    yield fn(item)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                events.append(("shutdown", cancel_futures))
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", LazyPool)
+        monkeypatch.setattr(cli, "cpu_count", lambda: 2)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        argv = ["--jobs", "2", "--out", str(blocker / "reports"), "eval", str(cohort / "manifest.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: could not write")
+        assert events == ["task", ("shutdown", True)]
 
 
 class TestWorkerCount:
@@ -928,6 +1012,29 @@ class TestRegisterCommand:
         assert printed == refreg.loss(pair.fixed_image, pair.moving_image, field, cfg)
         assert printed == loss_and_grad(pair.fixed_image, pair.moving_image, field, cfg)[0]
 
+    def test_finest_level_without_a_step_prints_the_field_loss(self, tmp_path, capsys):
+        from regeval import refreg
+        from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
+        from regeval.volio import read_field
+
+        dims = (20, 20, 20)
+        pair = make_pair(
+            make_phantom(PhantomSpec(dims=dims, label_count=2, seed=4)),
+            make_velocity(Svf(seed=5, amplitude=1.0), dims),
+        )
+        write_nifti(pair.fixed_image, tmp_path / "fixed.nii")
+        write_nifti(pair.moving_image, tmp_path / "moving.nii")
+        out = tmp_path / "field.nii"
+        assert cli.main([
+            "--out", str(out), "register", str(tmp_path / "fixed.nii"), str(tmp_path / "moving.nii"),
+            "--iters", "3,0", "--window", "5",
+        ]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("registration done over 2 levels, final loss ")
+        cfg = refreg.RegConfig(iters_per_level=(3, 0), lncc_window=5, parameterization="svf")
+        want = refreg.loss(pair.fixed_image, pair.moving_image, read_field(out), cfg)
+        assert np.isfinite(want) and float(line.rsplit(" ", 1)[1]) == want
+
     @pytest.mark.parametrize(
         "options, message",
         [
@@ -1000,8 +1107,10 @@ class TestManifestRows:
             (b"b,p1,f.nii,m.nii,ZERO,,\n", "line 3 has 7 cells, the header 8"),
             (b"b,p1,f.nii,m.nii,ZERO,,,,extra\n", "line 3 has 9 cells, the header 8"),
             (b"b,p\xe9,f.nii,m.nii,ZERO,,,\n", "could not read"),
+            (b"../escape,p,f.nii,m.nii,ZERO,,,\n", "line 3: the id '../escape' is empty or holds"),
+            (b"a,p0,g.nii,m.nii,ZERO,,,\n", "line 3 has the report name a__p0.json of line 2"),
         ],
-        ids=["short", "long", "not_utf8"],
+        ids=["short", "long", "not_utf8", "escape", "same_report"],
     )
     @pytest.mark.parametrize("command", ["eval", "bench"])
     def test_bad_row_exits_2_and_writes_nothing(self, tmp_path, capsys, bad_row, message, command):
@@ -1014,7 +1123,15 @@ class TestManifestRows:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: " if "line" in message else "error: ")
         assert message in err and err.count("\n") == 1
-        assert not out.exists()
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_ids_joined_into_one_report_name_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        header = ",".join(cli.MANIFEST_COLUMNS)
+        path.write_text(f"{header}\na__b,c,f.nii,m.nii,ZERO,,,\na,b__c,f.nii,m.nii,ZERO,,,\n")
+        assert cli.main(["--out", str(tmp_path / "out"), "eval", str(path)]) == 2
+        assert "line 3 has the report name a__b__c.json of line 2" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_blank_rows_skipped(self, tmp_path):
         path = tmp_path / "m.csv"

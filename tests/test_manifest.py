@@ -10,8 +10,16 @@ from regeval.synth import make_cohort
 
 # cell text with the characters CSV must quote; no surrounding blanks,
 # since the reader strips every cell (``padded`` adds them)
-_CHARS = st.sampled_from(list("abcXYZ019_-./ ,\"'é"))
-_TEXT = st.text(_CHARS, min_size=1, max_size=12).map(str.strip).filter(bool)
+_CHARS = "abcXYZ019_-./ ,\"'é"
+
+
+def _text(chars):
+    return st.text(st.sampled_from(list(chars)), min_size=1, max_size=12).map(str.strip).filter(bool)
+
+
+_TEXT = _text(_CHARS)
+# a method or pair id holds no path separator
+_ID = _text(_CHARS.replace("/", ""))
 _PATH = st.one_of(
     st.just(ZERO_FIELD),
     _TEXT,
@@ -21,9 +29,13 @@ _PATH = st.one_of(
 _OPTIONAL = st.one_of(st.none(), _PATH)
 
 
+def _report_name(key: tuple[str, str]) -> str:
+    return Job(*key, "", "", "").report_name
+
+
 @st.composite
 def job_lists(draw):
-    keys = draw(st.lists(st.tuples(_TEXT, _TEXT), unique=True, max_size=6))
+    keys = draw(st.lists(st.tuples(_ID, _ID), unique_by=_report_name, max_size=6))
     return [
         Job(method, pair_id, draw(_PATH), draw(_PATH), draw(_PATH),
             draw(_OPTIONAL), draw(_OPTIONAL), draw(_OPTIONAL))
@@ -92,3 +104,22 @@ def test_synth_manifest_bytes(tmp_path):
         b"zero,case001,labels/case001_fixed.nii,labels/case001_moving.nii,"
         b"ZERO,landmarks/case001_fixed.csv,landmarks/case001_moving.csv,\n"
     )
+
+
+def test_jobs_sharing_a_report_name_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(MANIFEST_COLUMNS) + "\na__b,c,f,m,ZERO,,,\na,b__c,f,m,ZERO,,,\n")
+    with pytest.raises(UnpairedCases, match="line 3 has the report name a__b__c.json of line 2"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("method, pair_id", [("../escape", "p"), ("m", "sub/p"), ("m", "a\\b")])
+def test_path_separator_in_an_id_rejected(tmp_path, method, pair_id):
+    path = tmp_path / "m.csv"
+    path.write_text(",".join(MANIFEST_COLUMNS) + f"\nok,p,f,m,ZERO,,,\n{method},{pair_id},f,m,ZERO,,,\n")
+    with pytest.raises(UnpairedCases, match="line 3: .* holds a path separator"):
+        read_manifest(path)
+    written = tmp_path / "w.csv"
+    with pytest.raises(UnpairedCases, match="holds a path separator"):
+        write_manifest(written, [Job(method, pair_id, "f", "m", ZERO_FIELD)])
+    assert not written.exists()

@@ -72,28 +72,29 @@ class TestPairwiseWins:
 
 class TestWinsToRankScores:
     def test_three_method_example(self):
-        assert wins_to_rank_scores({"a": 2, "b": 1, "c": 0}, 3) == {
+        assert wins_to_rank_scores({"a": 2, "b": 1, "c": 0}) == {
             "a": 1.0,
             "b": pytest.approx(0.55),
             "c": 0.1,
         }
 
     def test_all_zero_wins(self):
-        scores = wins_to_rank_scores({"a": 0, "b": 0, "c": 0}, 3)
+        scores = wins_to_rank_scores({"a": 0, "b": 0, "c": 0})
         assert all(s == 0.1 for s in scores.values())
 
     def test_tied_wins_share_scores(self):
-        scores = wins_to_rank_scores({"a": 3, "b": 3, "c": 0, "d": 0}, 4)
+        scores = wins_to_rank_scores({"a": 3, "b": 3, "c": 0, "d": 0})
         assert scores["a"] == scores["b"] == 1.0
         assert scores["c"] == scores["d"] == 0.1
 
     def test_single_method_floor(self):
-        assert wins_to_rank_scores({"only": 0}, 1) == {"only": 0.1}
+        assert wins_to_rank_scores({"only": 0}) == {"only": 0.1}
 
 
 class TestAggregate:
     def test_perfect_scores(self):
-        table = aggregate({"dsc": {"a": 1.0}, "hd95": {"a": 1.0}, "tre": {"a": 1.0}})
+        scores = {"dsc": {"a": 1.0}, "hd95": {"a": 1.0}, "tre": {"a": 1.0}}
+        table = aggregate(scores, ["dsc", "hd95", "tre"])
         assert table.rows[0].acc_score == pytest.approx(1.0)
         assert table.rows[0].final_rank == 1
 
@@ -152,7 +153,7 @@ class TestRankMethodsPipeline:
     def test_monotone_transform_invariance(self, rng):
         order = ["a", "b", "c"]
         matrices = self.make_cohort_matrices(rng, order)
-        table1, _ = rank_methods(matrices)
+        table1, _ = rank_methods(matrices, ["dsc", "hd95", "tre"])
         transformed = []
         for m in matrices:
             vals = np.exp(m.values) if m.direction == HIGHER_BETTER else np.log1p(m.values)
@@ -166,7 +167,7 @@ class TestRankMethodsPipeline:
                     pairing=m.pairing,
                 )
             )
-        table2, _ = rank_methods(transformed)
+        table2, _ = rank_methods(transformed, ["dsc", "hd95", "tre"])
         assert [r.method for r in table1.rows] == [r.method for r in table2.rows]
         assert [r.final_rank for r in table1.rows] == [r.final_rank for r in table2.rows]
 
@@ -244,8 +245,8 @@ def test_unpaired_board_invariant_under_increasing_rescaling(m, which):
     fn = INCREASING_MAPS[which]
     grid = np.arange(-30, 31, dtype=np.float64)
     assert np.all(np.diff(fn(grid)) > 0)
-    table, scores = rank_methods([m])
-    table2, scores2 = rank_methods([rescaled(m, fn)])
+    table, scores = rank_methods([m], [m.metric_id])
+    table2, scores2 = rank_methods([rescaled(m, fn)], [m.metric_id])
     assert scores2 == scores
     assert board(table2) == board(table)
 
@@ -255,8 +256,9 @@ def test_unpaired_board_invariant_under_increasing_rescaling(m, which):
 def test_paired_board_invariant_under_positive_affine_rescaling(m, log2_scale, shift):
     # a power-of-two scale and an integer shift are exact in float64, so the
     # |differences| keep their order and ties
-    table, scores = rank_methods([m])
-    table2, scores2 = rank_methods([rescaled(m, lambda v: v * 2.0**log2_scale + shift)])
+    table, scores = rank_methods([m], [m.metric_id])
+    shifted = rescaled(m, lambda v: v * 2.0**log2_scale + shift)
+    table2, scores2 = rank_methods([shifted], [m.metric_id])
     assert scores2 == scores
     assert board(table2) == board(table)
 

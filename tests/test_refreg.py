@@ -200,6 +200,50 @@ class TestRegister:
             loss_and_grad(small_pair.fixed_image, moving, zero, cfg)
 
 
+class TestStops:
+    """The ways an optimizer level ends other than its iteration count."""
+
+    def test_non_finite_initial_loss_diverges(self, rng):
+        f, m = random_pair(rng, (8, 8, 8))
+        init = np.zeros((8, 8, 8, 3))
+        init[0, 0, 0, 0] = 1e200  # its squared difference overflows the diffusion term
+        with np.errstate(over="ignore"), pytest.raises(errors.DivergedLoss, match="initial loss"):
+            instance_optimize(f, m, DisplacementField(f.header, init), RegConfig(iters_per_level=(2,)))
+
+    def test_zero_gradient_stops_before_a_step(self):
+        zero = Volume(header=AffineHeader.isotropic((8, 8, 8)), kind="scalar", data=np.zeros((8, 8, 8)))
+        field, trace = register(zero, zero, RegConfig(iters_per_level=(3, 3), lncc_window=3))
+        assert trace == [[], []]
+        assert not np.any(field.data)
+
+    def test_failed_line_search_keeps_the_state(self, rng, monkeypatch):
+        f, m = random_pair(rng, (8, 8, 8))
+        loss_only = refreg._loss_only
+        calls = []
+
+        def no_move_accepted(terms, mdata, u, lam):
+            calls.append(bool(np.any(u)))
+            return loss_only(terms, mdata, u, lam) if not np.any(u) else np.inf
+
+        monkeypatch.setattr(refreg, "_loss_only", no_move_accepted)
+        cfg = RegConfig(iters_per_level=(5,), lncc_window=3)
+        state, losses, u = refreg._optimize_level(f.data, m.data, np.zeros((8, 8, 8, 3)), 5, cfg)
+        assert losses == [] and not np.any(state) and not np.any(u)
+        assert calls == [False] + [True] * 30  # the initial loss, then 30 halvings
+
+    def test_zero_sigma_skips_the_update_smoothing(self, small_pair, monkeypatch, rng):
+        g = rng.standard_normal((4, 4, 4, 3))
+        assert refreg._smooth_update(g, 0.0) is g
+
+        def no_smoothing(*args, **kwargs):
+            raise AssertionError("sigma 0 smoothed the update")
+
+        monkeypatch.setattr(refreg, "gaussian_filter", no_smoothing)
+        cfg = RegConfig(iters_per_level=(3, 3), update_smoothing_sigma=0.0)
+        _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
+        assert all(level for level in trace)
+
+
 class TestInstanceOptimize:
     def test_zero_init_equals_single_level_register(self, small_pair):
         cfg = RegConfig(iters_per_level=(12,))

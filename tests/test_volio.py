@@ -69,6 +69,12 @@ class TestReadNifti:
         assert np.array_equal(plain.data, zipped.data)
         assert plain.header.dims == zipped.header.dims
 
+    def test_negative_label_rejected(self, tmp_path):
+        data = np.array([0, 1, -3, 2, 0, 0, 0, 0], dtype=np.int16).reshape((2, 2, 2), order="F")
+        blob = craft_nifti(data, datatype=4, dim=(3, 2, 2, 2, 1, 1, 1, 1))
+        with pytest.raises(errors.InvalidLabelData, match="negative"):
+            write_and_read(tmp_path, blob)
+
     def test_zero_field_5d_layout(self, tmp_path):
         data = np.zeros((4, 4, 4, 1, 3), dtype=np.float32)
         blob = craft_nifti(data, datatype=16, dim=(5, 4, 4, 4, 1, 3, 1, 1))
@@ -307,6 +313,21 @@ class TestWriteNifti:
         data[1, 1, 1] = value
         vol = Volume(header=AffineHeader.isotropic((3, 2, 2)), kind="label", data=data)
         with pytest.raises(errors.InvalidLabelData, match="int32"):
+            volio.write_nifti(vol, tmp_path / "sub" / "vol.nii")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (np.full((2, 2, 2), -3, dtype=np.int16), r"span -3\.\.-3"),
+            (np.full((2, 2, 2), 1.7), "float64 is not integer"),
+            (np.full((2, 2, 2), 2.0, dtype=np.float32), "float32 is not integer"),
+        ],
+        ids=["negative", "float", "integral_float"],
+    )
+    def test_labels_the_reader_rejects_are_not_written(self, tmp_path, data, message):
+        vol = Volume(header=AffineHeader.isotropic((2, 2, 2)), kind="label", data=data)
+        with pytest.raises(errors.InvalidLabelData, match=message):
             volio.write_nifti(vol, tmp_path / "sub" / "vol.nii")
         assert list(tmp_path.iterdir()) == []
 
