@@ -584,15 +584,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg = command("register", cmd_register, "FILE", "optimize a field aligning moving to fixed")
     p_reg.add_argument("fixed")
     p_reg.add_argument("moving")
-    p_reg.add_argument("--iters", default="100,100,50", help="iterations per level, coarsest first")
-    p_reg.add_argument("--step-size", type=float, default=1.0)
-    p_reg.add_argument("--lambda-diffusion", type=float, default=1.0)
-    p_reg.add_argument("--window", type=int, default=9)
-    p_reg.add_argument(
+    reg = refreg.RegConfig()
+    iters = ",".join(map(str, reg.iters_per_level))
+    p_reg.add_argument("--iters", default=iters, help="iterations per level, coarsest first")
+    p_reg.add_argument("--step-size", type=float, default=reg.step_size)
+    p_reg.add_argument("--lambda-diffusion", type=float, default=reg.lambda_diffusion)
+    p_reg.add_argument("--window", type=int, default=reg.lncc_window)
+    p_reg.add_argument(  # unlike RegConfig, diffeomorphic unless told otherwise
         "--parameterization", choices=(refreg.DISPLACEMENT, refreg.SVF), default=refreg.SVF
     )
-    p_reg.add_argument("--squarings", type=int, default=7)
-    p_reg.add_argument("--sigma", type=float, default=1.0)
+    p_reg.add_argument("--squarings", type=int, default=reg.squarings)
+    p_reg.add_argument("--sigma", type=float, default=reg.update_smoothing_sigma)
     p_reg.add_argument("--init", default=None, help="initial field for instance optimization")
     return parser
 

@@ -10,7 +10,8 @@ with the diffusion term the mean squared forward-difference gradient of u.
 The gradient is fully analytic: the LNCC adjoint is accumulated with the
 same box sums as the forward pass and chained through the spatial
 derivative of the trilinear warp.  Every update passes a halving line
-search on the true loss, so the per-level loss trace is non-increasing.
+search on the true loss, so the per-level loss trace is non-increasing;
+each trial computes the loss and its gradient in one pass.
 
 In SVF mode the state is a stationary velocity and the returned field is
 its scaling-and-squaring exponential, diffeomorphic up to discretization.
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
 from .metrics import _LnccTerms
 from .volio import DisplacementField, Volume
-from .warp import _exp, _trilinear, _warp, _warp_with_grad, identity_grid
+from .warp import _check_squarings, _exp, _trilinear, _warp, _warp_with_grad, identity_grid
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
@@ -56,16 +57,17 @@ class RegConfig:
     def __post_init__(self):
         if not self.iters_per_level:
             raise ValueError("iters_per_level must have at least one entry")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.lambda_diffusion < 0:
-            raise ValueError("lambda_diffusion must be >= 0")
+        if not 0 < self.step_size < np.inf:  # NaN fails too
+            raise ValueError("step_size must be positive and finite")
+        if not 0 <= self.lambda_diffusion < np.inf:
+            raise ValueError("lambda_diffusion must be finite and >= 0")
         if self.lncc_window < 1 or self.lncc_window % 2 == 0:
             raise ValueError("lncc_window must be a positive odd integer")
         if self.parameterization not in (DISPLACEMENT, SVF):
             raise ValueError(f"parameterization must be '{DISPLACEMENT}' or '{SVF}'")
-        if self.squarings < 0 or self.update_smoothing_sigma < 0:
-            raise ValueError("squarings and update_smoothing_sigma must be >= 0")
+        _check_squarings(self.squarings)
+        if not 0 <= self.update_smoothing_sigma < np.inf:
+            raise ValueError("update_smoothing_sigma must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +89,7 @@ def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
         if grad is not None:
             grad[hi] += d
             grad[lo] -= d
-    if n_terms == 0:
-        return 0.0
+    n_terms = max(n_terms, 1)  # a one-voxel grid has no differences
     if grad is not None:
         grad *= 2.0 / n_terms
     return value / n_terms
@@ -98,23 +99,16 @@ def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
 # loss
 
 
-def _loss_only(terms: _LnccTerms, mdata, u, lam) -> float:
-    w = _warp(mdata, u)
-    loss = -terms.value(w)
-    if lam > 0:
-        loss += lam * _diffusion_value(u)
-    return loss
-
-
 def _loss_and_grad(terms: _LnccTerms, mdata, u, lam):
-    w, mgrad = _warp_with_grad(mdata, u)
+    w, grad = _warp_with_grad(mdata, u)
     value, dw = terms.value_and_adjoint(w)
-    grad = -dw[..., None] * mgrad
+    np.multiply(grad, -dw[..., None], out=grad)
     loss = -value
     if lam > 0:
         dgrad = np.zeros_like(u)
         loss += lam * _diffusion_value(u, dgrad)
-        grad += lam * dgrad
+        dgrad *= lam
+        grad += dgrad
     return loss, grad
 
 
@@ -143,10 +137,13 @@ def loss_and_grad(fixed: Volume, moving: Volume, phi: DisplacementField, cfg: Re
 
 
 def loss(fixed: Volume, moving: Volume, phi: DisplacementField, cfg: RegConfig) -> float:
-    """Registration loss alone, as the optimizer's line search computes it."""
+    """``loss_and_grad``'s loss, bit for bit, without the gradient."""
     fdata, mdata = _prepare(fixed, moving, phi)
-    terms = _LnccTerms(fdata, cfg.lncc_window)
-    return _loss_only(terms, mdata, np.asarray(phi.data, dtype=np.float64), cfg.lambda_diffusion)
+    u = np.asarray(phi.data, dtype=np.float64)
+    value = -_LnccTerms(fdata, cfg.lncc_window).value(_warp(mdata, u))
+    if cfg.lambda_diffusion > 0:
+        value += cfg.lambda_diffusion * _diffusion_value(u)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +184,11 @@ def gaussian_filter(*args, **kwargs):
 
 
 def _smooth_update(g: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return g
-    out = np.empty_like(g)
-    for c in range(3):
-        gaussian_filter(g[..., c], sigma=sigma, mode="nearest", output=out[..., c])
-    return out
+    """``g`` with each component Gaussian-smoothed in place."""
+    if sigma > 0:
+        for c in range(3):
+            gaussian_filter(g[..., c], sigma=sigma, mode="nearest", output=g[..., c])
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +206,37 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
 
     ``state`` is the displacement itself or, in SVF mode, the velocity.
     Returns (state, losses, u), u being the displacement of the returned
-    state as already computed (``_to_field(state)``).  The loss sequence is
-    non-increasing because updates are only accepted when they do not raise
-    the loss.  The level converges early once three consecutive accepted
-    steps each improve the loss by at most STALL_TOL relative.
+    state as already computed (``_to_field(state)``).  The loss and its
+    gradient are evaluated once at the start and once per line-search
+    trial, which is accepted if it does not raise the loss; its gradient
+    sets the next direction.  The level stops when its iterations run
+    out, after three consecutive steps that each improve the loss by at
+    most STALL_TOL relative, on a failed line search or a zero direction.
     """
     terms = _LnccTerms(fdata, cfg.lncc_window)
     u = _to_field(state, cfg)
-    loss = _loss_only(terms, mdata, u, cfg.lambda_diffusion)
+    loss, grad = _loss_and_grad(terms, mdata, u, cfg.lambda_diffusion)
     if not np.isfinite(loss):
         raise DivergedLoss(f"initial loss is {loss}")
     losses: list[float] = []
     step = None
     stalled = 0
     for _ in range(iters):
-        _, grad = _loss_and_grad(terms, mdata, u, cfg.lambda_diffusion)
         direction = _smooth_update(grad, cfg.update_smoothing_sigma)
         peak = float(np.max(np.abs(direction)))
         if peak == 0.0:
             break
         if step is None:
             step = cfg.step_size / peak
-        accepted = False
         trial = step
         for _ in range(30):
             cand_state = state - trial * direction
             cand_u = _to_field(cand_state, cfg)
-            cand_loss = _loss_only(terms, mdata, cand_u, cfg.lambda_diffusion)
+            cand_loss, grad = _loss_and_grad(terms, mdata, cand_u, cfg.lambda_diffusion)
             if np.isfinite(cand_loss) and cand_loss <= loss:
-                accepted = True
                 break
             trial *= 0.5
-        if not accepted:
+        else:  # no trial kept the loss from rising
             break
         improvement = loss - cand_loss
         state, u, loss = cand_state, cand_u, cand_loss

@@ -261,8 +261,6 @@ def _mwu_exact_tail(n: int, m: int) -> tuple[int, ...]:
             row = f[k]
             prev = f[k - 1]
             shift = j - k  # number of y-values below this x-value
-            if shift > max_u:
-                continue
             for u in range(max_u - shift, -1, -1):
                 if prev[u]:
                     row[u + shift] += prev[u]

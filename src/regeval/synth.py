@@ -164,7 +164,7 @@ def _face_taper(dims, margin: float) -> np.ndarray:
 def make_velocity(kind: Svf, dims) -> VelocityField:
     """The stationary velocity that backs an Svf field request."""
     dims = tuple(int(d) for d in dims)
-    if kind.amplitude < 0 or kind.smoothness <= 0:
+    if not (0 <= kind.amplitude < np.inf and 0 < kind.smoothness < np.inf):  # NaN fails too
         raise BadParams(f"bad Svf parameters {kind}")
     from scipy.ndimage import gaussian_filter  # loaded only when smoothing
 

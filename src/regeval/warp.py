@@ -264,6 +264,11 @@ def _warp(data: np.ndarray, u: np.ndarray, ws=None) -> np.ndarray:
     return _trilinear(data, grid, u.reshape(-1, 3), ws).reshape(dims + data.shape[3:])
 
 
+def _check_squarings(squarings: int) -> None:
+    if not 0 <= squarings <= 1023:
+        raise ValueError(f"squarings {squarings} is outside [0, 1023]; 2**1024 overflows a float")
+
+
 def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
     """Scaling and squaring on arrays: u = v / 2**squarings, then
     ``squarings`` times u = u + u(x + u(x)), i.e. u composed with itself.
@@ -324,8 +329,7 @@ def exp_svf(v: VelocityField, squarings: int = 7) -> DisplacementField:
     exp(0) is the identity; a constant v exponentiates to the matching
     translation on interior voxels.
     """
-    if squarings < 0:
-        raise ValueError(f"squarings must be >= 0, got {squarings}")
+    _check_squarings(squarings)
     vdata = np.asarray(v.data, dtype=np.float64)
     if not np.all(np.isfinite(vdata)):
         raise NonFiniteVelocity("velocity field contains non-finite components")

@@ -952,6 +952,23 @@ class TestSynthCommand:
         assert (out / "manifest.csv").exists()
         assert len(list((out / "images").glob("*.nii"))) == 4
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--smoothness", "inf"],
+            ["--smoothness", "nan"],
+            ["--amplitude", "inf"],
+            ["--amplitude", "nan"],
+        ],
+    )
+    def test_non_finite_svf_parameters_exit_2(self, tmp_path, capsys, options):
+        out = tmp_path / "c"
+        argv = ["--out", str(out), "synth", "--cases", "1", "--dims", "16", "16", "16", *options]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad Svf parameters") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRegisterCommand:
     def test_register_smoke(self, tmp_path):
@@ -1045,6 +1062,14 @@ class TestRegisterCommand:
             (["--window", "4"], "lncc_window"),
             (["--squarings", "-1"], "squarings"),
             (["--step-size", "0"], "step_size"),
+            (["--step-size", "nan"], "step_size"),
+            (["--step-size", "inf"], "step_size"),
+            (["--lambda-diffusion", "nan"], "lambda_diffusion"),
+            (["--lambda-diffusion", "inf"], "lambda_diffusion"),
+            (["--sigma", "nan"], "update_smoothing_sigma"),
+            (["--sigma", "inf"], "update_smoothing_sigma"),
+            (["--squarings", "1024"], "squarings"),
+            (["--squarings", "2000"], "squarings"),
         ],
     )
     def test_bad_options_exit_2(self, tmp_path, capsys, options, message):
@@ -1055,8 +1080,17 @@ class TestRegisterCommand:
         args = ["--out", str(out), "register", str(tmp_path / "img.nii"), str(tmp_path / "img.nii")]
         assert cli.main(args + options) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_defaults_are_reg_config_defaults(self):
+        from regeval.refreg import RegConfig
+
+        # only --parameterization departs from RegConfig: svf by default
+        args = cli.build_parser().parse_args(
+            ["--out", "f.nii", "register", "a", "b", "--parameterization", "displacement"]
+        )
+        assert cli._reg_config(args) == RegConfig()
 
     def test_units_mm_scaling_on_eval(self, tmp_path):
         # a field stored in mm on an anisotropic grid evaluates like its
@@ -1249,3 +1283,105 @@ class TestOutputBoundary:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert sorted(tmp_path.iterdir()) == []
+
+
+class TestWrongInputs:
+    """Inputs in the wrong place: exit 2 with one ``error:`` line, or, for
+    an eval job, an errors.json entry and exit 1."""
+
+    @staticmethod
+    def assert_one_error_line(capsys, *parts):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(part in err for part in parts), err
+
+    def test_directory_named_like_a_report(self, boundary_reports, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for path in boundary_reports.glob("*.json"):
+            (reports / path.name).write_bytes(path.read_bytes())
+        (reports / "x__y.json").mkdir()
+        assert cli.main(["--out", str(tmp_path / "rank"), "rank", str(reports)]) == 2
+        self.assert_one_error_line(capsys, f"could not read {reports / 'x__y.json'}")
+
+    def test_report_with_a_numeric_method_id(self, boundary_reports, tmp_path, capsys):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        source = sorted(boundary_reports.glob("*.json"))[0]
+        raw = json.loads(source.read_text())
+        raw["method_id"] = 3
+        (reports / source.name).write_text(json.dumps(raw))
+        assert cli.main(["--out", str(tmp_path / "rank"), "rank", str(reports)]) == 2
+        self.assert_one_error_line(capsys, "method_id 3 is not a string")
+
+    def test_rank_without_an_accuracy_metric(self, boundary_reports, tmp_path, capsys):
+        out = tmp_path / "rank"
+        assert cli.main(["--out", str(out), "rank", str(boundary_reports), "--metrics", "ndv"]) == 2
+        self.assert_one_error_line(capsys, "accuracy ranking needs dsc/hd95/tre")
+        assert not out.exists()
+
+    def test_bench_row_past_the_manifest(self, cohort, capsys):
+        assert cli.main(["bench", str(cohort / "manifest.csv"), "--row", "9"]) == 2
+        self.assert_one_error_line(capsys, "row 9 outside manifest with 6 jobs")
+
+    @staticmethod
+    def eval_one_job(cohort, tmp_path, field="ZERO", landmarks_fixed=None):
+        """Runs a one-job manifest on case000 with a replaced field or fixed
+        landmark file; returns the exit code and the errors.json entries."""
+        labels, landmarks = cohort / "labels", cohort / "landmarks"
+        fixed_lm = landmarks_fixed or landmarks / "case000_fixed.csv"
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            ",".join(cli.MANIFEST_COLUMNS) + "\n"
+            f"m,case000,{labels / 'case000_fixed.nii'},{labels / 'case000_moving.nii'},{field},"
+            f"{fixed_lm},{landmarks / 'case000_moving.csv'},\n"
+        )
+        out = tmp_path / "reports"
+        code = cli.main(["--out", str(out), "eval", str(manifest)])
+        return code, json.loads((out / "errors.json").read_text())
+
+    def test_field_on_another_grid_is_a_job_failure(self, cohort, tmp_path):
+        small = tmp_path / "small.nii"
+        write_nifti(DisplacementField.zero(AffineHeader.isotropic((8, 8, 8))), small)
+        code, errors = self.eval_one_job(cohort, tmp_path, field=small)
+        assert code == 1
+        assert [e["error"] for e in errors] == [
+            "DimMismatch: field dims (8, 8, 8) do not match segmentation (20, 20, 20)"
+        ]
+
+    def test_empty_landmark_file_is_a_job_failure(self, cohort, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        code, errors = self.eval_one_job(cohort, tmp_path, landmarks_fixed=empty)
+        assert code == 1
+        assert [e["error"] for e in errors] == [f"MalformedRow: {empty}: empty landmark file"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["register", "fields/case000_truth.nii", "images/case000_moving.nii"],
+             "expected a volume, found a displacement field"),
+            (["register", "labels/case000_fixed.nii", "images/case000_moving.nii"],
+             "expected a scalar volume, found label"),
+            (["ic", "images/case000_fixed.nii", "fields/case000_truth.nii"],
+             "expected a displacement field, found a volume"),
+        ],
+    )
+    def test_file_in_the_wrong_slot(self, cohort, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.nii"
+        args = [argv[0], *(str(cohort / name) for name in argv[1:])]
+        assert cli.main(["--out", str(out), *args]) == 2
+        self.assert_one_error_line(capsys, message)
+        assert not out.exists()
+
+    def test_init_field_on_another_grid(self, cohort, tmp_path, capsys):
+        small = tmp_path / "small.nii"
+        write_nifti(DisplacementField.zero(AffineHeader.isotropic((8, 8, 8))), small)
+        images, out = cohort / "images", tmp_path / "field.nii"
+        assert cli.main([
+            "--out", str(out), "register",
+            str(images / "case000_fixed.nii"), str(images / "case000_moving.nii"),
+            "--iters", "1", "--init", str(small),
+        ]) == 2
+        self.assert_one_error_line(capsys, "field dims (8, 8, 8) != image dims (20, 20, 20)")
+        assert not out.exists()

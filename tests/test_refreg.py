@@ -52,6 +52,20 @@ class TestGradient:
         bare, _ = loss_and_grad(fixed, moving, phi, RegConfig(lambda_diffusion=0.0))
         assert full != bare
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_loss_is_the_loss_of_loss_and_grad_without_a_gradient(self, rng, monkeypatch, lam):
+        dims = (12, 12, 12)
+        fixed, moving = random_pair(rng, dims)
+        phi = DisplacementField(header=fixed.header, data=rng.uniform(-1, 1, size=dims + (3,)))
+        cfg = RegConfig(lambda_diffusion=lam, lncc_window=5)
+        want, _ = loss_and_grad(fixed, moving, phi, cfg)
+
+        def no_gradient(*args):
+            raise AssertionError("refreg.loss computed a warp gradient")
+
+        monkeypatch.setattr(refreg, "_warp_with_grad", no_gradient)
+        assert refreg.loss(fixed, moving, phi, cfg) == want
+
 
 def np_diff_diffusion_value(u):
     """The diffusion value as np.diff formulas spelled it before the value
@@ -218,14 +232,15 @@ class TestStops:
 
     def test_failed_line_search_keeps_the_state(self, rng, monkeypatch):
         f, m = random_pair(rng, (8, 8, 8))
-        loss_only = refreg._loss_only
+        loss_and_grad = refreg._loss_and_grad
         calls = []
 
         def no_move_accepted(terms, mdata, u, lam):
             calls.append(bool(np.any(u)))
-            return loss_only(terms, mdata, u, lam) if not np.any(u) else np.inf
+            loss, grad = loss_and_grad(terms, mdata, u, lam)
+            return (loss, grad) if not np.any(u) else (np.inf, grad)
 
-        monkeypatch.setattr(refreg, "_loss_only", no_move_accepted)
+        monkeypatch.setattr(refreg, "_loss_and_grad", no_move_accepted)
         cfg = RegConfig(iters_per_level=(5,), lncc_window=3)
         state, losses, u = refreg._optimize_level(f.data, m.data, np.zeros((8, 8, 8, 3)), 5, cfg)
         assert losses == [] and not np.any(state) and not np.any(u)
@@ -242,6 +257,71 @@ class TestStops:
         cfg = RegConfig(iters_per_level=(3, 3), update_smoothing_sigma=0.0)
         _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         assert all(level for level in trace)
+
+
+def test_update_smoothing_in_place_matches_scipy_per_component(rng):
+    from scipy.ndimage import gaussian_filter
+
+    g = rng.standard_normal((9, 8, 7, 3))
+    want = np.stack([gaussian_filter(g[..., c], sigma=1.5, mode="nearest") for c in range(3)], axis=-1)
+    smoothed = refreg._smooth_update(g, 1.5)
+    assert smoothed is g and smoothed.tobytes() == want.tobytes()
+
+
+class TestOneEvaluationPerTrial:
+    """Each level evaluates the loss and its gradient once at its start and
+    once per line-search trial, and steps along the gradient of the field
+    it stands on."""
+
+    @pytest.mark.parametrize("parameterization", ["svf", "displacement"])
+    def test_each_direction_is_the_gradient_of_the_current_field(
+        self, small_pair, monkeypatch, parameterization
+    ):
+        cfg = RegConfig(iters_per_level=(6, 8), lncc_window=5, parameterization=parameterization)
+        optimize_level, loss_and_grad = refreg._optimize_level, refreg._loss_and_grad
+        smooth_update, to_field = refreg._smooth_update, refreg._to_field
+        levels = []  # per level: its images and the (kind, array) events in order
+
+        def level(fdata, mdata, *args):
+            levels.append((fdata, mdata, []))
+            return optimize_level(fdata, mdata, *args)
+
+        def evaluation(terms, mdata, u, lam):
+            levels[-1][2].append(("eval", u.copy()))
+            return loss_and_grad(terms, mdata, u, lam)
+
+        def smoothing(g, sigma):
+            levels[-1][2].append(("smooth", g.copy()))
+            return smooth_update(g, sigma)
+
+        def field(state, cfg):
+            levels[-1][2].append(("field", None))
+            return to_field(state, cfg)
+
+        monkeypatch.setattr(refreg, "_optimize_level", level)
+        monkeypatch.setattr(refreg, "_loss_and_grad", evaluation)
+        monkeypatch.setattr(refreg, "_smooth_update", smoothing)
+        monkeypatch.setattr(refreg, "_to_field", field)
+        _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
+
+        assert len(levels) == 2 and all(trace)
+        for (fdata, mdata, events), losses in zip(levels, trace):
+            kinds = [kind for kind, _ in events]
+            # one field per state and one evaluation per field: the start,
+            # then each trial
+            fields = [i for i, kind in enumerate(kinds) if kind == "field"]
+            assert [kinds[i + 1] for i in fields] == ["eval"] * len(fields)
+            assert kinds.count("eval") == len(fields) > len(losses)
+            terms = refreg._LnccTerms(fdata, cfg.lncc_window)
+            smoothed = [i for i, kind in enumerate(kinds) if kind == "smooth"]
+            assert len(smoothed) >= len(losses)
+            for i in smoothed:
+                # the evaluation just before is the level start or the
+                # accepted trial, i.e. the field the step starts from
+                kind, u = events[i - 1]
+                assert kind == "eval"
+                _, fresh = loss_and_grad(terms, mdata, u, cfg.lambda_diffusion)
+                assert np.array_equal(events[i][1], fresh)
 
 
 class TestInstanceOptimize:

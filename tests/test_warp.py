@@ -353,6 +353,15 @@ class TestWarpLabels:
 
 
 class TestExpSvf:
+    def test_squarings_must_keep_the_scale_a_float(self):
+        # 2**1024 overflows a float; 1023 squarings of zero stay zero
+        dims = (2, 2, 2)
+        v = VelocityField(header=AffineHeader.isotropic(dims), data=np.zeros(dims + (3,)))
+        for squarings in (-1, 1024):
+            with pytest.raises(ValueError, match=rf"squarings {squarings} is outside \[0, 1023\]"):
+                exp_svf(v, squarings=squarings)
+        assert not np.any(exp_svf(v, squarings=1023).data)
+
     def test_zero_velocity_is_identity(self):
         dims = (6, 6, 6)
         v = VelocityField(header=AffineHeader.isotropic(dims), data=np.zeros(dims + (3,)))
