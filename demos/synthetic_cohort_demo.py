@@ -3,7 +3,7 @@
 Everything here also works from the shell:
 
     regeval --seed 3 --out cohort synth --cases 6 --dims 24 24 24
-    regeval --out reports eval cohort/manifest.csv --jobs 2
+    regeval --jobs 2 --out reports eval cohort/manifest.csv
     regeval --out board rank reports
     regeval --out corr.csv correlate reports dsc tre
 

@@ -17,7 +17,7 @@ The package splits into small, composable layers:
 from .errors import RegEvalError
 from .metrics import PairReport, dsc, evaluate_pair, hd95, lncc, ndv, tre
 from .ranking import MetricMatrix, RankTable, aggregate, pairwise_wins, rank_methods, wins_to_rank_scores
-from .refreg import RegConfig, instance_optimize, loss_and_grad, register
+from .refreg import RegConfig, loss_and_grad, register
 from .stats import (
     TestResult,
     dsc30,
@@ -75,7 +75,6 @@ __all__ = [
     "exp_svf",
     "hd95",
     "ic_residual",
-    "instance_optimize",
     "lncc",
     "loss_and_grad",
     "make_cohort",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import inspect
 import json
 import os
 import sys
@@ -51,6 +52,9 @@ from .volio import (
     write_nifti,
 )
 from .warp import ic_residual
+
+# make_cohort's defaults, read at import: a tracer may rebind synth.make_cohort
+_COHORT_PARAMS = inspect.signature(synth.make_cohort).parameters
 
 
 def _write_json(obj, path) -> None:
@@ -187,18 +191,19 @@ def cmd_eval(args) -> int:
             record(_eval_task(task))
     else:
         _load_kdtree()
-        received = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
+            # at most `workers` tasks submitted and not recorded: a failed write leaves none queued
+            pending = [pool.submit(_eval_task, task) for task in tasks[:workers]]
+            recorded = 0
             try:
-                for task_results in pool.map(_eval_task, tasks):
-                    record(task_results)
-                    received += 1
+                while pending:
+                    record(pending.pop(0).result())
+                    recorded += 1
+                    if recorded + len(pending) < len(tasks):
+                        pending.append(pool.submit(_eval_task, tasks[recorded + len(pending)]))
             except BrokenProcessPool as exc:
-                for lost, _ in tasks[received:]:
+                for lost, _ in tasks[recorded:]:
                     record([(job, f"{type(exc).__name__}: {exc}") for job in lost])
-            except IoFailure:
-                pool.shutdown(cancel_futures=True)
-                raise
     errors.sort(key=lambda d: (d["method"], d["pair_id"]))
     _write_json(errors, out / "errors.json")
     return 1 if errors else 0
@@ -506,15 +511,13 @@ def cmd_register(args) -> int:
     cfg = _reg_config(args)
     fixed = read_volume(args.fixed, kind="scalar")
     moving = read_volume(args.moving, kind="scalar")
-    if args.init:
-        init = scale_field_units(read_field(args.init), args.units)
-        field = refreg.instance_optimize(fixed, moving, init, cfg)
-        final_loss = refreg.loss(fixed, moving, field, cfg)
-        print(f"instance optimization done, loss {final_loss!r}")
-    else:
-        field, trace = refreg.register(fixed, moving, cfg)
-        final_loss = trace[-1][-1] if trace[-1] else refreg.loss(fixed, moving, field, cfg)
+    init = scale_field_units(read_field(args.init), args.units) if args.init else None
+    field, trace = refreg.register(fixed, moving, cfg, init=init)
+    final_loss = trace[-1][-1] if trace[-1] else refreg.loss(fixed, moving, field, cfg)
+    if init is None:
         print(f"registration done over {len(trace)} levels, final loss {final_loss!r}")
+    else:
+        print(f"instance optimization done, loss {final_loss!r}")
     write_nifti(field, args.out, use_gzip=str(args.out).endswith(".gz"))
     print(f"field written to {args.out}")
     return 0
@@ -575,10 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = command("synth", cmd_synth, "DIR", "write a synthetic cohort")
     p_synth.add_argument("--cases", type=int, default=8)
-    p_synth.add_argument("--dims", type=int, nargs=3, default=(32, 32, 32))
-    p_synth.add_argument("--labels", type=int, default=4)
-    p_synth.add_argument("--amplitude", type=float, default=2.0)
-    p_synth.add_argument("--smoothness", type=float, default=6.0)
+    p_synth.add_argument("--dims", type=int, nargs=3, default=_COHORT_PARAMS["dims"].default)
+    p_synth.add_argument("--labels", type=int, default=_COHORT_PARAMS["label_count"].default)
+    p_synth.add_argument("--amplitude", type=float, default=_COHORT_PARAMS["amplitude"].default)
+    p_synth.add_argument("--smoothness", type=float, default=_COHORT_PARAMS["smoothness"].default)
     p_synth.add_argument("--gzip", action="store_true")
 
     p_reg = command("register", cmd_register, "FILE", "optimize a field aligning moving to fixed")

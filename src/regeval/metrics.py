@@ -17,7 +17,7 @@ Conventions fixed here (the evaluation protocol leaves them open):
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -56,17 +56,10 @@ class PairReport:
     ndv: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "method_id": self.method_id,
-            "pair_id": self.pair_id,
-            "dsc_per_label": {str(k): v for k, v in self.dsc_per_label.items()},
-            "dsc_mean": self.dsc_mean,
-            "hd95_per_label": {str(k): v for k, v in self.hd95_per_label.items()},
-            "hd95_mean": self.hd95_mean,
-            "tre_per_landmark": list(self.tre_per_landmark),
-            "tre_mean": self.tre_mean,
-            "ndv": self.ndv,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("dsc_per_label", "hd95_per_label"):
+            d[key] = {str(k): v for k, v in d[key].items()}
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "PairReport":
@@ -137,8 +130,8 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
 
 
 def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarray]:
-    """Ascending flat indices of each label's boundary voxels, in one pass
-    over the volume.
+    """Ascending flat indices of each wanted label's boundary voxels, from
+    one pass over the volume; a label without any is not a key.
 
     A voxel belongs to its label's boundary when any of its six neighbors
     carries a different label or lies beyond the grid edge.
@@ -160,22 +153,16 @@ def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarra
 
     flat_idx = np.flatnonzero(bnd.ravel())
     labs_at = lab.ravel()[flat_idx].astype(np.int64)
-    keep = np.isin(labs_at, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-    flat_idx = flat_idx[keep]
-    labs_at = labs_at[keep]
-    order = np.argsort(labs_at, kind="stable")
-    flat_idx = flat_idx[order]
-    labs_at = labs_at[order]
     out: dict[int, np.ndarray] = {}
-    uniq, starts = np.unique(labs_at, return_index=True)
-    bounds = list(starts) + [labs_at.size]
-    for i, lab_val in enumerate(uniq):
-        out[int(lab_val)] = flat_idx[bounds[i] : bounds[i + 1]]
+    for label in sorted(wanted):
+        at_label = flat_idx[labs_at == label]
+        if at_label.size:
+            out[label] = at_label
     return out
 
 
-def _points_mm(flat: np.ndarray, shape, spacing: np.ndarray) -> np.ndarray:
-    return np.stack(np.unravel_index(flat, shape), axis=1) * spacing
+def _points_mm(flat: np.ndarray, vol: Volume) -> np.ndarray:
+    return np.stack(np.unravel_index(flat, vol.dims), axis=1) * np.asarray(vol.spacing)
 
 
 def _diagonal_mm(dims, spacing) -> float:
@@ -183,34 +170,13 @@ def _diagonal_mm(dims, spacing) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
-class _FixedSurfaces:
-    """One side of HD95, kept for every segmentation compared with it: the
-    boundary voxels of each wanted label, as flat indices and as points in
-    mm, and each label's KD-tree, built on its first query."""
-
-    def __init__(self, lab: np.ndarray, labels, spacing):
-        self.shape = lab.shape
-        self.spacing = np.asarray(spacing, dtype=np.float64)
-        self.diag = _diagonal_mm(lab.shape, spacing)
-        self.flat = _boundary_by_label(lab, {int(l) for l in labels})
-        self.points = {l: _points_mm(f, self.shape, self.spacing) for l, f in self.flat.items()}
-        self._trees: dict = {}
-
-    def tree(self, label: int):
-        if label not in self._trees:
-            from scipy.spatial import cKDTree
-
-            self._trees[label] = cKDTree(self.points[label])
-        return self._trees[label]
-
-
-def _hd95_from_coords(fixed: _FixedSurfaces, label: int, flat_b: np.ndarray) -> float:
+def _hd95_from_coords(fixed: FixedSide, label: int, flat_b: np.ndarray) -> float:
     # imported here so that commands without HD95 (rank, correlate, ic)
     # never load scipy; eval loads it once before its workers fork
     from scipy.spatial import cKDTree
 
-    flat_a, pa = fixed.flat[label], fixed.points[label]
-    pb = _points_mm(flat_b, fixed.shape, fixed.spacing)
+    flat_a, pa = fixed.boundary[label], fixed.boundary_mm[label]
+    pb = _points_mm(flat_b, fixed.seg)
     # a voxel on both boundaries is at distance exactly 0, as a query would
     # return; only the others are queried
     a_off_b = ~np.isin(flat_a, flat_b, assume_unique=True)
@@ -240,24 +206,22 @@ def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
     the image-diagonal penalty when absent from exactly one.
     """
     _check_same_dims(fixed_labels, warped_labels)
-    if spacing is None:
-        spacing = fixed_labels.spacing
-    fixed = _FixedSurfaces(fixed_labels.data, [label], spacing)
-    return _hd95_many(fixed, warped_labels, [label])[int(label)]
+    if spacing is not None:
+        fixed_labels = replace(fixed_labels, header=replace(fixed_labels.header, spacing=spacing))
+    return _hd95_many(FixedSide(fixed_labels, [label]), warped_labels)[int(label)]
 
 
-def _hd95_many(fixed: _FixedSurfaces, warped_labels: Volume, labels):
-    """hd95 for many labels against one prepared fixed side, with the
-    warped boundary extraction shared across labels."""
-    wb = _boundary_by_label(warped_labels.data, {int(l) for l in labels})
+def _hd95_many(fixed: FixedSide, warped_labels: Volume):
+    """hd95 for each of the FixedSide's labels, with the warped boundary
+    extraction shared across labels."""
+    wb = _boundary_by_label(warped_labels.data, set(fixed.labels))
     out: dict[int, float | None] = {}
-    for lab in labels:
-        lab = int(lab)
-        in_f, in_w = lab in fixed.flat, lab in wb
+    for lab in fixed.labels:
+        in_f, in_w = lab in fixed.boundary, lab in wb
         if not in_f and not in_w:
             out[lab] = None
         elif in_f != in_w:
-            out[lab] = fixed.diag
+            out[lab] = _diagonal_mm(fixed.seg.dims, fixed.seg.spacing)
         else:
             out[lab] = _hd95_from_coords(fixed, lab, wb[lab])
     return out
@@ -513,12 +477,13 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
 
 class FixedSide:
     """What evaluating a pair derives from the fixed segmentation and the
-    NDV mask alone: the label list, the HD95 fixed side and the NDV cells.
+    NDV mask alone: the label list, HD95's boundary sets and KD-trees, and
+    the NDV cells.
 
     ``labels`` defaults to the sorted nonzero labels of ``seg``; ``mask``
-    (for NDV) defaults to the union of those labels.  The HD95 side and
-    the NDV cells are built on first use and then kept, so one FixedSide
-    serves every field evaluated against the same pair.
+    (for NDV) defaults to the union of those labels.  The boundary sets,
+    trees and NDV cells are built on first use and then kept, so one
+    FixedSide serves every field evaluated against the same pair.
     """
 
     def __init__(
@@ -532,10 +497,26 @@ class FixedSide:
             labels = [int(l) for l in np.unique(seg.data) if l != 0]
         self.labels = [int(l) for l in labels]
         self._mask = mask
+        self._trees: dict = {}
 
     @cached_property
-    def surfaces(self) -> _FixedSurfaces:
-        return _FixedSurfaces(self.seg.data, self.labels, self.seg.spacing)
+    def boundary(self) -> dict[int, np.ndarray]:
+        """Label -> ascending flat indices of its boundary voxels; a label
+        without any is not a key."""
+        return _boundary_by_label(self.seg.data, set(self.labels))
+
+    @cached_property
+    def boundary_mm(self) -> dict[int, np.ndarray]:
+        """Label -> its boundary voxels as points in mm."""
+        return {l: _points_mm(f, self.seg) for l, f in self.boundary.items()}
+
+    def tree(self, label: int):
+        """The KD-tree of a label's boundary points, built on its first query."""
+        if label not in self._trees:
+            from scipy.spatial import cKDTree
+
+            self._trees[label] = cKDTree(self.boundary_mm[label])
+        return self._trees[label]
 
     @cached_property
     def ndv_mask(self) -> NdvMask:
@@ -577,7 +558,7 @@ def evaluate_pair(
 
     warped = warp_labels(moving_seg, phi)
     dsc_per_label, dsc_mean = dsc(seg, warped, labels)
-    hd95_per_label = _hd95_many(fixed.surfaces, warped, labels)
+    hd95_per_label = _hd95_many(fixed, warped)
     hd95_present = [v for v in hd95_per_label.values() if v is not None]
     hd95_mean = float(np.mean(hd95_present)) if hd95_present else None
 

@@ -248,43 +248,35 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     return state, losses, u
 
 
-def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig()):
+def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=None):
     """Estimate the displacement aligning ``moving`` to ``fixed``.
 
     Returns (DisplacementField, trace) where ``trace`` holds one loss list
     per pyramid level, coarsest first.  Deterministic for fixed inputs and
     config.
+
+    With ``init``, a displacement field on the images' grid, only the
+    finest-level loop (the last iters_per_level entry) runs, at full
+    resolution and seeded from ``init``; the line search guarantees the
+    final loss does not exceed the initial one.  A zero init gives what
+    ``register`` gives with iters_per_level cut to its last entry.  In SVF
+    mode the init displacement seeds the velocity directly (exact for the
+    zero field, first-order otherwise).
     """
-    fdata, mdata = _prepare(fixed, moving)
-    levels = len(cfg.iters_per_level)
+    fdata, mdata = _prepare(fixed, moving, init)
+    schedule = cfg.iters_per_level if init is None else cfg.iters_per_level[-1:]
+    levels = len(schedule)
     f_pyr = _pyramid(fdata, levels)
     m_pyr = _pyramid(mdata, levels)
-    state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
+    if init is None:
+        state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
+    else:
+        state = np.asarray(init.data, dtype=np.float64).copy()
     trace: list[list[float]] = []
-    for level, iters in enumerate(cfg.iters_per_level):
+    for level, iters in enumerate(schedule):
         state, losses, u = _optimize_level(f_pyr[level], m_pyr[level], state, iters, cfg)
         trace.append(losses)
         if level + 1 < levels:
             state = _upsample_state(state, f_pyr[level + 1].shape)
 
     return DisplacementField(header=fixed.header, data=u), trace
-
-
-def instance_optimize(
-    fixed: Volume,
-    moving: Volume,
-    init: DisplacementField,
-    cfg: RegConfig = RegConfig(),
-) -> DisplacementField:
-    """Refine an existing field at full resolution only.
-
-    Runs the finest-level loop (the last iters_per_level entry) seeded from
-    ``init``; the line search guarantees the final loss does not exceed the
-    initial one.  With a zero init this is exactly single-level ``register``.
-    In SVF mode the init displacement seeds the velocity directly (exact for
-    the zero field, first-order otherwise).
-    """
-    fdata, mdata = _prepare(fixed, moving, init)
-    state = np.asarray(init.data, dtype=np.float64).copy()
-    _, _, u = _optimize_level(fdata, mdata, state, cfg.iters_per_level[-1], cfg)
-    return DisplacementField(header=fixed.header, data=u)

@@ -137,7 +137,6 @@ class Svf:
     seed: int
     amplitude: float
     smoothness: float = 6.0
-    squarings: int = 7
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def make_field(kind, dims) -> tuple[DisplacementField, dict]:
     Facts by kind:
 
     * Translation: {"translation", "ndv": 0.0}
-    * Svf: {"velocity", "squarings", "ndv_bound": 1e-6}
+    * Svf: {"velocity", "ndv_bound": 1e-6}
     * FoldSlab: {"folded_volume"} counted over grid cells, i.e. width times
       the product of (n - 1) over the two cross axes.
     """
@@ -205,11 +204,9 @@ def make_field(kind, dims) -> tuple[DisplacementField, dict]:
         }
     if isinstance(kind, Svf):
         v = make_velocity(kind, dims)
-        fld = exp_svf(v, squarings=kind.squarings)
-        return fld, {
+        return exp_svf(v), {
             "kind": "svf",
             "velocity": v,
-            "squarings": kind.squarings,
             "amplitude": kind.amplitude,
             "ndv_bound": 1e-6,
         }
@@ -268,10 +265,8 @@ def make_pair(
     fixed_image, fixed_labels, fixed_lm = phantom
     if fixed_image.dims != velocity.dims:
         raise BadParams(f"velocity dims {velocity.dims} do not match phantom {fixed_image.dims}")
-    truth = exp_svf(velocity, squarings=7)
-    inverse = exp_svf(
-        VelocityField(header=velocity.header, data=-np.asarray(velocity.data)), squarings=7
-    )
+    truth = exp_svf(velocity)
+    inverse = exp_svf(VelocityField(header=velocity.header, data=-np.asarray(velocity.data)))
     moving_image = warp_image(fixed_image, inverse)
     moving_labels = warp_labels(fixed_labels, inverse)
     u_at = sample_trilinear(truth, fixed_lm.points)

@@ -7,6 +7,7 @@ import stat
 import struct
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -216,10 +217,14 @@ class TestGroupedEval:
 
         class DyingPool:
             """Returns the first task's results, runs the second (whose
-            results are lost) and then reports a dead worker."""
+            results are lost) and then reports a dead worker: in the futures
+            of the second task and after, or with ``refuse`` by raising on
+            later submits, as ProcessPoolExecutor does once broken."""
+
+            refuse = False
 
             def __init__(self, max_workers):
-                pass
+                self.submitted = 0
 
             def __enter__(self):
                 return self
@@ -227,28 +232,39 @@ class TestGroupedEval:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                items = list(items)
-                yield fn(items[0])
-                fn(items[1])
-                raise BrokenProcessPool("a worker died")
+            def submit(self, fn, item):
+                self.submitted += 1
+                if self.refuse and self.submitted > 2:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                if self.submitted == 1:
+                    future.set_result(fn(item))
+                    return future
+                if self.submitted == 2:
+                    fn(item)
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+        class RefusingPool(DyingPool):
+            refuse = True
 
         out = tmp_path / "reports"
-        # an earlier run's reports of the lost jobs must not outlive this run
-        assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
         monkeypatch.setattr(cli, "cpu_count", lambda: 2)
-        code = cli.main(["--jobs", "2", "--out", str(out), "eval", str(cohort / "manifest.csv")])
-        assert code == 1
-        assert "Traceback" not in capsys.readouterr().err
-        # 6 jobs over 2 workers: tasks of 3 jobs at most, one per pair
-        errors = json.loads((out / "errors.json").read_text())
-        lost = {(e["method"], e["pair_id"]) for e in errors}
-        assert lost == {(m, p) for m in ("truth", "zero") for p in ("case001", "case002")}
-        assert {e["error"] for e in errors} == {"BrokenProcessPool: a worker died"}
-        assert sorted(p.name for p in out.glob("*__*.json")) == [
-            "truth__case000.json", "zero__case000.json"
-        ]
+        for pool in (DyingPool, RefusingPool):
+            # an earlier run's reports of the lost jobs must not outlive this run
+            assert cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")]) == 0
+            monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+            code = cli.main(["--jobs", "2", "--out", str(out), "eval", str(cohort / "manifest.csv")])
+            assert code == 1
+            assert "Traceback" not in capsys.readouterr().err
+            # 6 jobs over 2 workers: tasks of 3 jobs at most, one per pair
+            errors = json.loads((out / "errors.json").read_text())
+            lost = {(e["method"], e["pair_id"]) for e in errors}
+            assert lost == {(m, p) for m in ("truth", "zero") for p in ("case001", "case002")}
+            assert {e["error"] for e in errors} == {"BrokenProcessPool: a worker died"}
+            assert sorted(p.name for p in out.glob("*__*.json")) == [
+                "truth__case000.json", "zero__case000.json"
+            ]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -318,10 +334,20 @@ class TestOneWriter:
         assert calls == ["case000"] * 4
 
     def test_failed_write_cancels_the_pending_tasks(self, cohort, tmp_path, monkeypatch, capsys):
+        # no more than `workers` tasks are submitted ahead of the writes, so
+        # none is left in the pool's queue to run after a failed write
         events = []
 
+        class LazyFuture:
+            def __init__(self, fn, item):
+                self.fn, self.item = fn, item
+
+            def result(self):
+                events.append("task")
+                return self.fn(self.item)
+
         class LazyPool:
-            """Runs a task when its result is asked for and notes shutdowns."""
+            """Runs a task when its result is asked for and notes submissions."""
 
             def __init__(self, max_workers):
                 pass
@@ -332,13 +358,9 @@ class TestOneWriter:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                for item in items:
-                    events.append("task")
-                    yield fn(item)
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                events.append(("shutdown", cancel_futures))
+            def submit(self, fn, item):
+                events.append("submit")
+                return LazyFuture(fn, item)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", LazyPool)
         monkeypatch.setattr(cli, "cpu_count", lambda: 2)
@@ -347,7 +369,29 @@ class TestOneWriter:
         argv = ["--jobs", "2", "--out", str(blocker / "reports"), "eval", str(cohort / "manifest.csv")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: could not write")
-        assert events == ["task", ("shutdown", True)]
+        # three tasks, one per pair: two submitted, the first written, no third
+        assert events == ["submit", "submit", "task"]
+
+    def test_failed_write_starts_at_most_workers_tasks(self, tmp_path, monkeypatch, capsys):
+        # six pairs, one task each at --jobs 2; a real pool, whose workers
+        # note every job they start in one file
+        make_cohort(tmp_path / "c", cases=6, dims=(12, 12, 12), seed=3, label_count=2)
+        started = tmp_path / "started.txt"
+        run_job = cli.run_job
+
+        def noting(job, *args, **kwargs):
+            with open(started, "a") as fh:
+                fh.write(job.pair_id + "\n")
+            return run_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_job", noting)
+        monkeypatch.setattr(cli, "cpu_count", lambda: 2)
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"x")
+        argv = ["--jobs", "2", "--out", str(blocker / "reports"), "eval", str(tmp_path / "c/manifest.csv")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: could not write")
+        assert 1 <= len(set(started.read_text().split())) <= 2
 
 
 class TestWorkerCount:
@@ -373,8 +417,10 @@ class TestWorkerCount:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli, "cpu_count", lambda: 4)
@@ -428,6 +474,7 @@ class TestStartupImports:
         # workers inherit exactly that) and then runs the jobs in-process
         code = """
 import sys
+from concurrent.futures import Future
 from regeval import cli
 
 seen = []
@@ -442,8 +489,10 @@ class StandInPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, item):
+        future = Future()
+        future.set_result(fn(item))
+        return future
 
 cli.ProcessPoolExecutor = StandInPool
 cli.cpu_count = lambda: 2
@@ -457,6 +506,7 @@ print(seen)
         # every timed job, the first included, starts with the KD-tree loaded
         code = """
 import sys
+from concurrent.futures import Future
 from regeval import cli
 
 seen = []
@@ -943,6 +993,27 @@ class TestBench:
 
 
 class TestSynthCommand:
+    def test_defaults_are_make_cohort_defaults(self, tmp_path, monkeypatch):
+        import inspect
+
+        from regeval import synth
+
+        defaults = {
+            name: p.default
+            for name, p in inspect.signature(synth.make_cohort).parameters.items()
+            if p.default is not p.empty
+        }
+        passed = {}
+
+        def fake_make_cohort(out_dir, **kwargs):
+            passed.update(kwargs)
+            return {"cases": []}
+
+        monkeypatch.setattr(synth, "make_cohort", fake_make_cohort)
+        assert cli.main(["--out", str(tmp_path / "c"), "synth"]) == 0
+        assert passed.pop("cases") == 8
+        assert passed == defaults
+
     def test_writes_cohort(self, tmp_path):
         out = tmp_path / "c"
         code = cli.main(

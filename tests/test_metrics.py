@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regeval import errors, metrics
 from regeval.metrics import dsc, evaluate_pair, hd95, lncc, ndv, tre
@@ -160,6 +161,24 @@ class TestDsc:
 
 
 class TestHd95:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seg=st.tuples(*[st.integers(1, 7)] * 3).flatmap(
+            lambda shape: arrays(np.int16, shape, elements=st.integers(0, 6))
+        ),
+        wanted=st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True),
+    )
+    def test_fixed_side_boundary_sets_match_the_oracle(self, seg, wanted):
+        # labels may be absent from seg, and axes may be a single voxel thick
+        spacing = (2.0, 1.0, 0.5)
+        header = AffineHeader(dims=seg.shape, spacing=spacing, affine=np.diag(spacing + (1.0,)))
+        side = metrics.FixedSide(Volume(header=header, kind="label", data=seg), wanted)
+        expected = {l: boundary_oracle(seg == l) for l in wanted}
+        assert set(side.boundary) == {l for l, mask in expected.items() if mask.any()}
+        for l, flat in side.boundary.items():
+            assert np.array_equal(flat, np.flatnonzero(expected[l]))
+            assert np.array_equal(side.boundary_mm[l], np.argwhere(expected[l]) * np.asarray(spacing))
+
     def test_identical_shapes_zero(self):
         data = np.zeros((8, 8, 8), dtype=np.int16)
         data[2:6, 2:6, 2:6] = 1

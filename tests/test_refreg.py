@@ -3,7 +3,7 @@ import pytest
 
 from regeval import errors, refreg
 from regeval.metrics import evaluate_pair, ndv
-from regeval.refreg import RegConfig, instance_optimize, loss_and_grad, register
+from regeval.refreg import RegConfig, loss_and_grad, register
 from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
 from regeval.volio import AffineHeader, DisplacementField, Volume
 from regeval.warp import VelocityField, exp_svf
@@ -207,7 +207,7 @@ class TestRegister:
         with pytest.raises(errors.UnsupportedLayout):
             register(fixed, moving, cfg)
         with pytest.raises(errors.UnsupportedLayout):
-            instance_optimize(fixed, moving, zero, cfg)
+            register(fixed, moving, cfg, init=zero)
         with pytest.raises(errors.UnsupportedLayout):
             loss_and_grad(fixed, moving, zero, cfg)
         with pytest.raises(errors.UnsupportedLayout):
@@ -222,7 +222,7 @@ class TestStops:
         init = np.zeros((8, 8, 8, 3))
         init[0, 0, 0, 0] = 1e200  # its squared difference overflows the diffusion term
         with np.errstate(over="ignore"), pytest.raises(errors.DivergedLoss, match="initial loss"):
-            instance_optimize(f, m, DisplacementField(f.header, init), RegConfig(iters_per_level=(2,)))
+            register(f, m, RegConfig(iters_per_level=(2,)), init=DisplacementField(f.header, init))
 
     def test_zero_gradient_stops_before_a_step(self):
         zero = Volume(header=AffineHeader.isotropic((8, 8, 8)), kind="scalar", data=np.zeros((8, 8, 8)))
@@ -326,26 +326,26 @@ class TestOneEvaluationPerTrial:
 
 class TestInstanceOptimize:
     def test_zero_init_equals_single_level_register(self, small_pair):
-        cfg = RegConfig(iters_per_level=(12,))
-        from_register, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
-        zero = DisplacementField.zero(small_pair.fixed_image.header)
-        from_instance = instance_optimize(
-            small_pair.fixed_image, small_pair.moving_image, zero, cfg
-        )
-        assert np.array_equal(from_register.data, from_instance.data)
+        # with init, only the last iters_per_level entry runs, at full resolution
+        fixed, moving = small_pair.fixed_image, small_pair.moving_image
+        from_register, trace = register(fixed, moving, RegConfig(iters_per_level=(12,)))
+        zero = DisplacementField.zero(fixed.header)
+        from_init, init_trace = register(fixed, moving, RegConfig(iters_per_level=(3, 12)), init=zero)
+        assert np.array_equal(from_register.data, from_init.data)
+        assert init_trace == trace and len(trace) == 1
 
     def test_svf_field_is_exp_svf_of_state(self, small_pair):
         # with no iterations the velocity is the init itself, so the result
         # must be warp.exp_svf's exponential of it, bit for bit
         cfg = RegConfig(iters_per_level=(0,), parameterization="svf")
         init = small_pair.truth
-        out = instance_optimize(small_pair.fixed_image, small_pair.moving_image, init, cfg)
+        out, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg, init=init)
         expected = exp_svf(VelocityField(header=init.header, data=init.data), cfg.squarings)
         assert np.array_equal(out.data, expected.data)
 
     @pytest.mark.parametrize("parameterization", ["svf", "displacement"])
     def test_level_returns_the_field_of_its_state(self, small_pair, parameterization):
-        # register and instance_optimize take the field from _optimize_level
+        # register, with or without init, takes the field from _optimize_level
         # instead of exponentiating the final state once more
         cfg = RegConfig(iters_per_level=(4,), parameterization=parameterization)
         fdata = np.asarray(small_pair.fixed_image.data, dtype=np.float64)
@@ -353,16 +353,16 @@ class TestInstanceOptimize:
         state, losses, u = refreg._optimize_level(fdata, mdata, np.zeros(fdata.shape + (3,)), 4, cfg)
         assert len(losses) == 4
         assert u.tobytes() == refreg._to_field(state, cfg).tobytes()
-        out = instance_optimize(
-            small_pair.fixed_image, small_pair.moving_image,
-            DisplacementField.zero(small_pair.fixed_image.header), cfg,
+        out, _ = register(
+            small_pair.fixed_image, small_pair.moving_image, cfg,
+            init=DisplacementField.zero(small_pair.fixed_image.header),
         )
         assert out.data.tobytes() == u.tobytes()
 
     def test_truth_init_does_not_worsen(self, small_pair):
         cfg = RegConfig(iters_per_level=(10,))
-        refined = instance_optimize(
-            small_pair.fixed_image, small_pair.moving_image, small_pair.truth, cfg
+        refined, _ = register(
+            small_pair.fixed_image, small_pair.moving_image, cfg, init=small_pair.truth
         )
         loss_before, _ = loss_and_grad(
             small_pair.fixed_image, small_pair.moving_image, small_pair.truth, cfg
@@ -383,9 +383,7 @@ class TestInstanceOptimize:
             data=small_pair.truth.data + rng.standard_normal(small_pair.truth.data.shape),
         )
         cfg = RegConfig(iters_per_level=(50,))
-        refined = instance_optimize(
-            small_pair.fixed_image, small_pair.moving_image, noisy, cfg
-        )
+        refined, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg, init=noisy)
         lm = (small_pair.fixed_landmarks, small_pair.moving_landmarks)
         tre_before = float(np.mean(tre(lm[0], lm[1], noisy)))
         tre_after = float(np.mean(tre(lm[0], lm[1], refined)))
