@@ -304,19 +304,19 @@ def _by_method(reports: list[PairReport]) -> dict[str, list[PairReport]]:
 
 def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.MetricMatrix:
     """Assemble a methods-by-cases matrix for one metric from pair reports."""
-    methods = sorted({r.method_id for r in reports})
-    cases = sorted({r.pair_id for r in reports})
+    row = {m: i for i, m in enumerate(sorted({r.method_id for r in reports}))}
+    col = {c: j for j, c in enumerate(sorted({r.pair_id for r in reports}))}
     spec = metric_spec(metric)
-    values = np.full((len(methods), len(cases)), np.nan)
+    values = np.full((len(row), len(col)), np.nan)
     for r in reports:
         v = spec.value(r)
         if v is not None:
-            values[methods.index(r.method_id), cases.index(r.pair_id)] = v
+            values[row[r.method_id], col[r.pair_id]] = v
     return ranking.MetricMatrix(
         metric_id=metric,
         direction=spec.direction,
-        methods=tuple(methods),
-        cases=tuple(cases),
+        methods=tuple(row),
+        cases=tuple(col),
         values=values,
         pairing=spec.pairing,
     )

@@ -14,12 +14,14 @@ and change a win.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentMethodSets, UnpairedCases
-from .stats import mann_whitney_u, wilcoxon_signed_rank
+from .errors import InconsistentMethodSets, MissingMethods, UnpairedCases
+from .stats import mann_whitney_u_rows, wilcoxon_signed_rank_rows
 
 HIGHER_BETTER = "higher"
 LOWER_BETTER = "lower"
@@ -30,7 +32,8 @@ class MetricMatrix:
     """Values of one metric for every (method, case) pair.
 
     ``values[i, j]`` is method ``methods[i]`` on case ``cases[j]``; paired
-    matrices may not contain missing (NaN) cells.
+    matrices may not contain missing (NaN) cells, and in unpaired ones every
+    method needs at least one value.
     """
 
     metric_id: str
@@ -52,6 +55,11 @@ class MetricMatrix:
             raise ValueError("method ids must be unique")
         if self.pairing == "paired" and not np.all(np.isfinite(vals)):
             raise UnpairedCases(f"{self.metric_id}: not every method covers every case")
+        if self.pairing == "unpaired":
+            empty = [m for m, row in zip(self.methods, vals) if not np.isfinite(row).any()]
+            if empty:
+                names = ", ".join(map(repr, empty))
+                raise MissingMethods(f"{self.metric_id}: no value for method {names}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "cases", tuple(self.cases))
         object.__setattr__(self, "values", vals)
@@ -81,24 +89,29 @@ def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
     """Count, per method, the opponents it beats at the given alpha.
 
     Method A beats B when the one-sided test of A-better-than-B in the
-    metric's direction yields p < alpha.  For a lower-is-better metric
-    that is the "greater" test of B over A, which is how both tests compute
-    their "less" p-value anyway.
+    metric's direction yields p < alpha.  Each unordered pair of methods is
+    tested once, in both directions, and all pairs go through one batched
+    test per metric (one per pair of sample sizes when unpaired rows lost
+    different numbers of missing cells).
     """
     higher = matrix.direction == HIGHER_BETTER
-    test = wilcoxon_signed_rank if matrix.pairing == "paired" else mann_whitney_u
-    wins = {m: 0 for m in matrix.methods}
-    for i, a in enumerate(matrix.methods):
-        for j, b in enumerate(matrix.methods):
-            if i == j:
-                continue
-            va, vb = matrix.values[i], matrix.values[j]
-            if matrix.pairing == "unpaired":
-                va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
-            result = test(va, vb) if higher else test(vb, va)
-            if result.p_one_sided < alpha:
-                wins[a] += 1
-    return wins
+    test = wilcoxon_signed_rank_rows if matrix.pairing == "paired" else mann_whitney_u_rows
+    # unpaired rows drop their missing cells; paired rows have none
+    rows = [v[np.isfinite(v)] for v in matrix.values]
+    by_sizes = defaultdict(list)
+    for i, j in combinations(range(len(rows)), 2):
+        by_sizes[rows[i].size, rows[j].size].append((i, j))
+    wins = np.zeros(len(rows), dtype=np.int64)
+    for pairs in by_sizes.values():
+        first, second = np.array(pairs).T
+        result = test(np.stack([rows[i] for i in first]), np.stack([rows[j] for j in second]))
+        # p_greater: first over second; p_less: second over first
+        p_first, p_second = (
+            (result.p_greater, result.p_less) if higher else (result.p_less, result.p_greater)
+        )
+        np.add.at(wins, first, p_first < alpha)
+        np.add.at(wins, second, p_second < alpha)
+    return {m: int(w) for m, w in zip(matrix.methods, wins)}
 
 
 def wins_to_rank_scores(wins: dict) -> dict:

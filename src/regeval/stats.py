@@ -111,45 +111,102 @@ def summarize_cohort(per_case_values: dict) -> CohortStats:
 # rank helpers
 
 
+def _runs(sorted_rows: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the first and the last position of every run in a
+    (rows, k) stack of sorted rows.  ``split[r, p]`` is True where sorted
+    positions p and p + 1 of row r fall in different runs."""
+    rows, k = sorted_rows.shape
+    # edge[r, p]: a run boundary between sorted positions p - 1 and p of row r
+    edge = np.ones((rows, k + 1), dtype=bool)
+    edge[:, 1:k] = split
+    return np.flatnonzero(edge[:, :k]), np.flatnonzero(edge[:, 1:])
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing their average rank.
+    """Ranks 1..k along the last axis, each row of a 2-D stack on its own,
+    with ties sharing their average rank.
 
     A run of ties is decided by ``==`` between sorted neighbours, so -0.0
     ties 0.0 and every NaN is a run of its own.
     """
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    # edge[k]: a run boundary between sorted positions k - 1 and k
-    edge = np.empty(n + 1, dtype=bool)
-    edge[0] = edge[n] = True
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=edge[1:n])
-    starts = np.flatnonzero(edge[:n])
-    ends = np.flatnonzero(edge[1:])
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    return ranks
+    rows = np.atleast_2d(values)
+    order = np.argsort(rows, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(rows, order, axis=1)
+    starts, ends = _runs(sorted_vals, sorted_vals[:, 1:] != sorted_vals[:, :-1])
+    # flat positions: row r begins at r * k
+    mid = np.repeat(0.5 * (starts + ends), ends - starts + 1).reshape(rows.shape)
+    row_start = rows.shape[1] * np.arange(rows.shape[0])[:, None]
+    ranks = np.empty(rows.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, mid - row_start + 1.0, axis=1)
+    return ranks.reshape(values.shape)
 
 
-def _tie_counts(values: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(values, return_counts=True)
-    return counts
+def _tie_sums(values: np.ndarray) -> np.ndarray:
+    """Per row of a 2-D stack, the sum of t**3 - t over its groups of t equal
+    values; as in ``np.unique``, all NaNs of a row form one group."""
+    sorted_vals = np.sort(values, axis=1)
+    nan = np.isnan(sorted_vals)
+    split = (sorted_vals[:, 1:] != sorted_vals[:, :-1]) & ~(nan[:, 1:] & nan[:, :-1])
+    starts, ends = _runs(sorted_vals, split)
+    t = ends - starts + 1
+    # each of a group's t positions adds t * t - 1
+    return np.repeat(t * t - 1, t).reshape(sorted_vals.shape).sum(axis=1)
+
+
+def _check_method(method: str) -> None:
+    if method not in ("auto", "exact", "normal"):
+        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
 
 
 def _check_options(alternative: str, method: str) -> None:
     if alternative not in ("greater", "less"):
         raise ValueError(f"alternative must be 'greater' or 'less', got {alternative!r}")
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
+    _check_method(method)
 
 
-def _normal_result(stat: float, mean: float, var: float, n: int) -> TestResult:
-    """Upper-tail p-value of ``stat`` under a normal null with a 0.5
-    continuity correction; "degenerate" with p = 1 when ``var`` vanishes."""
-    if var <= 0.0:
-        return TestResult(stat, 1.0, n, "degenerate")
-    z = (stat - 0.5 - mean) / math.sqrt(var)
-    return TestResult(stat, min(0.5 * math.erfc(z / math.sqrt(2.0)), 1.0), n, "normal")
+def _use_exact(method: str, feasible: np.ndarray) -> np.ndarray:
+    """Rows that take the exact null: all under "exact", none under "normal",
+    the ``feasible`` ones under "auto"."""
+    return (method == "exact") | ((method == "auto") & feasible)
+
+
+def _normal_p(stat: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Upper-tail p-values of ``stat`` under normal nulls with a 0.5
+    continuity correction; 1 where ``var`` vanishes."""
+    ok = var > 0.0
+    z = (stat - 0.5 - mean) / np.sqrt(np.where(ok, var, 1.0))
+    p = [min(0.5 * math.erfc(v), 1.0) for v in (z / math.sqrt(2.0)).tolist()]
+    return np.where(ok, p, 1.0)
+
+
+@dataclass(frozen=True)
+class RowResults:
+    """One-sided outcomes of one test on each row of a stack of sample pairs.
+
+    Row r compares ``x[r]`` with ``y[r]``: ``statistic`` is that of x over y,
+    ``p_greater`` the p-value that x tends to exceed y and ``p_less`` the one
+    that y tends to exceed x, both from one ranking of the row.  ``method``
+    holds the :class:`TestResult` method names.
+    """
+
+    statistic: np.ndarray
+    p_greater: np.ndarray
+    p_less: np.ndarray
+    n_effective: np.ndarray
+    method: np.ndarray
+
+    def greater(self, row: int) -> TestResult:
+        """Row ``row`` as the test of x over y."""
+        return TestResult(
+            float(self.statistic[row]),
+            float(self.p_greater[row]),
+            int(self.n_effective[row]),
+            str(self.method[row]),
+        )
+
+
+def _method_names(degenerate: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    return np.where(degenerate, "degenerate", np.where(exact, "exact", "normal"))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +225,9 @@ def _upper_tail(counts: list[int]) -> tuple[int, ...]:
     return tuple(accumulate(reversed(counts), initial=0))[::-1]
 
 
-def _tail_at(tail: tuple[int, ...], k: int) -> int:
-    return tail[min(max(k, 0), len(tail) - 1)]
+def _p_ge(tail: tuple[int, ...], k: int) -> float:
+    """P(statistic >= k) from an upper tail; ``tail[0]`` counts every outcome."""
+    return tail[min(max(k, 0), len(tail) - 1)] / tail[0]
 
 
 @lru_cache(maxsize=_NULL_CACHE_SIZE)
@@ -189,10 +247,60 @@ def _wilcoxon_exact_tail(sorted_doubled_ranks: tuple[int, ...]) -> tuple[int, ..
     return _upper_tail(counts)
 
 
-def _wilcoxon_exact_p_ge(doubled_ranks: list[int], w2_obs: int) -> float:
-    """P(W+ >= w_obs) under random signs, on ranks doubled to integers."""
-    tail = _wilcoxon_exact_tail(tuple(sorted(doubled_ranks)))
-    return _tail_at(tail, w2_obs) / (1 << len(doubled_ranks))
+def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
+    """Paired one-sided Wilcoxon signed-rank tests of ``x[r]`` against
+    ``y[r]`` for every row r of two (rows, k) stacks, in both directions.
+
+    Each row is tested as :func:`wilcoxon_signed_rank` describes.  y - x has
+    the |differences| and ranks of x - y, so W+ of y over x is the rank sum
+    over the negative differences of x - y, and both directions share one
+    exact null.  Each distinct null is looked up once per call.
+    """
+    _check_method(method)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if xv.shape != yv.shape:
+        raise LengthMismatch(f"paired samples differ in length: {xv.shape[1]} vs {yv.shape[1]}")
+    if xv.shape[1] == 0:
+        raise EmptyInput("wilcoxon_signed_rank needs at least one pair")
+
+    d = xv - yv
+    abs_d = np.abs(d)
+    # zero differences are dropped: |d| = 0 sorts first and holds ranks 1..zeros
+    zeros = np.count_nonzero(d == 0.0, axis=1)
+    n = d.shape[1] - zeros
+    ranks = _average_ranks(abs_d) - zeros[:, None]
+    # sums of ranks, multiples of 0.5 far below 2**53, are exact in any order
+    w_plus = np.sum(ranks, axis=1, where=d > 0.0)
+    w_minus = np.sum(ranks, axis=1, where=d < 0.0)
+    p_greater = np.ones(n.size)
+    p_less = np.ones(n.size)
+    degenerate = n == 0
+    exact = ~degenerate & _use_exact(method, n <= 25)
+
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        doubled = np.rint(2.0 * ranks[rows]).astype(np.int64)
+        doubled[d[rows] == 0.0] = 0
+        # the null is keyed by the sorted doubled ranks; zeros pad shorter rows
+        patterns, which = np.unique(np.sort(doubled, axis=1), axis=0, return_inverse=True)
+        tails = [_wilcoxon_exact_tail(tuple(u[u > 0].tolist())) for u in patterns]
+        w2_plus = np.rint(2.0 * w_plus[rows]).astype(np.int64).tolist()
+        w2_minus = np.rint(2.0 * w_minus[rows]).astype(np.int64).tolist()
+        for r, t, wp, wm in zip(rows.tolist(), which.ravel().tolist(), w2_plus, w2_minus):
+            p_greater[r] = _p_ge(tails[t], wp)
+            p_less[r] = _p_ge(tails[t], wm)
+
+    normal = ~degenerate & ~exact
+    m = n[normal]
+    # the tie sum of |d| less that of the zero group
+    ties = _tie_sums(abs_d[normal]) - (zeros[normal] ** 3 - zeros[normal])
+    var = m * (m + 1) * (2 * m + 1) / 24.0 - ties / 48.0
+    mean = m * (m + 1) / 4.0
+    p_greater[normal] = _normal_p(w_plus[normal], mean, var)
+    p_less[normal] = _normal_p(w_minus[normal], mean, var)
+    degenerate[normal] = var <= 0.0
+    return RowResults(w_plus, p_greater, p_less, n, _method_names(degenerate, exact))
 
 
 def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
@@ -205,39 +313,19 @@ def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto
     0.5 continuity correction.  With no nonzero differences the result is
     flagged "degenerate" with p = 1 so that no comparison can be won.
 
-    ``alternative`` "greater" tests whether x tends to exceed y.
+    ``alternative`` "greater" tests whether x tends to exceed y.  This is the
+    one-row case of :func:`wilcoxon_signed_rank_rows`.
     """
     _check_options(alternative, method)
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.size != yv.size:
-        raise LengthMismatch(f"paired samples differ in length: {xv.size} vs {yv.size}")
-    if xv.size == 0:
-        raise EmptyInput("wilcoxon_signed_rank needs at least one pair")
-
-    d = xv - yv
-    nz = d[d != 0.0]
-    n = int(nz.size)
-    abs_d = np.abs(nz)
-    ranks = _average_ranks(abs_d)
-    w_plus = float(np.sum(ranks[nz > 0]))
+    row = wilcoxon_signed_rank_rows(xv[None], yv[None], method)
     if alternative == "less":
         # p(less on (x, y)) equals p(greater on (y, x)); route through one
         # code path so the identity holds bit for bit.
-        return replace(wilcoxon_signed_rank(yv, xv, "greater", method), statistic=w_plus)
-    if n == 0:
-        return TestResult(statistic=0.0, p_one_sided=1.0, n_effective=0, method="degenerate")
-
-    use_exact = method == "exact" or (method == "auto" and n <= 25)
-    if use_exact:
-        doubled = np.rint(2.0 * ranks).astype(np.int64)
-        w2 = int(np.rint(2.0 * np.sum(ranks[nz > 0])))
-        p = _wilcoxon_exact_p_ge([int(r) for r in doubled], w2)
-        return TestResult(w_plus, min(p, 1.0), n, "exact")
-
-    ties = _tie_counts(abs_d)
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - float(np.sum(ties**3 - ties)) / 48.0
-    return _normal_result(w_plus, n * (n + 1) / 4.0, var, n)
+        swapped = wilcoxon_signed_rank(yv, xv, "greater", method)
+        return replace(swapped, statistic=float(row.statistic[0]))
+    return row.greater(0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,39 +355,70 @@ def _mwu_exact_tail(n: int, m: int) -> tuple[int, ...]:
     return _upper_tail(f[n])
 
 
+def mann_whitney_u_rows(x, y, method: str = "auto") -> RowResults:
+    """Unpaired one-sided Mann-Whitney U tests of ``x[r]`` against ``y[r]``
+    for every row r of a (rows, n) and a (rows, m) stack, in both directions.
+
+    Each row is tested as :func:`mann_whitney_u` describes.  The pooled
+    ranks sum to (n + m)(n + m + 1)/2, so U of y over x is n*m - U of x over
+    y, and the null for (n, m), looked up once per call, equals that for
+    (m, n).  Rows holding NaN rank it by position, so there the reversed
+    direction can differ from testing (y, x).
+    """
+    _check_method(method)
+    xv = np.asarray(x, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    n, m = xv.shape[1], yv.shape[1]
+    if n == 0 or m == 0:
+        raise EmptyInput("mann_whitney_u needs nonempty samples")
+
+    pooled = np.concatenate([xv, yv], axis=1)
+    ranks = _average_ranks(pooled)
+    u_x = np.sum(ranks[:, :n], axis=1) - n * (n + 1) / 2.0
+    u_y = n * m - u_x
+    ties = _tie_sums(pooled)
+    has_ties = ties > 0
+    exact = _use_exact(method, (min(n, m) <= 10) & ~has_ties)
+    if np.any(exact & has_ties):
+        raise ValueError("exact Mann-Whitney null is only defined for tie-free data")
+    p_greater = np.ones(pooled.shape[0])
+    p_less = np.ones(pooled.shape[0])
+
+    rows = np.flatnonzero(exact)
+    if rows.size:
+        tail = _mwu_exact_tail(n, m)
+        for r, ux, uy in zip(rows.tolist(), u_x[rows].tolist(), u_y[rows].tolist()):
+            p_greater[r] = _p_ge(tail, round(ux))
+            p_less[r] = _p_ge(tail, round(uy))
+
+    normal = ~exact
+    big_n = n + m
+    tie_term = ties[normal] / (big_n * (big_n - 1.0))
+    var = n * m / 12.0 * (big_n + 1.0 - tie_term)
+    p_greater[normal] = _normal_p(u_x[normal], n * m / 2.0, var)
+    p_less[normal] = _normal_p(u_y[normal], n * m / 2.0, var)
+    degenerate = np.zeros(exact.shape, dtype=bool)
+    degenerate[normal] = var <= 0.0
+    n_effective = np.full(exact.shape, big_n)
+    return RowResults(u_x, p_greater, p_less, n_effective, _method_names(degenerate, exact))
+
+
 def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
     """Unpaired one-sided Mann-Whitney U test (Wilcoxon rank-sum).
 
     U is computed from average ranks of the pooled sample.  The null is
     exact when min(n, m) <= 10 and the pooled sample is tie-free, otherwise
-    a tie-corrected normal approximation with continuity correction.
+    a tie-corrected normal approximation with continuity correction.  This
+    is the one-row case of :func:`mann_whitney_u_rows`.
     """
     _check_options(alternative, method)
     xv = np.asarray(x, dtype=np.float64).ravel()
     yv = np.asarray(y, dtype=np.float64).ravel()
-    if xv.size == 0 or yv.size == 0:
-        raise EmptyInput("mann_whitney_u needs nonempty samples")
-
-    n, m = int(xv.size), int(yv.size)
-    pooled = np.concatenate([xv, yv])
-    ranks = _average_ranks(pooled)
-    u_x = float(np.sum(ranks[:n]) - n * (n + 1) / 2.0)
+    row = mann_whitney_u_rows(xv[None], yv[None], method)
     if alternative == "less":
-        return replace(mann_whitney_u(yv, xv, "greater", method), statistic=u_x)
-
-    has_ties = np.unique(pooled).size != pooled.size
-    use_exact = method == "exact" or (method == "auto" and min(n, m) <= 10 and not has_ties)
-    if use_exact and has_ties:
-        raise ValueError("exact Mann-Whitney null is only defined for tie-free data")
-    if use_exact:
-        n_ge = _tail_at(_mwu_exact_tail(n, m), int(round(u_x)))
-        p = n_ge / math.comb(n + m, n)
-        return TestResult(u_x, min(p, 1.0), n + m, "exact")
-
-    big_n = n + m
-    ties = _tie_counts(pooled)
-    tie_term = float(np.sum(ties**3 - ties)) / (big_n * (big_n - 1.0)) if big_n > 1 else 0.0
-    return _normal_result(u_x, n * m / 2.0, n * m / 12.0 * (big_n + 1.0 - tie_term), big_n)
+        swapped = mann_whitney_u(yv, xv, "greater", method)
+        return replace(swapped, statistic=float(row.statistic[0]))
+    return row.greater(0)
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,27 @@ class TestRank:
         ranks = json.loads((out / "leaderboard.json").read_text())
         assert ranks["acc_metrics"] == ["dsc", "hd95"]
 
+    def test_unpaired_metric_without_values_for_a_method_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b"], n_cases=4)
+        for path in reports.glob("b__*.json"):
+            d = json.loads(path.read_text())
+            d["tre_per_landmark"], d["tre_mean"] = [], None
+            path.write_text(json.dumps(d, sort_keys=True))
+
+        def no_test(*args, **kwargs):
+            raise AssertionError("a significance test ran")
+
+        monkeypatch.setattr(cli.ranking, "wilcoxon_signed_rank_rows", no_test)
+        monkeypatch.setattr(cli.ranking, "mann_whitney_u_rows", no_test)
+        out = tmp_path / "rank"
+        argv = ["--out", str(out), "rank", str(reports), "--metrics", "dsc,hd95,tre30"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: tre30: no value for method 'b'\n"
+        assert not out.exists()
+
     def test_unpaired_cases_rejected(self, tmp_path, capsys):
         reports = tmp_path / "reports"
         self.synth_reports(reports, ["a", "b"])

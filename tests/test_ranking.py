@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regeval import errors, ranking
+from regeval import errors, ranking, stats
 from regeval.ranking import (
     HIGHER_BETTER,
     LOWER_BETTER,
@@ -323,3 +323,72 @@ def test_pairwise_wins_equal_the_less_alternative(m, data):
     for alpha in (0.05, at, float(np.nextafter(at, 2.0))):
         want = {a: sum(p[a, b] < alpha for b in m.methods if b != a) for a in m.methods}
         assert pairwise_wins(m, alpha=alpha) == want
+
+
+# --- the batched tests against the per-pair scalar loop ----------------------------
+
+
+def scalar_pairwise_wins(m: MetricMatrix, alpha: float) -> dict:
+    """The per-pair loop over the scalar tests that the batched pass
+    replaced, kept as the reference."""
+    higher = m.direction == HIGHER_BETTER
+    test = wilcoxon_signed_rank if m.pairing == "paired" else mann_whitney_u
+    wins = {a: 0 for a in m.methods}
+    for i, a in enumerate(m.methods):
+        for j in range(len(m.methods)):
+            if i == j:
+                continue
+            va, vb = m.values[i], m.values[j]
+            if m.pairing == "unpaired":
+                va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
+            result = test(va, vb) if higher else test(vb, va)
+            wins[a] += result.p_one_sided < alpha
+    return wins
+
+
+@st.composite
+def boundary_matrices(draw):
+    """2-5 methods with case counts around the exact-null limits: signed-rank
+    n_effective 25/26 (zero differences drop cases) and rank-sum
+    min(n, m) 10/11 (NaN gaps drop cells); ties and zero differences from
+    small integers, tie-free rows from floats."""
+    pairing = draw(st.sampled_from(["paired", "unpaired"]))
+    k = draw(st.integers(2, 5))
+    c = draw(st.integers(25, 27) if pairing == "paired" else st.integers(10, 12))
+    elements = draw(
+        st.sampled_from([st.integers(-3, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)])
+    )
+    values = draw(arrays(np.float64, (k, c), elements=elements, fill=st.nothing()))
+    for i in range(1, k):
+        # paired: up to two zero differences against method 0; unpaired: up
+        # to two missing cells (every method keeps its first case)
+        cells = draw(st.lists(st.integers(1, c - 1), max_size=2, unique=True))
+        values[i, cells] = values[0, cells] if pairing == "paired" else np.nan
+    direction = draw(st.sampled_from([HIGHER_BETTER, LOWER_BETTER]))
+    return matrix(values, direction=direction, pairing=pairing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_matrices(), st.data())
+def test_pairwise_wins_equal_the_scalar_loop(m, data):
+    p_values = sorted(set(p_values_via_alternative(m).values()))
+    # a threshold at one of the p-values, or just above it, flips a win if
+    # that p-value differs in its last bit
+    at = data.draw(st.sampled_from(p_values))
+    for alpha in (0.05, 0.2, at, float(np.nextafter(at, 2.0))):
+        assert pairwise_wins(m, alpha=alpha) == scalar_pairwise_wins(m, alpha)
+
+
+@pytest.mark.parametrize(
+    ("pairing", "cases", "null"),
+    [("paired", 25, "_wilcoxon_exact_tail"), ("unpaired", 10, "_mwu_exact_tail")],
+)
+def test_one_exact_null_lookup_per_rank_pattern(rng, pairing, cases, null):
+    # tie-free and without zero differences: every one of the 24 * 23 tests
+    # has the same rank pattern, so one lookup serves them all
+    m = matrix(rng.standard_normal((24, cases)), pairing=pairing)
+    cached = getattr(stats, null)
+    cached.cache_clear()
+    pairwise_wins(m)
+    info = cached.cache_info()
+    assert info.hits + info.misses == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from regeval import errors, stats
 from regeval.stats import (
@@ -328,16 +329,18 @@ class TestExactNullCache:
         assert stats._upper_tail([1, 2, 3, 4]) == (10, 9, 7, 4, 0)
         assert stats._upper_tail([5]) == (5, 0)
         # ranks {1, 2} doubled: sums 0, 2, 4, 6 over four sign patterns
-        assert stats._wilcoxon_exact_p_ge([4, 2], 0) == 1.0
-        assert stats._wilcoxon_exact_p_ge([4, 2], -3) == 1.0
-        assert stats._wilcoxon_exact_p_ge([4, 2], 5) == 0.25
-        assert stats._wilcoxon_exact_p_ge([4, 2], 6) == 0.25
-        assert stats._wilcoxon_exact_p_ge([4, 2], 7) == 0.0
+        tail = stats._wilcoxon_exact_tail((2, 4))
+        assert stats._p_ge(tail, 0) == 1.0
+        assert stats._p_ge(tail, -3) == 1.0
+        assert stats._p_ge(tail, 5) == 0.25
+        assert stats._p_ge(tail, 6) == 0.25
+        assert stats._p_ge(tail, 7) == 0.0
 
     def test_key_is_the_rank_multiset(self):
         clear_null_caches()
-        a = stats._wilcoxon_exact_p_ge([6, 2, 3, 3], 7)
-        b = stats._wilcoxon_exact_p_ge([3, 3, 2, 6], 7)
+        # |d| ranks 4, 1, 2.5, 2.5 in two orders: one doubled-rank multiset
+        a = wilcoxon_signed_rank([3.0, 1.0, 2.0, -2.0], np.zeros(4), method="exact")
+        b = wilcoxon_signed_rank([-2.0, 2.0, 1.0, 3.0], np.zeros(4), method="exact")
         assert a == b
         assert stats._wilcoxon_exact_tail.cache_info().currsize == 1
 
@@ -345,7 +348,7 @@ class TestExactNullCache:
         clear_null_caches()
         size = stats._NULL_CACHE_SIZE
         for k in range(1, size + 50):
-            stats._wilcoxon_exact_p_ge([k], 0)
+            stats._wilcoxon_exact_tail((k,))
             stats._mwu_exact_tail(1, k)
         for cached in (stats._wilcoxon_exact_tail, stats._mwu_exact_tail):
             info = cached.cache_info()
@@ -438,6 +441,48 @@ def test_mann_whitney_less_is_swapped_greater(xs, ys):
     assert less.p_one_sided == swapped.p_one_sided
     assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
     assert less.statistic == mann_whitney_u(x, y, "greater").statistic
+
+
+# --- batched rows against the scalar tests, both ways ----------------------------------
+
+
+@st.composite
+def row_stacks(draw):
+    """A stack of sample pairs with sizes around the exact-null limits
+    (signed-rank n_effective 25/26, rank-sum min(n, m) 10/11), ties and
+    zero differences, plus a method."""
+    paired = draw(st.booleans())
+    rows = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 5, 24, 25, 26, 27] if paired else [1, 3, 9, 10, 11, 12]))
+    m = n if paired else draw(st.sampled_from([1, 3, 9, 10, 11, 12, 30]))
+    elements = st.integers(-3, 3).map(float) | st.floats(-1e3, 1e3, allow_nan=False)
+    x = draw(arrays(np.float64, (rows, n), elements=elements, fill=st.nothing()))
+    y = draw(arrays(np.float64, (rows, m), elements=elements, fill=st.nothing()))
+    if paired and draw(st.booleans()):
+        y[:, ::3] = x[:, ::3]
+    return paired, x, y, draw(st.sampled_from(["auto", "exact", "normal"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_stacks())
+def test_rows_equal_the_scalar_tests_in_both_directions(case):
+    paired, x, y, method = case
+    rows_test = stats.wilcoxon_signed_rank_rows if paired else stats.mann_whitney_u_rows
+    scalar = wilcoxon_signed_rank if paired else mann_whitney_u
+    try:
+        want = [
+            (scalar(a, b, "greater", method), scalar(b, a, "greater", method))
+            for a, b in zip(x, y)
+        ]
+    except ValueError as exc:  # an exact rank-sum null on tied data
+        with pytest.raises(ValueError, match=str(exc)):
+            rows_test(x, y, method)
+        return
+    got = rows_test(x, y, method)
+    for r, (forward, reverse) in enumerate(want):
+        assert got.greater(r) == forward
+        assert got.p_less[r] == reverse.p_one_sided
+        assert (got.method[r], got.n_effective[r]) == (reverse.method, reverse.n_effective)
 
 
 # --- Pearson -----------------------------------------------------------------

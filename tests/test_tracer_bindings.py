@@ -16,6 +16,8 @@ ABSENT = [
     "refreg._loss_only",
     "refreg._warp_only",
     "refreg._diffusion_value_and_grad",
+    "ranking.wilcoxon_signed_rank",
+    "ranking.mann_whitney_u",
 ]
 
 
