@@ -302,22 +302,22 @@ def _by_method(reports: list[PairReport]) -> dict[str, list[PairReport]]:
     return groups
 
 
-def build_metric_matrix(reports: list[PairReport], metric: str) -> ranking.MetricMatrix:
-    """Assemble a methods-by-cases matrix for one metric from pair reports."""
+def build_metric_matrix(reports: list[PairReport], metric: str, values: dict) -> ranking.MetricMatrix:
+    """Assemble a methods-by-cases matrix for one metric from pair reports
+    and ``values``, each metric's value per report (None when missing)."""
     row = {m: i for i, m in enumerate(sorted({r.method_id for r in reports}))}
     col = {c: j for j, c in enumerate(sorted({r.pair_id for r in reports}))}
     spec = metric_spec(metric)
-    values = np.full((len(row), len(col)), np.nan)
-    for r in reports:
-        v = spec.value(r)
+    matrix = np.full((len(row), len(col)), np.nan)
+    for r, v in zip(reports, values[metric]):
         if v is not None:
-            values[row[r.method_id], col[r.pair_id]] = v
+            matrix[row[r.method_id], col[r.pair_id]] = v
     return ranking.MetricMatrix(
         metric_id=metric,
         direction=spec.direction,
         methods=tuple(row),
         cases=tuple(col),
-        values=values,
+        values=matrix,
         pairing=spec.pairing,
     )
 
@@ -340,17 +340,19 @@ def cmd_rank(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # at 1 or above every method beats every other
         raise BadParams(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    reports = load_reports(args.report_dir)
+    # methods, and each method's cases, in sorted order: the CSV sums in it
+    reports = sorted(load_reports(args.report_dir), key=lambda r: (r.method_id, r.pair_id))
+    # every metric's value per report, read once for the matrices and the CSV
+    values = {m: [spec.value(r) for r in reports] for m, spec in METRICS.items()}
     have_tre = all(r.tre_mean is not None for r in reports)
     usable = [m for m in metrics if m != "tre" or have_tre]
-    matrices = [build_metric_matrix(reports, m) for m in usable]
+    matrices = [build_metric_matrix(reports, m, values) for m in usable]
     acc_metrics = [m for m in ACC_METRICS if m in usable]
     if not acc_metrics:
         raise MissingMethods(
             f"accuracy ranking needs {'/'.join(ACC_METRICS)} among metrics {metrics}"
         )
     table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=args.alpha)
-    by_method = _by_method(reports)
 
     out = Path(args.out)
     csv_path = out / "leaderboard.csv"
@@ -358,9 +360,10 @@ def cmd_rank(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEADERBOARD_COLUMNS)
         for row in table.rows:
+            mine = [i for i, r in enumerate(reports) if r.method_id == row.method]
             per_case = {}
-            for metric, spec in METRICS.items():
-                vals = [v for r in by_method[row.method] if (v := spec.value(r)) is not None]
+            for metric, column in values.items():
+                vals = [v for i in mine if (v := column[i]) is not None]
                 if vals:
                     per_case[metric] = vals
             cohort = stats.summarize_cohort(per_case)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .stats import percentile
 from .volio import DisplacementField, LandmarkSet, Volume
-from .warp import _check_same_dims, sample_trilinear, warp_labels
+from .warp import _BLOCK, _check_same_dims, sample_trilinear, warp_labels
 
 LNCC_EPS = 1e-5
 
@@ -136,7 +136,7 @@ def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarra
     A voxel belongs to its label's boundary when any of its six neighbors
     carries a different label or lies beyond the grid edge.
     """
-    bnd = np.zeros(lab.shape, dtype=bool)
+    bnd = np.zeros_like(lab, dtype=bool)  # in lab's memory order
     for axis in range(3):
         lo = [slice(None)] * 3
         hi = [slice(None)] * 3
@@ -170,6 +170,10 @@ def _diagonal_mm(dims, spacing) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+# unbalanced, uncompacted KD-trees build faster; exact distances do not depend on the shape
+_TREE = dict(balanced_tree=False, compact_nodes=False)
+
+
 def _hd95_from_coords(fixed: FixedSide, label: int, flat_b: np.ndarray) -> float:
     # imported here so that commands without HD95 (rank, correlate, ic)
     # never load scipy; eval loads it once before its workers fork
@@ -184,7 +188,7 @@ def _hd95_from_coords(fixed: FixedSide, label: int, flat_b: np.ndarray) -> float
     workers = _query_workers()
     d_ab = np.zeros(flat_a.size)
     if a_off_b.any():
-        d_ab[a_off_b] = cKDTree(pb).query(pa[a_off_b], workers=workers)[0]
+        d_ab[a_off_b] = cKDTree(pb, **_TREE).query(pa[a_off_b], workers=workers)[0]
     d_ba = np.zeros(flat_b.size)
     if b_off_a.any():
         d_ba[b_off_a] = fixed.tree(label).query(pb[b_off_a], workers=workers)[0]
@@ -305,7 +309,7 @@ class NdvMask:
             | in_mask[1:, 1:, 1:]
         )
         nx, ny, nz = self.dims
-        # keep per-slab temporaries a few MB so the kernel stays in cache
+        # slabs of about 2**19 cells; their sums set the bits of the result
         slab = max(1, int(2**19 // (ny * nz + 1)))
         self.slabs: list[tuple[int, int, np.ndarray]] = []
         for x0 in range(0, nx - 1, slab):
@@ -320,31 +324,33 @@ def _folded_volume_cells(psi_flat, cells: np.ndarray, ny: int, nz: int) -> float
 
     ``psi_flat`` holds the three deformed coordinate components of a slab
     lattice, raveled; ``cells`` the flat index of each cell's first corner.
-    Every value goes through the same float operations as on the full
-    grid, and the per-cell sums enter ``np.sum`` in C order.
+    The cells run in chunks of ``warp._BLOCK``, so the temporaries stay in
+    cache.  Every value goes through the same float operations as on the
+    full grid, and the per-cell sums enter ``np.sum`` in C order.
     """
 
     def corner(comp: int, offset) -> np.ndarray:
         ox, oy, oz = offset
-        return psi_flat[comp][(ox * ny + oy) * nz + oz :].take(cells)
-
-    c000 = [corner(c, (0, 0, 0)) for c in range(3)]
-    w = [corner(c, (1, 1, 1)) - c000[c] for c in range(3)]
-    axis_delta = [[corner(c, off) - c000[c] for c in range(3)] for off in _AXIS_OFFSETS]
+        return psi_flat[comp][(ox * ny + oy) * nz + oz :].take(at)
 
     folded = np.zeros(cells.shape, dtype=np.float64)
-    for edge_offset, first_a, first_b in _KUHN_PAIRS:
-        e = [corner(c, edge_offset) - c000[c] for c in range(3)]
-        # cross = e x d111
-        cx = e[1] * w[2] - e[2] * w[1]
-        cy = e[2] * w[0] - e[0] * w[2]
-        cz = e[0] * w[1] - e[1] * w[0]
-        for sign, first in ((1.0, first_a), (-1.0, first_b)):
-            d1 = axis_delta[first]
-            det = d1[0] * cx + d1[1] * cy + d1[2] * cz
-            signed = det if sign > 0 else -det
-            np.minimum(signed, 0.0, out=signed)
-            folded -= signed
+    for lo in range(0, cells.size, _BLOCK):
+        at, acc = cells[lo : lo + _BLOCK], folded[lo : lo + _BLOCK]
+        c000 = [corner(c, (0, 0, 0)) for c in range(3)]
+        w = [corner(c, (1, 1, 1)) - c000[c] for c in range(3)]
+        axis_delta = [[corner(c, off) - c000[c] for c in range(3)] for off in _AXIS_OFFSETS]
+        for edge_offset, first_a, first_b in _KUHN_PAIRS:
+            e = [corner(c, edge_offset) - c000[c] for c in range(3)]
+            # cross = e x d111
+            cx = e[1] * w[2] - e[2] * w[1]
+            cy = e[2] * w[0] - e[0] * w[2]
+            cz = e[0] * w[1] - e[1] * w[0]
+            for sign, first in ((1.0, first_a), (-1.0, first_b)):
+                d1 = axis_delta[first]
+                det = d1[0] * cx + d1[1] * cy + d1[2] * cz
+                signed = det if sign > 0 else -det
+                np.minimum(signed, 0.0, out=signed)
+                acc -= signed
     return float(np.sum(folded)) / 6.0
 
 
@@ -515,7 +521,7 @@ class FixedSide:
         if label not in self._trees:
             from scipy.spatial import cKDTree
 
-            self._trees[label] = cKDTree(self.boundary_mm[label])
+            self._trees[label] = cKDTree(self.boundary_mm[label], **_TREE)
         return self._trees[label]
 
     @cached_property

@@ -59,6 +59,8 @@ def identity_grid(dims) -> np.ndarray:
 
 # Points per kernel block: one block's workspace (about 0.8 MiB) stays in L2.
 _BLOCK = 1 << 13
+# Voxels per slab of ``warp_labels``: its slab buffers (0.8 MiB) stay in L2.
+_SLAB = 1 << 15
 
 # Lerps of the blend, in order: (corner a, corner b, axis) for a + (b - a) * f.
 # Corners are numbered x-major, v000 = 0 to v111 = 7; the last lerp is (0, 4, z).
@@ -252,7 +254,19 @@ def sample_trilinear(obj, points):
     pts = np.atleast_2d(pts)
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample coordinates must be finite")
-    out = _trilinear(np.asarray(data, dtype=np.float64), pts)
+    # only each point's 8 corners are read: the lower one and the fraction as in
+    # ``_corners``, the upper one min(i + 1, n - 1), which ``_pad`` repeats there
+    data = np.asarray(data)
+    top = np.array(data.shape[:3])[:, None] - 1
+    f = np.clip(pts.T, 0, top)
+    lo = f.astype(np.intp)  # f >= 0, so truncation is floor
+    f -= lo
+    hi = np.minimum(lo + 1, top)
+    grid = data.reshape(data.shape[:3] + (-1,))
+    v = np.stack([grid[tuple((hi if c >> a & 1 else lo)[a] for a in range(3))] for c in range(8)])
+    out = np.empty(v.shape[1:])
+    _blend(v.astype(np.float64), f[..., None], out)
+    out = out[:, 0] if data.ndim == 3 else out
     return out[0] if single else out
 
 
@@ -309,16 +323,40 @@ def warp_labels(moving_labels: Volume, phi: DisplacementField) -> Volume:
     """Backward-warp a label volume with nearest-neighbor sampling.
 
     Rounding is floor(p + 0.5) per component (half rounds up), then clamped
-    to the grid.
+    to the grid.  Runs in slabs of about _SLAB voxels along the slowest axis
+    of the field's component planes: z for the F-ordered fields ``read_nifti``
+    returns, x for C-ordered ones; the output has the field's order.
     """
     if moving_labels.kind != "label":
         raise UnsupportedLayout("warp_labels expects a label volume")
-    dims = phi.header.dims
-    pos = identity_grid(dims) + np.asarray(phi.data, dtype=np.float64)
-    idx = np.floor(pos + 0.5).astype(np.intp)
-    for axis in range(3):
-        np.clip(idx[..., axis], 0, moving_labels.data.shape[axis] - 1, out=idx[..., axis])
-    out = moving_labels.data[idx[..., 0], idx[..., 1], idx[..., 2]]
+    lab = moving_labels.data
+    lab = lab if lab.flags.f_contiguous else np.ascontiguousarray(lab)
+    source, strides = lab.ravel(order="K"), [s // lab.itemsize for s in lab.strides]
+    dims, u = phi.header.dims, phi.data
+    order, perm = ("F", (2, 1, 0)) if u.flags.f_contiguous else ("C", (0, 1, 2))
+    out = np.empty(dims, dtype=lab.dtype, order=order)
+    slabs = out.transpose(perm)  # C-contiguous, like the planes' slabs
+    planes = [u[..., axis].transpose(perm) for axis in range(3)]  # slab axis first
+    coords = [np.arange(n, dtype=np.float64).reshape([-1 if a == perm.index(axis) else 1 for a in range(3)])
+              for axis, n in enumerate(dims)]
+    step = max(1, _SLAB // planes[0][0].size)
+    pos = np.empty((step,) + planes[0].shape[1:])
+    k, idx = np.empty(pos.shape, dtype=np.intp), np.empty(pos.shape, dtype=np.intp)
+    for s0 in range(0, len(planes[0]), step):
+        s1 = min(s0 + step, len(planes[0]))
+        p, ki, ix = pos[: s1 - s0], k[: s1 - s0], idx[: s1 - s0]
+        ix[...] = 0
+        for axis in range(3):
+            coord = coords[axis][s0:s1] if axis == perm[0] else coords[axis]
+            # (u + x) + 0.5, floor, clip: the rounding of identity_grid + u
+            np.add(planes[axis][s0:s1], coord, out=p)
+            np.add(p, 0.5, out=p)
+            np.floor(p, out=p)
+            np.copyto(ki, p, casting="unsafe")
+            np.clip(ki, 0, lab.shape[axis] - 1, out=ki)
+            np.multiply(ki, strides[axis], out=ki)
+            np.add(ix, ki, out=ix)
+        source.take(ix, out=slabs[s0:s1], mode="clip")
     return Volume(header=phi.header, kind="label", data=out)
 
 

@@ -68,3 +68,74 @@ def brute_force_trilinear(data: np.ndarray, point) -> float | np.ndarray:
                 term = w * np.asarray(data[ix, iy, iz], dtype=np.float64)
                 total = term if total is None else total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# Whole-array reference kernels: the evaluation kernels as they ran before
+# they worked in slabs, corners and chunks.  The cache-sized kernels must
+# reproduce them bit for bit.
+
+
+def whole_array_warp_labels(moving_labels, phi):
+    """Nearest-neighbour label warp by fancy indexing with full-grid
+    position and index arrays."""
+    from regeval.volio import Volume
+    from regeval.warp import identity_grid
+
+    pos = identity_grid(phi.header.dims) + np.asarray(phi.data, dtype=np.float64)
+    idx = np.floor(pos + 0.5).astype(np.intp)
+    for axis in range(3):
+        np.clip(idx[..., axis], 0, moving_labels.data.shape[axis] - 1, out=idx[..., axis])
+    out = moving_labels.data[idx[..., 0], idx[..., 1], idx[..., 2]]
+    return Volume(header=phi.header, kind="label", data=out)
+
+
+def padded_sample_trilinear(obj, points):
+    """Point sampling through the bulk kernel, which pads a copy of the whole
+    field."""
+    from regeval.warp import _trilinear
+
+    data = obj if isinstance(obj, np.ndarray) else obj.data
+    pts = np.asarray(points, dtype=np.float64)
+    out = _trilinear(np.asarray(data, dtype=np.float64), np.atleast_2d(pts))
+    return out[0] if pts.ndim == 1 else out
+
+
+def per_slab_folded_volume_cells(psi_flat, cells, ny, nz):
+    """NDV's folded volume over some cells of a slab, every cell at once."""
+    from regeval.metrics import _AXIS_OFFSETS, _KUHN_PAIRS
+
+    def corner(comp, offset):
+        ox, oy, oz = offset
+        return psi_flat[comp][(ox * ny + oy) * nz + oz :].take(cells)
+
+    c000 = [corner(c, (0, 0, 0)) for c in range(3)]
+    w = [corner(c, (1, 1, 1)) - c000[c] for c in range(3)]
+    axis_delta = [[corner(c, off) - c000[c] for c in range(3)] for off in _AXIS_OFFSETS]
+    folded = np.zeros(cells.shape, dtype=np.float64)
+    for edge_offset, first_a, first_b in _KUHN_PAIRS:
+        e = [corner(c, edge_offset) - c000[c] for c in range(3)]
+        cx = e[1] * w[2] - e[2] * w[1]
+        cy = e[2] * w[0] - e[0] * w[2]
+        cz = e[0] * w[1] - e[1] * w[0]
+        for sign, first in ((1.0, first_a), (-1.0, first_b)):
+            d1 = axis_delta[first]
+            det = d1[0] * cx + d1[1] * cy + d1[2] * cz
+            signed = det if sign > 0 else -det
+            np.minimum(signed, 0.0, out=signed)
+            folded -= signed
+    return float(np.sum(folded)) / 6.0
+
+
+def traced_peak(fn):
+    """(result, peak bytes that tracemalloc saw allocated during fn())."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak

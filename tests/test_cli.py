@@ -21,6 +21,8 @@ from regeval.metrics import PairReport
 from regeval.synth import make_cohort
 from regeval.volio import AffineHeader, DisplacementField, Volume, write_nifti
 
+from conftest import padded_sample_trilinear, per_slab_folded_volume_cells, whole_array_warp_labels
+
 
 @pytest.fixture(scope="module")
 def cohort(tmp_path_factory):
@@ -57,6 +59,37 @@ class TestManifest:
 
 
 class TestEval:
+    def test_reports_equal_the_whole_array_kernels(self, tmp_path, monkeypatch):
+        from regeval import metrics
+        from regeval.synth import FoldSlab, make_field
+        from regeval.volio import read_field
+
+        root = tmp_path / "cohort"  # .nii.gz fields are read back in F order
+        argv = ["--seed", "5", "--out", str(root), "synth", "--cases", "3", "--dims", "24", "24", "24",
+                "--labels", "4", "--gzip"]
+        assert cli.main(argv) == 0
+        truth = read_field(root / "fields" / "case000_truth.nii.gz")
+        slab, _ = make_field(FoldSlab(axis=0, center=11.0, width=4.0), truth.dims)
+        fold = DisplacementField(header=truth.header, data=truth.data + slab.data)
+        write_nifti(fold, root / "fields" / "case000_fold.nii.gz", use_gzip=True)
+        rows = (root / "manifest.csv").read_text().splitlines()
+        rows.append(rows[1].replace("truth", "fold"))
+        (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+
+        runs = []
+        for kernels in ("blocked", "whole-array"):
+            if kernels == "whole-array":
+                monkeypatch.setattr(metrics, "warp_labels", whole_array_warp_labels)
+                monkeypatch.setattr(metrics, "sample_trilinear", padded_sample_trilinear)
+                monkeypatch.setattr(metrics, "_folded_volume_cells", per_slab_folded_volume_cells)
+                monkeypatch.setattr(metrics, "_TREE", {})  # balanced, compact KD-trees
+            out = tmp_path / kernels
+            assert cli.main(["--jobs", "1", "--out", str(out), "eval", str(root / "manifest.csv")]) == 0
+            runs.append(read_dir_bytes(out))
+        assert len(runs[0]) == 8  # seven reports and errors.json
+        assert json.loads(runs[0]["fold__case000.json"])["ndv"] > 0.0
+        assert runs[0] == runs[1]
+
     def test_reports_written_and_zero_exit(self, cohort, tmp_path):
         out = tmp_path / "reports"
         code = cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")])
@@ -707,6 +740,28 @@ class TestRank:
         assert (out / "leaderboard.json").read_bytes() == leaderboard_json_bytes(
             [("only", 0.1, 0, 0.10000000000000002, 1)]
         )
+
+    def test_each_metric_value_is_read_once(self, tmp_path, monkeypatch):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b", "c"], n_cases=5)
+        argv = ["rank", str(reports), "--metrics", "dsc,hd95,tre,ndv,dsc30,tre30"]
+        assert cli.main(["--out", str(tmp_path / "plain"), *argv]) == 0
+        reads = []
+
+        def counted(metric, value):
+            def read(report):
+                reads.append((metric, report.method_id, report.pair_id))
+                return value(report)
+
+            return read
+
+        monkeypatch.setattr(cli, "METRICS", {
+            m: dataclasses.replace(spec, value=counted(m, spec.value)) for m, spec in cli.METRICS.items()
+        })
+        assert cli.main(["--out", str(tmp_path / "counted"), *argv]) == 0
+        assert len(reads) == len(set(reads)) == 15 * len(cli.METRICS)
+        for name in ("leaderboard.csv", "leaderboard.json"):
+            assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_tre_dropped_when_absent(self, tmp_path):
         reports = tmp_path / "reports"

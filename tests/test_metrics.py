@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from regeval import errors, metrics
+from regeval import errors, metrics, warp
 from regeval.metrics import dsc, evaluate_pair, hd95, lncc, ndv, tre
 from regeval.synth import FoldSlab, Svf, Translation, make_field
 from regeval.volio import AffineHeader, DisplacementField, LandmarkSet, Volume
 
+from conftest import per_slab_folded_volume_cells, traced_peak
 from test_warp import constant_field, field_from
 
 
@@ -283,6 +284,15 @@ class TestHd95:
 
 
 class TestTre:
+    def test_memory_stays_small(self, rng):
+        # a 64**3 field read back from NIfTI (F order) and 120 landmarks
+        u = np.reshape(rng.uniform(-3.0, 3.0, 64**3 * 3), (64, 64, 64, 3), order="F")
+        names = tuple(f"L{i}" for i in range(120))
+        lm = LandmarkSet(names=names, points=rng.uniform(0.0, 63.0, size=(120, 3)))
+        distances, peak = traced_peak(lambda: tre(lm, lm, field_from(u)))
+        assert len(distances) == 120
+        assert peak < 2**20
+
     def test_three_four_five(self):
         dims = (20, 20, 20)
         phi = DisplacementField.zero(AffineHeader.isotropic(dims))
@@ -523,6 +533,9 @@ def folded_fields_and_masks(draw):
     return u, mask.astype(np.int16)
 
 
+B = warp._BLOCK
+
+
 class TestNdvMaskedCells:
     @settings(max_examples=150, deadline=None)
     @given(case=folded_fields_and_masks())
@@ -547,6 +560,21 @@ class TestNdvMaskedCells:
         got = ndv(field_from(u), cells)
         assert got > 0.0
         assert got == full_grid_ndv_oracle(u, mask)
+        with pytest.MonkeyPatch.context() as mp:  # each slab's cells at once
+            mp.setattr(metrics, "_folded_volume_cells", per_slab_folded_volume_cells)
+            assert ndv(field_from(u), cells) == got
+
+    @pytest.mark.parametrize("n_cells", [B - 1, B, B + 1, 2 * B + 3])
+    def test_chunks_equal_the_per_slab_formula(self, rng, n_cells):
+        # chunks of warp._BLOCK cells: one short of a chunk, one, one and a cell, and a tail
+        dims = (12, 40, 41)
+        u = rng.uniform(-1.2, 1.2, size=dims + (3,))  # folds
+        psi_flat = [(u[..., a] + warp.identity_grid(dims)[..., a]).ravel() for a in range(3)]
+        i, j, k = np.nonzero(np.ones((dims[0] - 1, dims[1] - 1, dims[2] - 1), dtype=bool))
+        cells = np.sort(rng.choice((i * dims[1] + j) * dims[2] + k, n_cells, replace=False))
+        got = metrics._folded_volume_cells(psi_flat, cells, dims[1], dims[2])
+        assert got > 0.0
+        assert got == per_slab_folded_volume_cells(psi_flat, cells, dims[1], dims[2])
 
     def test_prepared_mask_for_another_grid_rejected(self):
         phi = DisplacementField.zero(AffineHeader.isotropic((6, 6, 6)))

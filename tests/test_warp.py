@@ -9,7 +9,7 @@ from regeval import errors, warp
 from regeval.volio import AffineHeader, DisplacementField, Volume
 from regeval.warp import VelocityField, compose, exp_svf, ic_residual, sample_trilinear, warp_image, warp_labels
 
-from conftest import brute_force_trilinear
+from conftest import brute_force_trilinear, traced_peak, whole_array_warp_labels
 
 
 def field_from(data) -> DisplacementField:
@@ -350,6 +350,77 @@ class TestWarpLabels:
         want = np.zeros(dims, dtype=np.int16)
         want[3, :, :] = 1
         assert np.array_equal(out50.data, want)
+
+
+class TestBlockedLabelWarp:
+    """warp_labels works in slabs along the slowest axis of the field's
+    component planes; every output byte must equal the whole-array warp."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_whole_array_warp(self, data):
+        axes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+        dims, lab_dims = data.draw(axes), data.draw(axes)  # the moving grid may differ
+        shift = st.one_of(
+            st.integers(-4, 3).map(lambda k: k + 0.5),  # exact ties, which round up
+            st.floats(-1e9, 1e9),  # far outside the grid
+            st.floats(-3.0, 3.0),
+        )
+        u = data.draw(arrays(np.float64, dims + (3,), elements=shift))
+        # read_nifti keeps float32 payloads, in F order
+        u = u.astype(data.draw(st.sampled_from([np.float64, np.float32])), order=data.draw(st.sampled_from("CF")))
+        dtype = data.draw(st.sampled_from([np.uint8, np.int16, np.int32]))
+        lab = np.arange(np.prod(lab_dims), dtype=dtype).reshape(lab_dims)  # every voxel distinct
+        lab = np.asarray(lab, order=data.draw(st.sampled_from("CF")))
+        moving = Volume(header=AffineHeader.isotropic(lab_dims), kind="label", data=lab)
+        phi = DisplacementField(header=AffineHeader.isotropic(dims), data=u)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(warp, "_SLAB", data.draw(st.integers(1, 30)))
+            got = warp_labels(moving, phi).data
+        want = whole_array_warp_labels(moving, phi).data
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_default_slabs_on_a_larger_grid(self, rng, order):
+        dims = (40, 41, 42)  # three slabs either way
+        u = np.asarray(rng.uniform(-4.0, 4.0, dims + (3,)), order=order)
+        lab = Volume(header=AffineHeader.isotropic(dims), kind="label",
+                     data=np.asfortranarray(rng.integers(0, 9, dims).astype(np.int16)))
+        got = warp_labels(lab, field_from(u)).data
+        assert got.tobytes() == whole_array_warp_labels(lab, field_from(u)).data.tobytes()
+
+    def test_memory_is_the_output_and_a_slab(self, rng):
+        # a field read back from NIfTI: F-ordered, 64**3
+        dims = (64, 64, 64)
+        u = np.reshape(rng.uniform(-3.0, 3.0, 64**3 * 3), dims + (3,), order="F")
+        lab = Volume(header=AffineHeader.isotropic(dims), kind="label",
+                     data=np.asfortranarray(rng.integers(0, 7, dims).astype(np.int16)))
+        out, peak = traced_peak(lambda: warp_labels(lab, field_from(u)))
+        assert peak < out.data.nbytes + 2 * 2**20
+
+
+class TestCornerSampling:
+    """sample_trilinear reads only each point's 8 corners; it must equal the
+    padded bulk kernel bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(9, 10, 11), (1, 5, 2), (2, 1, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_the_padded_kernel(self, rng, shape, channels, order):
+        data = np.asarray(rng.standard_normal(shape + channels), order=order)
+        top = np.array(shape, dtype=np.float64) - 1.0
+        pts = np.concatenate([
+            rng.uniform(-3.0, top + 3.0, size=(300, 3)),  # inside and outside the grid
+            np.where(rng.random((100, 3)) < 0.5, top, rng.uniform(0.0, top, (100, 3))),  # upper faces
+            top[None], np.zeros((1, 3)), np.nextafter(top, 0.0)[None],
+        ])
+        want = warp._trilinear(data, pts)
+        got = sample_trilinear(data, pts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.asarray(sample_trilinear(data, pts[0])).tobytes() == want[0].tobytes()
 
 
 class TestExpSvf:
