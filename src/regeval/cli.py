@@ -286,40 +286,21 @@ LEADERBOARD_COLUMNS = (
 )
 
 
-def metric_spec(metric_id: str) -> Metric:
-    try:
-        return METRICS[metric_id]
-    except KeyError:
-        raise MissingMethods(f"unknown metric {metric_id!r}") from None
-
-
-def _by_method(reports: list[PairReport]) -> dict[str, list[PairReport]]:
-    """Reports grouped by method id; methods and each method's cases in
-    sorted order."""
-    groups: dict[str, list[PairReport]] = {}
-    for r in sorted(reports, key=lambda r: (r.method_id, r.pair_id)):
-        groups.setdefault(r.method_id, []).append(r)
-    return groups
-
-
-def build_metric_matrix(reports: list[PairReport], metric: str, values: dict) -> ranking.MetricMatrix:
-    """Assemble a methods-by-cases matrix for one metric from pair reports
-    and ``values``, each metric's value per report (None when missing)."""
+def _metric_table(reports: list[PairReport], metrics) -> tuple[tuple, tuple, dict[str, np.ndarray]]:
+    """The sorted method ids, the sorted case ids and, for each metric in
+    ``metrics`` (a name may repeat), a methods-by-cases matrix of the
+    reports' values, NaN where a report has none.  Each value is read once."""
+    for metric in metrics:
+        if metric not in METRICS:
+            raise MissingMethods(f"unknown metric {metric!r}")
     row = {m: i for i, m in enumerate(sorted({r.method_id for r in reports}))}
     col = {c: j for j, c in enumerate(sorted({r.pair_id for r in reports}))}
-    spec = metric_spec(metric)
-    matrix = np.full((len(row), len(col)), np.nan)
-    for r, v in zip(reports, values[metric]):
-        if v is not None:
-            matrix[row[r.method_id], col[r.pair_id]] = v
-    return ranking.MetricMatrix(
-        metric_id=metric,
-        direction=spec.direction,
-        methods=tuple(row),
-        cases=tuple(col),
-        values=matrix,
-        pairing=spec.pairing,
-    )
+    table = {m: np.full((len(row), len(col)), np.nan) for m in metrics}
+    for r in reports:
+        for metric, matrix in table.items():
+            if (v := METRICS[metric].value(r)) is not None:
+                matrix[row[r.method_id], col[r.pair_id]] = v
+    return tuple(row), tuple(col), table
 
 
 def _cell(v) -> str:
@@ -340,13 +321,15 @@ def cmd_rank(args) -> int:
     if not 0.0 < args.alpha < 1.0:  # at 1 or above every method beats every other
         raise BadParams(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    # methods, and each method's cases, in sorted order: the CSV sums in it
-    reports = sorted(load_reports(args.report_dir), key=lambda r: (r.method_id, r.pair_id))
-    # every metric's value per report, read once for the matrices and the CSV
-    values = {m: [spec.value(r) for r in reports] for m, spec in METRICS.items()}
+    reports = load_reports(args.report_dir)
+    # every metric's values, read once for the matrices and the CSV; an unknown name stops here
+    methods, cases, values = _metric_table(reports, [*METRICS, *metrics])
     have_tre = all(r.tre_mean is not None for r in reports)
     usable = [m for m in metrics if m != "tre" or have_tre]
-    matrices = [build_metric_matrix(reports, m, values) for m in usable]
+    matrices = [
+        ranking.MetricMatrix(m, METRICS[m].direction, methods, cases, values[m], METRICS[m].pairing)
+        for m in usable
+    ]
     acc_metrics = [m for m in ACC_METRICS if m in usable]
     if not acc_metrics:
         raise MissingMethods(
@@ -360,13 +343,10 @@ def cmd_rank(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LEADERBOARD_COLUMNS)
         for row in table.rows:
-            mine = [i for i, r in enumerate(reports) if r.method_id == row.method]
-            per_case = {}
-            for metric, column in values.items():
-                vals = [v for i in mine if (v := column[i]) is not None]
-                if vals:
-                    per_case[metric] = vals
-            cohort = stats.summarize_cohort(per_case)
+            i = methods.index(row.method)
+            # the method's cohort values: its row of each matrix without the NaNs
+            present = {m: v[i][~np.isnan(v[i])] for m, v in values.items()}
+            cohort = stats.summarize_cohort({m: v for m, v in present.items() if v.size})
             cells = [row.method]
             cells += [s.get(m) for m in METRICS for s in (cohort.means, cohort.stds)]
             cells += [row.rank_scores.get(m) for m in ACC_METRICS]
@@ -412,17 +392,14 @@ def cmd_correlate(args) -> int:
     """Per-method correlation between two per-case metrics, as CSV rows
     method,n_cases,r,slope,intercept,note."""
     reports = load_reports(args.report_dir)
-    x_value, y_value = metric_spec(args.x_metric).value, metric_spec(args.y_metric).value
+    methods, _, table = _metric_table(reports, [args.x_metric, args.y_metric])
+    x, y = table[args.x_metric], table[args.y_metric]
     with atomic_open(args.out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
-        for method, mine in _by_method(reports).items():
-            xs, ys = [], []
-            for r in mine:
-                xv, yv = x_value(r), y_value(r)
-                if xv is not None and yv is not None:
-                    xs.append(xv)
-                    ys.append(yv)
+        for method, xr, yr in zip(methods, x, y):
+            both = ~(np.isnan(xr) | np.isnan(yr))
+            xs, ys = xr[both], yr[both]
             try:
                 fit = stats.pearson_fit(xs, ys)
                 writer.writerow(

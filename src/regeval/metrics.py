@@ -17,6 +17,7 @@ Conventions fixed here (the evaluation protocol leaves them open):
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Sequence
@@ -82,10 +83,12 @@ class PairReport:
 
 
 def _metric_value(v):
-    """A stored metric value as it is: a number or None (JSON null)."""
-    if v is None or (isinstance(v, (int, float)) and not isinstance(v, bool)):
+    """A stored metric value as it is: a finite number or None (JSON null).
+    NaN, an infinity and an integer beyond the float range are rejected."""
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if v is None or (number and abs(v) <= sys.float_info.max):  # NaN fails too
         return v
-    raise TypeError(f"metric value {v!r} is not a number or null")
+    raise TypeError(f"metric value {v!r} is not a finite number or null")
 
 
 # ---------------------------------------------------------------------------

@@ -163,8 +163,9 @@ def _face_taper(dims, margin: float) -> np.ndarray:
 def make_velocity(kind: Svf, dims) -> VelocityField:
     """The stationary velocity that backs an Svf field request."""
     dims = tuple(int(d) for d in dims)
-    if not (0 <= kind.amplitude < np.inf and 0 < kind.smoothness < np.inf):  # NaN fails too
-        raise BadParams(f"bad Svf parameters {kind}")
+    bound = 10 * max(dims)  # the Gaussian allocates 8 sigma + 1 taps: keep sigma near the grid
+    if not (0 <= kind.amplitude < np.inf and 0 < kind.smoothness <= bound):  # NaN fails too
+        raise BadParams(f"bad Svf parameters {kind}: need 0 <= amplitude < inf, 0 < smoothness <= {bound}")
     from scipy.ndimage import gaussian_filter  # loaded only when smoothing
 
     header = AffineHeader.isotropic(dims)

@@ -323,7 +323,7 @@ def warp_labels(moving_labels: Volume, phi: DisplacementField) -> Volume:
     """Backward-warp a label volume with nearest-neighbor sampling.
 
     Rounding is floor(p + 0.5) per component (half rounds up), then clamped
-    to the grid.  Runs in slabs of about _SLAB voxels along the slowest axis
+    to the grid, however far a finite displacement points.  Runs in slabs of about _SLAB voxels along the slowest axis
     of the field's component planes: z for the F-ordered fields ``read_nifti``
     returns, x for C-ordered ones; the output has the field's order.
     """
@@ -348,12 +348,12 @@ def warp_labels(moving_labels: Volume, phi: DisplacementField) -> Volume:
         ix[...] = 0
         for axis in range(3):
             coord = coords[axis][s0:s1] if axis == perm[0] else coords[axis]
-            # (u + x) + 0.5, floor, clip: the rounding of identity_grid + u
+            # (u + x) + 0.5, floor, clip, cast: clipped first, so no position overflows intp
             np.add(planes[axis][s0:s1], coord, out=p)
             np.add(p, 0.5, out=p)
             np.floor(p, out=p)
+            np.clip(p, 0, lab.shape[axis] - 1, out=p)
             np.copyto(ki, p, casting="unsafe")
-            np.clip(ki, 0, lab.shape[axis] - 1, out=ki)
             np.multiply(ki, strides[axis], out=ki)
             np.add(ix, ki, out=ix)
         source.take(ix, out=slabs[s0:s1], mode="clip")

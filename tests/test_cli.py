@@ -680,6 +680,24 @@ def leaderboard_json_bytes(rows) -> bytes:
     return (json.dumps(board, indent=2, sort_keys=True) + "\n").encode()
 
 
+def count_reads(monkeypatch) -> list:
+    """Make every ``cli.METRICS`` value record (metric, method, case) in the
+    returned list each time it is called."""
+    reads = []
+
+    def counted(metric, value):
+        def read(report):
+            reads.append((metric, report.method_id, report.pair_id))
+            return value(report)
+
+        return read
+
+    monkeypatch.setattr(cli, "METRICS", {
+        m: dataclasses.replace(spec, value=counted(m, spec.value)) for m, spec in cli.METRICS.items()
+    })
+    return reads
+
+
 class TestRank:
     def synth_reports(self, out_dir: Path, methods, n_cases=12, seed=0):
         """Fabricated reports with a strict quality ordering."""
@@ -746,18 +764,7 @@ class TestRank:
         self.synth_reports(reports, ["a", "b", "c"], n_cases=5)
         argv = ["rank", str(reports), "--metrics", "dsc,hd95,tre,ndv,dsc30,tre30"]
         assert cli.main(["--out", str(tmp_path / "plain"), *argv]) == 0
-        reads = []
-
-        def counted(metric, value):
-            def read(report):
-                reads.append((metric, report.method_id, report.pair_id))
-                return value(report)
-
-            return read
-
-        monkeypatch.setattr(cli, "METRICS", {
-            m: dataclasses.replace(spec, value=counted(m, spec.value)) for m, spec in cli.METRICS.items()
-        })
+        reads = count_reads(monkeypatch)
         assert cli.main(["--out", str(tmp_path / "counted"), *argv]) == 0
         assert len(reads) == len(set(reads)) == 15 * len(cli.METRICS)
         for name in ("leaderboard.csv", "leaderboard.json"):
@@ -865,6 +872,32 @@ class TestRank:
         assert err.startswith("error: ") and str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rank", "correlate"])
+    @pytest.mark.parametrize("key, metric, value", [
+        ("ndv", "ndv", float("nan")),
+        ("dsc_mean", "dsc", float("inf")),
+        ("hd95_mean", "hd95", -float("inf")),
+        ("tre_mean", "tre", 10**400),  # an integer no float holds
+    ], ids=["nan", "inf", "-inf", "10**400"])
+    def test_non_finite_value_exits_2_and_names_the_file(self, tmp_path, capsys, command, key, metric, value):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b"])
+        bad = reports / "b__c03.json"
+        d = json.loads(bad.read_text())
+        d[key] = value
+        bad.write_text(json.dumps(d))  # NaN, Infinity and -Infinity as json writes them
+        out = tmp_path / "out"
+        if command == "rank":
+            argv = ["--out", str(out), "rank", str(reports), "--metrics", f"dsc,hd95,{metric}"]
+        else:
+            argv = ["--out", str(out / "corr.csv"), "correlate", str(reports), metric, "tre"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: report {bad} is not a pair report object: "
+            f"metric value {value!r} is not a finite number or null\n"
+        )
+        assert not out.exists()
+
 
 class TestCorrelate:
     def test_exact_linear_relation(self, tmp_path):
@@ -891,6 +924,17 @@ class TestCorrelate:
         assert row["note"] == "ok"
         assert float(row["r"]) == pytest.approx(-1.0, abs=1e-12)
         assert float(row["slope"]) == pytest.approx(-2.0, abs=1e-12)
+
+    def test_reads_its_two_metrics_once_per_report(self, tmp_path, monkeypatch):
+        reports = tmp_path / "reports"
+        TestRank().synth_reports(reports, ["a", "b", "c"], n_cases=5)
+        argv = ["correlate", str(reports), "dsc30", "tre"]
+        assert cli.main(["--out", str(tmp_path / "plain.csv"), *argv]) == 0
+        reads = count_reads(monkeypatch)
+        assert cli.main(["--out", str(tmp_path / "counted.csv"), *argv]) == 0
+        assert len(reads) == len(set(reads)) == 15 * 2
+        assert {m for m, _, _ in reads} == {"dsc30", "tre"}
+        assert (tmp_path / "counted.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_degenerate_metric_flagged(self, tmp_path):
         reports = tmp_path / "reports"
@@ -935,6 +979,17 @@ class TestMetricTable:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: unknown metric 'foo'\n"
         assert not (out / "corr.csv").exists() and not (out / "leaderboard.csv").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "correlate"])
+    def test_reports_are_loaded_before_the_metric_names_are_checked(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        if command == "rank":
+            argv = ["--out", str(tmp_path / "out"), "rank", str(empty), "--metrics", "dsc,foo"]
+        else:
+            argv = ["--out", str(tmp_path / "corr.csv"), "correlate", str(empty), "dsc", "foo"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: no report files in {empty}\n"
 
 
 class TestAtomicWrites:
@@ -1106,6 +1161,8 @@ class TestSynthCommand:
             ["--smoothness", "nan"],
             ["--amplitude", "inf"],
             ["--amplitude", "nan"],
+            ["--smoothness", "1e300"],  # finite, but past 10 x max(dims): scipy would
+            ["--smoothness", "1e308"],  # raise ValueError / OverflowError
         ],
     )
     def test_non_finite_svf_parameters_exit_2(self, tmp_path, capsys, options):

@@ -113,6 +113,11 @@ class TestMakeField:
         with pytest.raises(errors.BadParams):
             make_field(Translation((np.nan, 0.0, 0.0)), (8, 8, 8))
 
+    def test_smoothness_bound_is_ten_times_the_largest_dimension(self):
+        assert make_velocity(Svf(seed=0, amplitude=1.0, smoothness=40.0), (4, 2, 3)).data.shape == (4, 2, 3, 3)
+        with pytest.raises(errors.BadParams, match=r"smoothness <= 40\b"):
+            make_velocity(Svf(seed=0, amplitude=1.0, smoothness=40.5), (4, 2, 3))
+
 
 class TestMakePair:
     def test_zero_velocity_gives_identical_pair(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -390,6 +392,18 @@ class TestBlockedLabelWarp:
                      data=np.asfortranarray(rng.integers(0, 9, dims).astype(np.int16)))
         got = warp_labels(lab, field_from(u)).data
         assert got.tobytes() == whole_array_warp_labels(lab, field_from(u)).data.tobytes()
+
+    @pytest.mark.parametrize("shift, want", [(1e19, 3), (1e300, 3), (-1e19, 0), (-1e300, 0)])
+    def test_displacement_beyond_the_index_range_clamps(self, shift, want):
+        # floor(p + 0.5) past 2**63 does not fit an index: clamped before the cast
+        lab = Volume(header=AffineHeader.isotropic((4, 1, 1)), kind="label",
+                     data=np.arange(4, dtype=np.int16).reshape(4, 1, 1))
+        u = np.zeros((4, 1, 1, 3))
+        u[..., 0] = shift
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = warp_labels(lab, field_from(u)).data
+        assert got.ravel().tolist() == [want] * 4
 
     def test_memory_is_the_output_and_a_slab(self, rng):
         # a field read back from NIfTI: F-ordered, 64**3
