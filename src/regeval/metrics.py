@@ -393,17 +393,22 @@ def _box_sum(x: np.ndarray, r: int) -> np.ndarray:
     """Sum of x over the cubic window of radius r around each voxel,
     cropped at the volume border.  Exact via cumulative sums, one axis at a
     time: slab by slab, c[k + 1] = c[k] + x[k] (np.cumsum's order), then
-    out[i] = c[hi] - c[lo] for the cropped window [lo, hi) of each i."""
-    out = x
+    out[i] = c[hi] - c[lo] for the cropped window [lo, hi) of each i.
+
+    One buffer holds every axis's running sums.  Axis 0 writes a fresh
+    C-ordered output; axes 1 and 2 write over it, as their differences
+    read only the running sums."""
+    size = x.size
+    sums = np.empty(max(size + size // n for n in x.shape))
+    out = np.empty(x.shape)
     for axis in range(3):
-        src = np.moveaxis(out, axis, 0)
+        src = np.moveaxis(x if axis == 0 else out, axis, 0)
         n = src.shape[0]
-        c = np.empty((n + 1,) + src.shape[1:])
+        c = sums[: size + size // n].reshape((n + 1,) + src.shape[1:])
         c[0] = 0.0
         c[1] = src[0]
         for k in range(1, n):
             np.add(c[k], src[k], out=c[k + 1])
-        out = np.empty(x.shape)
         dst = np.moveaxis(out, axis, 0)
         # lo = max(i - r, 0) is 0 below a; hi = min(i + r, n - 1) + 1 is n from b on
         a, b = min(r, n), max(n - r, 0)
@@ -440,29 +445,46 @@ class _LnccTerms:
 
     def _ncc(self, w: np.ndarray):
         """The per-voxel NCC map of ``w`` and the terms its adjoint reuses:
-        (ncc, window mean of w, variance sum of w, 1 / sqrt(va * vb))."""
+        (ncc, window mean of w, variance sum of w, 1 / sqrt(va * vb)).
+        Each term is formed in place, by the ufuncs, operands and order of
+        ``cross * inv_sqrt`` with vb = box(w * w) - sb * bbar + eps,
+        cross = box(f * w) - sa * bbar and inv_sqrt = 1 / sqrt(va * vb)."""
         sb = _box_sum(w, self.r)
         bbar = sb / self.n
-        vb = _box_sum(w * w, self.r) - sb * bbar + LNCC_EPS
-        cross = _box_sum(self.fdata * w, self.r) - self.sa * bbar
-        inv_sqrt = 1.0 / np.sqrt(self.va * vb)
-        return cross * inv_sqrt, bbar, vb, inv_sqrt
+        vb = _box_sum(w * w, self.r)
+        vb -= np.multiply(sb, bbar, out=sb)
+        vb += LNCC_EPS
+        cross = _box_sum(np.multiply(self.fdata, w, out=sb), self.r)
+        cross -= np.multiply(self.sa, bbar, out=sb)
+        inv_sqrt = np.multiply(self.va, vb, out=sb)
+        np.sqrt(inv_sqrt, out=inv_sqrt)
+        np.divide(1.0, inv_sqrt, out=inv_sqrt)
+        cross *= inv_sqrt
+        return cross, bbar, vb, inv_sqrt
 
     def value(self, w: np.ndarray) -> float:
         return float(np.mean(self._ncc(w)[0]))
 
     def value_and_adjoint(self, w: np.ndarray):
-        """LNCC mean and its exact derivative with respect to ``w``."""
+        """LNCC mean and its exact derivative with respect to ``w``:
+
+            (f * box(inv_sqrt) - box(inv_sqrt * abar) - w * box(beta)
+             + box(beta * bbar)) / size,   beta = ncc / vb,
+
+        summed in that order, each term formed in place."""
         ncc, bbar, vb, inv_sqrt = self._ncc(w)
         value = float(np.mean(ncc))
-
-        beta = ncc / vb
-        dw = (
-            self.fdata * _box_sum(inv_sqrt, self.r)
-            - _box_sum(inv_sqrt * self.abar, self.r)
-            - w * _box_sum(beta, self.r)
-            + _box_sum(beta * bbar, self.r)
-        ) / self.fdata.size
+        beta = np.divide(ncc, vb, out=vb)
+        del ncc
+        dw = _box_sum(inv_sqrt, self.r)
+        dw *= self.fdata
+        dw -= _box_sum(np.multiply(inv_sqrt, self.abar, out=inv_sqrt), self.r)
+        del inv_sqrt
+        t = _box_sum(beta, self.r)
+        dw -= np.multiply(t, w, out=t)
+        del t
+        dw += _box_sum(np.multiply(beta, bbar, out=beta), self.r)
+        dw /= self.fdata.size
         return value, dw
 
 

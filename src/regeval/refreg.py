@@ -84,11 +84,12 @@ def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
         hi = (slice(None),) * axis + (slice(1, None),)
         lo = (slice(None),) * axis + (slice(None, -1),)
         d = u[hi] - u[lo]
-        value += float(np.sum(d * d))
-        n_terms += d.size
         if grad is not None:
             grad[hi] += d
             grad[lo] -= d
+        value += float(np.sum(np.multiply(d, d, out=d)))
+        n_terms += d.size
+        del d  # before the next axis forms its differences
     n_terms = max(n_terms, 1)  # a one-voxel grid has no differences
     if grad is not None:
         grad *= 2.0 / n_terms
@@ -102,7 +103,9 @@ def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
 def _loss_and_grad(terms: _LnccTerms, mdata, u, lam):
     w, grad = _warp_with_grad(mdata, u)
     value, dw = terms.value_and_adjoint(w)
-    np.multiply(grad, -dw[..., None], out=grad)
+    del w
+    np.multiply(grad, np.negative(dw, out=dw)[..., None], out=grad)
+    del dw
     loss = -value
     if lam > 0:
         dgrad = np.zeros_like(u)
@@ -205,8 +208,10 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
     """Line-searched gradient descent at one pyramid level.
 
     ``state`` is the displacement itself or, in SVF mode, the velocity.
-    Returns (state, losses, u), u being the displacement of the returned
-    state as already computed (``_to_field(state)``).  The loss and its
+    Returns (state, losses, u), u being ``_to_field(state)``: the field of
+    the last accepted trial (or of the start), computed once more only
+    after a failed line search, since a trial holds no field but its own.
+    A rejected trial's arrays go before the next is built.  The loss and its
     gradient are evaluated once at the start and once per line-search
     trial, which is accepted if it does not raise the loss; its gradient
     sets the next direction.  The level stops when its iterations run
@@ -229,6 +234,7 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
         if step is None:
             step = cfg.step_size / peak
         trial = step
+        u = cand_u = None  # no trial holds the accepted field
         for _ in range(30):
             cand_state = state - trial * direction
             cand_u = _to_field(cand_state, cfg)
@@ -236,7 +242,9 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
             if np.isfinite(cand_loss) and cand_loss <= loss:
                 break
             trial *= 0.5
+            cand_state = cand_u = grad = None
         else:  # no trial kept the loss from rising
+            u = _to_field(state, cfg)
             break
         improvement = loss - cand_loss
         state, u, loss = cand_state, cand_u, cand_loss
@@ -246,6 +254,16 @@ def _optimize_level(fdata, mdata, state, iters, cfg: RegConfig):
         if stalled >= 3:
             break
     return state, losses, u
+
+
+def _level_start(coarser, init, dims) -> np.ndarray:
+    """The state a pyramid level starts from: the coarser level's state
+    upsampled, else a copy of ``init``'s displacement, else zero."""
+    if coarser is not None:
+        return _upsample_state(coarser, dims)
+    if init is not None:
+        return np.asarray(init.data, dtype=np.float64).copy()
+    return np.zeros(tuple(dims) + (3,), dtype=np.float64)
 
 
 def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=None):
@@ -265,18 +283,15 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=N
     """
     fdata, mdata = _prepare(fixed, moving, init)
     schedule = cfg.iters_per_level if init is None else cfg.iters_per_level[-1:]
-    levels = len(schedule)
-    f_pyr = _pyramid(fdata, levels)
-    m_pyr = _pyramid(mdata, levels)
-    if init is None:
-        state = np.zeros(f_pyr[0].shape + (3,), dtype=np.float64)
-    else:
-        state = np.asarray(init.data, dtype=np.float64).copy()
+    f_pyr = _pyramid(fdata, len(schedule))
+    m_pyr = _pyramid(mdata, len(schedule))
+    state = None  # the coarser level's result
     trace: list[list[float]] = []
     for level, iters in enumerate(schedule):
-        state, losses, u = _optimize_level(f_pyr[level], m_pyr[level], state, iters, cfg)
+        # a level's start goes in unnamed, so its first accepted step frees it
+        state, losses, u = _optimize_level(
+            f_pyr[level], m_pyr[level], _level_start(state, init, f_pyr[level].shape), iters, cfg
+        )
         trace.append(losses)
-        if level + 1 < levels:
-            state = _upsample_state(state, f_pyr[level + 1].shape)
 
     return DisplacementField(header=fixed.header, data=u), trace

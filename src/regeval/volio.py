@@ -19,8 +19,9 @@ only ``pixdim`` spacing enters metric computations downstream.
 from __future__ import annotations
 
 import csv
-import gzip
+import io
 import os
+import stat
 import struct
 import zlib
 from contextlib import contextmanager
@@ -37,6 +38,7 @@ from .errors import (
     MalformedRow,
     NonFiniteCoordinate,
     NonFiniteData,
+    RegEvalError,
     TruncatedPayload,
     UnsupportedDatatype,
     UnsupportedLayout,
@@ -183,12 +185,89 @@ class LandmarkSet:
 # NIfTI reading
 
 
-def _read_file_bytes(path) -> bytes:
-    try:
-        raw = Path(path).read_bytes()
-        return gzip.decompress(raw) if raw[:2] == GZIP_MAGIC else raw
-    except (OSError, EOFError, zlib.error) as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
+_READ_PIECE = 1 << 18  # bytes per read of a gzip file, and per inflated piece
+_MAX_INFLATE = 1032  # deflate inflates one compressed byte to at most this many
+
+
+def _gunzip_pieces(f):
+    """The inflated bytes of a gzip file, in pieces of at most _READ_PIECE.
+
+    As in ``gzip.decompress``, members follow one another with any NUL
+    padding between them skipped; zlib checks each member's CRC32 and
+    length, and a stream that ends inside a member raises EOFError."""
+    d = zlib.decompressobj(31)
+    data, ended = b"", False
+    while True:
+        if d.eof:  # a member is done: NUL padding, another member or the end
+            data = d.unused_data.lstrip(b"\0")
+            while not data:
+                chunk = f.read(_READ_PIECE)
+                if not chunk:
+                    return
+                data = chunk.lstrip(b"\0")
+            d = zlib.decompressobj(31)
+        if not data and not ended:
+            data = f.read(_READ_PIECE)
+            ended = not data
+        piece = d.decompress(data, _READ_PIECE)
+        data = d.unconsumed_tail
+        if piece:
+            yield piece
+        elif ended and not data and not d.eof:
+            raise EOFError("Compressed file ended before the end-of-stream marker was reached")
+
+
+class _FileBytes:
+    """A NIfTI file's bytes front to back, inflated on the fly if it is
+    gzip; ``limit`` bounds how many bytes are left to read."""
+
+    def __init__(self, f):
+        if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a pipe, say
+            f = io.BytesIO(f.read())
+        self.f = f
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+        self.pieces = _gunzip_pieces(f) if f.read(2) == GZIP_MAGIC else None
+        f.seek(0)
+        self.limit = size if self.pieces is None else _MAX_INFLATE * size
+        self.rest = memoryview(b"")  # inflated bytes not handed out yet
+
+    def readinto(self, view: memoryview) -> int:
+        """Fill ``view``; fewer bytes (the count returned) only at the end."""
+        if self.pieces is None:
+            n = self.f.readinto(view)
+        else:
+            n = 0
+            while n < len(view):
+                if not self.rest:
+                    self.rest = memoryview(next(self.pieces, b""))
+                    if not self.rest:
+                        break
+                k = min(len(self.rest), len(view) - n)
+                view[n : n + k] = self.rest[:k]
+                self.rest, n = self.rest[k:], n + k
+        self.limit -= n
+        return n
+
+    def read(self, n: int) -> bytes:
+        buf = bytearray(n)
+        return bytes(buf[: self.readinto(memoryview(buf))])
+
+    def skip(self, n: int) -> int:
+        """Read past up to ``n`` bytes; the count skipped."""
+        done = 0
+        while done < n:
+            got = len(self.read(min(n - done, _READ_PIECE)))
+            done += got
+            if not got:
+                break
+        return done
+
+    def finish(self) -> None:
+        """Inflate what is left, so that zlib checks every member."""
+        if self.pieces is not None:
+            for _ in self.pieces:
+                pass
 
 
 def _parse_header(raw: bytes):
@@ -238,6 +317,19 @@ def _classify_layout(dim) -> tuple[tuple[int, int, int], bool]:
     raise UnsupportedLayout(f"unsupported dim layout {tuple(dim[: nd + 1])}")
 
 
+def _payload_layout(order, dim, datatype, vox_offset):
+    """(spatial dims, is_vector_field, payload dtype in file byte order)
+    of a parsed header, after checking that this reader supports them."""
+    spatial, is_field = _classify_layout(dim)
+    if datatype not in _CODE_TO_DTYPE:
+        raise UnsupportedDatatype(f"datatype code {datatype} not in (2, 4, 8, 16, 64)")
+    if is_field and datatype not in (16, 64):
+        raise UnsupportedLayout("vector payload must be float32 or float64")
+    if not (np.isfinite(vox_offset) and vox_offset >= HEADER_SIZE):
+        raise BadMagic(f"vox_offset {vox_offset} is not a finite offset past the header")
+    return spatial, is_field, _CODE_TO_DTYPE[datatype].newbyteorder(order)
+
+
 def read_nifti(path):
     """Parse a ``.nii`` / ``.nii.gz`` file into a Volume or DisplacementField.
 
@@ -246,28 +338,37 @@ def read_nifti(path):
     (float) volumes.  ``scl_slope`` / ``scl_inter`` are applied when the slope
     is nonzero.  Non-finite values anywhere in the payload are a hard error,
     never silently zeroed: one poisoned voxel would corrupt every downstream
-    metric.
+    metric.  The payload lands once, in the returned array's own memory.
     """
-    raw = _read_file_bytes(path)
-    order, dim, datatype, pixdim, vox_offset, scl, srows = _parse_header(raw)
-    spatial, is_field = _classify_layout(dim)
-    if datatype not in _CODE_TO_DTYPE:
-        raise UnsupportedDatatype(f"datatype code {datatype} not in (2, 4, 8, 16, 64)")
-    dtype = _CODE_TO_DTYPE[datatype].newbyteorder(order)
-    is_float = datatype in (16, 64)
-    if is_field and not is_float:
-        raise UnsupportedLayout("vector payload must be float32 or float64")
-
-    n_values = int(np.prod(spatial)) * (3 if is_field else 1)
-    if not (np.isfinite(vox_offset) and vox_offset >= HEADER_SIZE):
-        raise BadMagic(f"vox_offset {vox_offset} is not a finite offset past the header")
-    offset = int(vox_offset)
-    payload = raw[offset : offset + n_values * dtype.itemsize]
-    if len(payload) < n_values * dtype.itemsize:
+    try:
+        with open(path, "rb") as f:
+            src = _FileBytes(f)
+            head = src.read(HEADER_SIZE)
+            try:
+                order, dim, datatype, pixdim, vox_offset, scl, srows = _parse_header(head)
+                spatial, is_field, dtype = _payload_layout(order, dim, datatype, vox_offset)
+            except RegEvalError:
+                src.finish()  # a corrupt file is an IoFailure first
+                raise
+            n_values = int(np.prod(spatial)) * (3 if is_field else 1)
+            nbytes = n_values * dtype.itemsize
+            got = 0
+            if src.skip(int(vox_offset) - HEADER_SIZE) == int(vox_offset) - HEADER_SIZE:
+                if nbytes <= src.limit:
+                    data = np.empty(n_values, dtype=dtype)
+                    got = src.readinto(memoryview(data.view(np.uint8)))
+                else:  # more than the file can hold
+                    got = src.skip(nbytes)
+            src.finish()
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IoFailure(f"could not read {path}: {exc}") from exc
+    if got < nbytes:
         raise TruncatedPayload(
-            f"payload holds {len(payload) // dtype.itemsize} values, header implies {n_values}"
+            f"payload holds {got // dtype.itemsize} values, header implies {n_values}"
         )
-    data = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("="))
+    if not dtype.isnative:
+        data = data.byteswap(inplace=True).view(dtype.newbyteorder("="))
+    is_float = datatype in (16, 64)
 
     slope, inter = float(scl[0]), float(scl[1])
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):

@@ -139,3 +139,80 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+# ---------------------------------------------------------------------------
+# Expression-form optimizer kernels: the box sum, the LNCC terms and the
+# diffusion term as they ran before they worked in place.  The in-place
+# kernels must reproduce them bit for bit.
+
+
+def expression_box_sum(x, r):
+    """The box sum with a fresh running-sum array and a fresh output per
+    axis."""
+    out = x
+    for axis in range(3):
+        src = np.moveaxis(out, axis, 0)
+        n = src.shape[0]
+        c = np.empty((n + 1,) + src.shape[1:])
+        c[0] = 0.0
+        c[1] = src[0]
+        for k in range(1, n):
+            np.add(c[k], src[k], out=c[k + 1])
+        out = np.empty(x.shape)
+        dst = np.moveaxis(out, axis, 0)
+        a, b = min(r, n), max(n - r, 0)
+        np.subtract(c[r + 1 : r + 1 + min(a, b)], c[0], out=dst[: min(a, b)])
+        if a < b:
+            np.subtract(c[a + r + 1 : b + r + 1], c[a - r : b - r], out=dst[a:b])
+        else:
+            np.subtract(c[n], c[0], out=dst[b:a])
+        if max(a, b) < n:
+            np.subtract(c[n], c[max(a, b) - r : n - r], out=dst[max(a, b) :])
+    return out
+
+
+def expression_ncc(terms, w):
+    """``_LnccTerms._ncc``: (ncc, bbar, vb, inv_sqrt) from whole-array
+    expressions."""
+    from regeval.metrics import LNCC_EPS
+
+    sb = expression_box_sum(w, terms.r)
+    bbar = sb / terms.n
+    vb = expression_box_sum(w * w, terms.r) - sb * bbar + LNCC_EPS
+    cross = expression_box_sum(terms.fdata * w, terms.r) - terms.sa * bbar
+    inv_sqrt = 1.0 / np.sqrt(terms.va * vb)
+    return cross * inv_sqrt, bbar, vb, inv_sqrt
+
+
+def expression_value_and_adjoint(terms, w):
+    """``_LnccTerms.value_and_adjoint`` as one expression."""
+    ncc, bbar, vb, inv_sqrt = expression_ncc(terms, w)
+    beta = ncc / vb
+    box = expression_box_sum
+    dw = (
+        terms.fdata * box(inv_sqrt, terms.r)
+        - box(inv_sqrt * terms.abar, terms.r)
+        - w * box(beta, terms.r)
+        + box(beta * bbar, terms.r)
+    ) / terms.fdata.size
+    return float(np.mean(ncc)), dw
+
+
+def expression_diffusion_value(u, grad=None):
+    """``refreg._diffusion_value`` with each squared difference a fresh
+    array."""
+    value, n_terms = 0.0, 0
+    for axis in range(3):
+        hi = (slice(None),) * axis + (slice(1, None),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        d = u[hi] - u[lo]
+        value += float(np.sum(d * d))
+        n_terms += d.size
+        if grad is not None:
+            grad[hi] += d
+            grad[lo] -= d
+    n_terms = max(n_terms, 1)
+    if grad is not None:
+        grad *= 2.0 / n_terms
+    return value / n_terms

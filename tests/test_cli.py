@@ -566,7 +566,7 @@ class TestUnreadableInputs:
         write_nifti(fld, path)
         return path
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "truncated_gzip"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "truncated_gzip", "flipped_payload_byte"])
     def test_unreadable_path_exits_2(self, tmp_path, capsys, kind):
         good = self.field_file(tmp_path / "good.nii")
         bad = tmp_path / "bad.nii.gz"
@@ -575,6 +575,11 @@ class TestUnreadableInputs:
         elif kind == "truncated_gzip":
             blob = gzip.compress(good.read_bytes())
             bad.write_bytes(blob[: len(blob) // 2])
+        elif kind == "flipped_payload_byte":  # a stored float payload: the CRC32 check fails
+            write_nifti(cli.read_field(good), bad, use_gzip=True)
+            blob = bytearray(bad.read_bytes())
+            blob[-20] ^= 0x40
+            bad.write_bytes(bytes(blob))
         assert cli.main(["ic", str(bad), str(good)]) == 2
         assert f"could not read {bad}" in capsys.readouterr().err
 

@@ -1,20 +1,24 @@
 """Byte identity of what the commands write.
 
-One fixed sequence of ``synth``, ``eval``, ``rank`` and ``correlate`` runs
-must write exactly the files whose sha256 digests ``identity_digests.json``
-holds, keyed by path relative to the run's root.  Echoed paths are the one
-thing normalized: the root's prefix in ``errors.json`` becomes ``<root>``.
+One fixed sequence of ``synth``, ``eval``, ``rank``, ``correlate`` and
+``register`` runs must write exactly the files whose sha256 digests
+``identity_digests.json`` holds, keyed by path relative to the run's root.
+The text ``register`` prints (its final loss) is kept as a file beside its
+field.  Echoed paths are the one thing normalized: the root's prefix in
+``errors.json`` and in the printed text becomes ``<root>``.
 
 Regenerate the digests (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_identity.py
 """
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
 
-from regeval import cli
+from regeval import cli, synth, volio
 
 DIGESTS = Path(__file__).with_name("identity_digests.json")
 SYNTH = ["--seed", "5", "synth", "--cases", "8", "--dims", "32", "32", "32", "--labels", "4"]
@@ -25,13 +29,22 @@ def _run(*argv: str, code: int = 0) -> None:
     assert cli.main(list(argv)) == code, argv
 
 
+def _register(root: Path, name: str, *argv: str) -> None:
+    """Run ``register`` with its printed text saved as ``<name>.stdout``."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        _run("--out", str(root / f"{name}.nii"), "register", *argv)
+    (root / f"{name}.stdout").write_text(printed.getvalue())
+
+
 def _digests(top: Path, root: Path, prefix: str) -> dict:
     """sha256 of every file under ``top``, keyed by ``prefix`` plus the
-    path relative to ``top``; ``root`` becomes ``<root>`` in errors.json."""
+    path relative to ``top``; ``root`` becomes ``<root>`` in errors.json
+    and in printed text."""
     digests = {}
     for path in sorted(p for p in top.rglob("*") if p.is_file()):
         data = path.read_bytes()
-        if path.name == "errors.json":
+        if path.name == "errors.json" or path.suffix == ".stdout":
             data = data.replace(str(root).encode(), b"<root>")
         digests[prefix + path.relative_to(top).as_posix()] = hashlib.sha256(data).hexdigest()
     return digests
@@ -66,6 +79,22 @@ def run_sequence(root: Path) -> dict:
     (cohort / "missing.csv").write_text(missing)
     _run("--jobs", "1", "--out", str(jobs1), "eval", str(cohort / "missing.csv"), code=1)
     digests.update(_digests(jobs1, root, "eval_missing_field/"))
+
+    # the C6 recipe at 24^3, three short levels; then an instance
+    # optimization in displacement mode, seeded with that field
+    reg = root / "register"
+    reg.mkdir()
+    dims = (24, 24, 24)
+    phantom = synth.make_phantom(synth.PhantomSpec(dims=dims, label_count=6, seed=21, noise_sigma=0.1))
+    velocity = synth.make_velocity(synth.Svf(seed=22, amplitude=6.0, smoothness=8.0), dims)
+    pair = synth.make_pair(phantom, velocity)
+    fixed, moving = str(reg / "fixed.nii"), str(reg / "moving.nii")
+    volio.write_nifti(pair.fixed_image, fixed)
+    volio.write_nifti(pair.moving_image, moving)
+    _register(reg, "svf", fixed, moving, "--iters", "5,5,5")
+    _register(reg, "init", fixed, moving, "--iters", "5", "--parameterization",
+              "displacement", "--init", str(reg / "svf.nii"))
+    digests.update(_digests(reg, root, "register/"))
     return digests
 
 

@@ -11,7 +11,13 @@ from regeval.metrics import dsc, evaluate_pair, hd95, lncc, ndv, tre
 from regeval.synth import FoldSlab, Svf, Translation, make_field
 from regeval.volio import AffineHeader, DisplacementField, LandmarkSet, Volume
 
-from conftest import per_slab_folded_volume_cells, traced_peak
+from conftest import (
+    expression_box_sum,
+    expression_ncc,
+    expression_value_and_adjoint,
+    per_slab_folded_volume_cells,
+    traced_peak,
+)
 from test_warp import constant_field, field_from
 
 
@@ -659,6 +665,40 @@ class TestBoxSum:
             got = metrics._box_sum(data, r)
             assert got.shape == shape and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+_SMALL_DIMS = st.tuples(*[st.integers(1, 9)] * 3)
+_WINDOWS = st.sampled_from([1, 3, 5, 7, 9])
+
+
+class TestInPlaceLnccTerms:
+    """The box sum and the LNCC terms form their arrays in place; their bytes
+    must be those of the expression forms in conftest, for C and F input."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=_SMALL_DIMS, window=_WINDOWS, order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    def test_box_sum_matches_its_expression_form(self, dims, window, order, seed):
+        x = np.asarray(np.random.default_rng(seed).standard_normal(dims), order=order)
+        before = x.copy()
+        got = metrics._box_sum(x, window // 2)
+        assert got.flags.c_contiguous and got.shape == dims
+        assert got.tobytes() == expression_box_sum(x, window // 2).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dims=_SMALL_DIMS, window=_WINDOWS, order=st.sampled_from("CF"), seed=st.integers(0, 2**32 - 1))
+    def test_ncc_and_adjoint_match_their_expression_forms(self, dims, window, order, seed):
+        rng = np.random.default_rng(seed)
+        fdata = np.asarray(rng.standard_normal(dims) * 3.0 + 1.0, order=order)
+        w = np.asarray(rng.standard_normal(dims), order=order)
+        before = w.copy()
+        terms = metrics._LnccTerms(fdata, window)
+        for got, want in zip(terms._ncc(w), expression_ncc(terms, w), strict=True):
+            assert got.tobytes() == want.tobytes()
+        value, dw = terms.value_and_adjoint(w)
+        want_value, want_dw = expression_value_and_adjoint(terms, w)
+        assert value == want_value and dw.tobytes() == want_dw.tobytes()
+        assert w.tobytes() == before.tobytes()
 
 
 # --- evaluate_pair -----------------------------------------------------------

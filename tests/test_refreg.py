@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regeval import errors, refreg
 from regeval.metrics import evaluate_pair, ndv
@@ -7,6 +9,8 @@ from regeval.refreg import RegConfig, loss_and_grad, register
 from regeval.synth import PhantomSpec, Svf, make_phantom, make_pair, make_velocity
 from regeval.volio import AffineHeader, DisplacementField, Volume
 from regeval.warp import VelocityField, exp_svf
+
+from conftest import expression_diffusion_value, traced_peak
 
 
 def random_pair(rng, dims):
@@ -105,6 +109,21 @@ class TestDiffusion:
         grad = np.zeros_like(u)
         assert refreg._diffusion_value(u, grad) == np_diff_diffusion_value(u)
         assert grad.tobytes() == np_diff_diffusion_grad(u).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(1, 9)] * 3),
+        order=st.sampled_from("CF"),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_squares_match_the_expression_form(self, dims, order, seed):
+        u = np.asarray(np.random.default_rng(seed).standard_normal(dims + (3,)), order=order)
+        before = u.copy()
+        assert refreg._diffusion_value(u) == expression_diffusion_value(u)
+        grad, want = np.zeros_like(u), np.zeros_like(u)
+        assert refreg._diffusion_value(u, grad) == expression_diffusion_value(u, want)
+        assert grad.tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
 
     def test_loss_and_grad_adds_lambda_times_diffusion_terms(self, rng):
         dims = (10, 9, 8)
@@ -245,6 +264,25 @@ class TestStops:
         state, losses, u = refreg._optimize_level(f.data, m.data, np.zeros((8, 8, 8, 3)), 5, cfg)
         assert losses == [] and not np.any(state) and not np.any(u)
         assert calls == [False] + [True] * 30  # the initial loss, then 30 halvings
+
+    def test_failed_line_search_returns_the_field_of_the_state(self, rng, monkeypatch):
+        # a trial holds no field but its own, so after a failed line search
+        # the field of the kept state is computed again
+        f, m = random_pair(rng, (8, 8, 8))
+        loss_and_grad = refreg._loss_and_grad
+        calls = []
+
+        def only_the_start_is_finite(terms, mdata, u, lam):
+            calls.append(u)
+            loss, grad = loss_and_grad(terms, mdata, u, lam)
+            return (loss, grad) if len(calls) == 1 else (np.inf, grad)
+
+        monkeypatch.setattr(refreg, "_loss_and_grad", only_the_start_is_finite)
+        cfg = RegConfig(iters_per_level=(5,), lncc_window=3, parameterization="svf")
+        start = rng.uniform(-0.5, 0.5, size=(8, 8, 8, 3))
+        state, losses, u = refreg._optimize_level(f.data, m.data, start, 5, cfg)
+        assert losses == [] and state is start and len(calls) == 31
+        assert u.tobytes() == refreg._to_field(start, cfg).tobytes() == calls[0].tobytes()
 
     def test_zero_sigma_skips_the_update_smoothing(self, small_pair, monkeypatch, rng):
         g = rng.standard_normal((4, 4, 4, 3))
@@ -407,3 +445,16 @@ class TestConfigValidation:
     def test_bad_parameterization(self):
         with pytest.raises(ValueError):
             RegConfig(parameterization="affine")
+
+
+def test_one_evaluation_at_64_cubed_holds_at_most_eleven_volumes(rng):
+    # above its inputs: the warped image, its gradient and the LNCC
+    # adjoint's terms, formed in place (the expression forms held 14.08)
+    dims = (64, 64, 64)
+    terms = refreg._LnccTerms(rng.standard_normal(dims), 9)
+    mdata = rng.standard_normal(dims)
+    u = rng.uniform(-1.0, 1.0, size=dims + (3,))
+    want = refreg._loss_and_grad(terms, mdata, u, 1.0)  # also fills the grid cache
+    got, peak = traced_peak(lambda: refreg._loss_and_grad(terms, mdata, u, 1.0))
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    assert peak / (np.prod(dims) * 8) < 11.0

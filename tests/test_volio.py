@@ -18,7 +18,7 @@ from regeval import errors, volio
 from regeval.synth import PhantomSpec, make_phantom
 from regeval.volio import AffineHeader, DisplacementField, Volume
 
-from conftest import craft_nifti
+from conftest import craft_nifti, traced_peak
 
 
 def write_and_read(tmp_path, blob: bytes):
@@ -52,12 +52,13 @@ class TestReadNifti:
         little = write_and_read(tmp_path, craft_nifti(data, datatype, dim, spacing=spacing))
         big_blob = craft_nifti(data, datatype, dim, spacing=spacing, order=">")
         assert struct.unpack_from(">i", big_blob, 0) == (348,)
-        big = write_and_read(tmp_path, big_blob)
-        assert type(big) is type(little)
-        assert big.header.dims == little.header.dims == shape[:3]
-        assert big.header.spacing == little.header.spacing == spacing
-        assert big.data.dtype == little.data.dtype and big.data.dtype.isnative
-        assert big.data.tobytes() == little.data.tobytes()
+        for blob in (big_blob, gzip.compress(big_blob)):
+            big = write_and_read(tmp_path, blob)
+            assert type(big) is type(little)
+            assert big.header.dims == little.header.dims == shape[:3]
+            assert big.header.spacing == little.header.spacing == spacing
+            assert big.data.dtype == little.data.dtype and big.data.dtype.isnative
+            assert big.data.tobytes() == little.data.tobytes()
 
     def test_gzip_round_trip_identical(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
@@ -129,6 +130,52 @@ class TestReadNifti:
         blob = craft_nifti(data, datatype=16, dim=(3, 2, 2, 2, 1, 1, 1, 1), spacing=(0.5, 2.0, 3.0))
         vol = write_and_read(tmp_path, blob)
         assert vol.spacing == (0.5, 2.0, 3.0)
+
+
+class TestOnePayloadCopy:
+    """The reader lands each payload once: read into (or inflated into) one
+    writable array, gzip members and checks as in ``gzip.decompress``."""
+
+    FIELD_DIM = (5, 4, 3, 2, 1, 3, 1, 1)
+
+    def field_blob(self, rng, order="<"):
+        return craft_nifti(rng.standard_normal((4, 3, 2, 1, 3)), 64, self.FIELD_DIM, order=order)
+
+    @pytest.mark.parametrize("padding", [b"", b"\0" * 5])
+    @pytest.mark.parametrize("split", [100, 348, 400])  # in the header, at its end, in the payload
+    def test_multi_member_gzip_reads_as_its_single_member_form(self, tmp_path, rng, split, padding):
+        blob = self.field_blob(rng)
+        single, multi = tmp_path / "single.nii.gz", tmp_path / "multi.nii.gz"
+        single.write_bytes(gzip.compress(blob))
+        multi.write_bytes(gzip.compress(blob[:split]) + padding + gzip.compress(blob[split:]))
+        want, got = volio.read_field(single), volio.read_field(multi)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.header.affine, want.header.affine)
+
+    @pytest.mark.parametrize("zipped", [False, True])
+    @pytest.mark.parametrize("order", ["<", ">"])
+    @pytest.mark.parametrize("datatype", [2, 4, 16, 64])
+    def test_arrays_are_writable_and_own_no_bytes(self, tmp_path, rng, zipped, order, datatype):
+        if datatype == 64:
+            blob = self.field_blob(rng, order)
+        else:
+            blob = craft_nifti(rng.integers(0, 9, size=(3, 4, 5)), datatype, (3, 3, 4, 5, 1, 1, 1, 1), order=order)
+        path = tmp_path / "x.nii"
+        path.write_bytes(gzip.compress(blob) if zipped else blob)
+        arr = volio.read_nifti(path).data
+        assert arr.flags.writeable
+        while arr is not None:
+            assert not isinstance(arr, (bytes, bytearray, memoryview))
+            arr = getattr(arr, "base", None)
+
+    def test_gzip_field_read_peaks_below_payload_plus_2_mib(self, tmp_path, rng):
+        dims = (64, 64, 64)
+        path = tmp_path / "field.nii.gz"
+        field = DisplacementField(AffineHeader.isotropic(dims), rng.standard_normal(dims + (3,)))
+        volio.write_nifti(field, path, use_gzip=True)
+        back, peak = traced_peak(lambda: volio.read_field(path))
+        assert back.data.tobytes() == field.data.tobytes()
+        assert peak < field.data.nbytes + 2 * 2**20
 
 
 class TestReadErrors:
