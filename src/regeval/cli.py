@@ -154,15 +154,6 @@ def worker_count(requested: int, n_jobs: int) -> int:
     return min(requested, n_jobs, cpu_count())
 
 
-def _load_kdtree() -> None:
-    """Load HD95's KD-tree module (``scipy.spatial``) ahead of the jobs, so
-    that bench does not time the import and eval workers inherit it instead
-    of each importing it.  They inherit it only under the ``fork`` start
-    method, the default on Linux before Python 3.14; under ``forkserver``
-    or ``spawn`` each worker imports it on its first HD95."""
-    import scipy.spatial  # noqa: F401
-
-
 def cmd_eval(args) -> int:
     """Evaluate every manifest job; one JSON report per job, errors.json
     (written last) for failures and jobs lost with a dead worker.  Workers
@@ -190,7 +181,6 @@ def cmd_eval(args) -> int:
         for task in tasks:
             record(_eval_task(task))
     else:
-        _load_kdtree()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # at most `workers` tasks submitted and not recorded: a failed write leaves none queued
             pending = [pool.submit(_eval_task, task) for task in tasks[:workers]]
@@ -415,7 +405,7 @@ def bench_job(job: Job, repeats: int = 10, units: str = "voxel") -> dict:
     """Wall-clock samples of the full job: file reads, evaluation, report
     write.  Matches the runtime protocol of timing on CPU including I/O."""
     samples = []
-    _load_kdtree()
+    import scipy.spatial  # noqa: F401  (HD95's fallback KD-trees: no timed job imports them)
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()

@@ -5,7 +5,9 @@ Conventions fixed here (the evaluation protocol leaves them open):
 
 * HD95 combines directions as max(p95(A to B), p95(B to A)); boundaries use
   6-connectivity with the grid edge counting as a differing neighbor;
-  distances run between voxel centers, scaled by spacing.
+  distances run between voxel centers, scaled by spacing.  Nearest
+  distances come from probing the voxels around each point, and from
+  KD-trees for the points left far; both give a KD-tree query's bits.
 * Empty-structure policy: both sets empty -> Missing (None, excluded from
   means); exactly one empty -> DSC 0 and HD95 penalty equal to the image
   diagonal in mm.
@@ -16,6 +18,7 @@ Conventions fixed here (the evaluation protocol leaves them open):
 """
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -177,33 +180,89 @@ def _diagonal_mm(dims, spacing) -> float:
 _TREE = dict(balanced_tree=False, compact_nodes=False)
 
 
-def _hd95_from_coords(fixed: FixedSide, label: int, flat_b: np.ndarray) -> float:
-    # imported here so that commands without HD95 (rank, correlate, ic)
-    # never load scipy; eval loads it once before its workers fork
-    from scipy.spatial import cKDTree
-
-    flat_a, pa = fixed.boundary[label], fixed.boundary_mm[label]
-    pb = _points_mm(flat_b, fixed.seg)
-    # a voxel on both boundaries is at distance exactly 0, as a query would
-    # return; only the others are queried
-    a_off_b = ~np.isin(flat_a, flat_b, assume_unique=True)
-    b_off_a = ~np.isin(flat_b, flat_a, assume_unique=True)
-    workers = _query_workers()
-    d_ab = np.zeros(flat_a.size)
-    if a_off_b.any():
-        d_ab[a_off_b] = cKDTree(pb, **_TREE).query(pa[a_off_b], workers=workers)[0]
-    d_ba = np.zeros(flat_b.size)
-    if b_off_a.any():
-        d_ba[b_off_a] = fixed.tree(label).query(pb[b_off_a], workers=workers)[0]
-    return max(percentile(d_ab, 95.0), percentile(d_ba, 95.0))
-
-
 def _query_workers() -> int:
-    """KD-tree query threads: one inside a worker process of a pool (eval's
-    pool already runs one worker per CPU, so more threads only contend),
-    every CPU in a lone process (``eval --jobs 1``, ``bench``).  The
-    distances do not depend on it."""
+    """Query threads of the KD-trees that take the points HD95's probe
+    leaves: one inside a worker of a pool (eval's pool already runs one
+    worker per CPU, so more threads only contend), every CPU in a lone
+    process (``eval --jobs 1``, ``bench``).  Distances do not depend on it."""
     return 1 if multiprocessing.parent_process() is not None else -1
+
+
+def _padded(flat: np.ndarray, dims) -> np.ndarray:
+    """Flat indices into the grid padded by one voxel on each side."""
+    q = flat // dims[2]
+    i = q // dims[1]
+    return flat + i * (2 * dims[1] + 2 * dims[2] + 4) + 2 * (q - i * dims[1]) + (dims[1] + 3) * (dims[2] + 2) + 1
+
+
+def _stages(spacing: tuple):
+    """(offsets, bound) per probe stage: the 3x3x3 box's offsets by length,
+    then the rings at Chebyshev radius 2, 3, ...; ``bound`` is the least
+    length of an offset not probed by the end of the stage."""
+    g = np.arange(-1, 2)
+    box = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    length = np.sqrt(np.sum((box * np.asarray(spacing)) ** 2, axis=1))
+    order = np.argsort(length, kind="stable")[1:]  # the center is checked first, apart
+    box, length = box[order], length[order]
+    cuts = np.flatnonzero(np.diff(length) > 1e-6 * length[1:]) + 1
+    for offsets, beyond in zip(np.split(box, cuts), [*length[cuts], np.inf]):
+        yield offsets, min(beyond, 2 * min(spacing))
+    for r in itertools.count(2):
+        full, inner, ends = np.arange(-r, r + 1), np.arange(1 - r, r), [-r, r]
+        faces = ((ends, full, full), (inner, ends, full), (inner, inner, ends))
+        ring = [np.stack(np.meshgrid(*f, indexing="ij"), axis=-1).reshape(-1, 3) for f in faces]
+        yield np.concatenate(ring), (r + 1) * min(spacing)
+
+
+def _probe(best, ijk, lab, pmap, mm, offsets) -> None:
+    """Lower ``best`` to the distance from each point (padded voxel indices
+    ``ijk``, label index ``lab``) to each voxel of its label at ``offsets``,
+    formed as cKDTree forms it: differences, squared, summed, square root."""
+    step = max(1, (1 << 18) // len(offsets))  # (point, offset) pairs gathered at once
+    for lo in range(0, len(lab), step):
+        p = [c[lo : lo + step, None] for c in ijk]
+        q = [c + o for c, o in zip(p, offsets.T)]
+        # a neighbour off the grid is clipped into the padding, which holds -1
+        hit = pmap.ravel()[np.ravel_multi_index(q, pmap.shape, mode="clip")] == lab[lo : lo + step, None]
+        rows, cols = hit.nonzero()
+        sq = 0.0
+        for ax in range(3):
+            d = mm[ax][p[ax][rows, 0]] - mm[ax][q[ax][rows, cols]]
+            sq = sq + d * d
+        np.minimum.at(best, lo + rows, np.sqrt(sq))
+
+
+def _directed(side: FixedSide, other: FixedSide, labels: list[int]) -> list[np.ndarray]:
+    """Per label, the distance in mm from each of ``side``'s boundary voxels
+    to the nearest of ``other``'s with that label, with a cKDTree query's bits.
+
+    A voxel on both boundaries is at 0.  The others probe the box, then the
+    rings, while the gathers so far stay within 27 per voxel resolved.  A
+    voxel is resolved once its best distance is below the stage's bound
+    less a margin far above any rounding; ``other``'s KD-trees take the rest."""
+    sizes = [side.boundary[l].size for l in labels]
+    pos = np.concatenate([side.boundary_pos[l] for l in labels])
+    idx = np.repeat([side.label_index[l] for l in labels], sizes)
+    pmap, sp = other.boundary_map, np.asarray(other.seg.spacing)
+    out = np.zeros(len(pos))
+    todo = np.flatnonzero(pmap.ravel()[pos] != idx)
+    lab, best = idx[todo], np.full(todo.size, np.inf)
+    ijk = np.unravel_index(pos[todo], pmap.shape)
+    mm = [np.arange(-1, n + 1) * sp[ax : ax + 1] for ax, n in enumerate(other.seg.dims)]  # as _points_mm
+    spent = len(pos)
+    for offsets, bound in _stages(other.seg.spacing):
+        spent += todo.size * len(offsets)
+        if not todo.size or spent > 27 * (len(pos) - todo.size):
+            break
+        _probe(best, ijk, lab, pmap, mm, offsets)
+        done = best < bound * (1.0 - 1e-9)
+        out[todo[done]] = best[done]
+        todo, lab, best, *ijk = (x[~done] for x in (todo, lab, best, *ijk))
+    far_mm = (np.stack(ijk, axis=1) - 1) * sp
+    for li in np.unique(lab):
+        far = lab == li
+        out[todo[far]] = other.tree(other.labels[li]).query(far_mm[far], workers=_query_workers())[0]
+    return np.split(out, np.cumsum(sizes)[:-1])
 
 
 def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
@@ -219,18 +278,17 @@ def hd95(fixed_labels: Volume, warped_labels: Volume, label: int, spacing=None):
 
 
 def _hd95_many(fixed: FixedSide, warped_labels: Volume):
-    """hd95 for each of the FixedSide's labels, with the warped boundary
-    extraction shared across labels."""
-    wb = _boundary_by_label(warped_labels.data, set(fixed.labels))
+    """hd95 for each of the FixedSide's labels; the warped labels get a
+    FixedSide of their own, and each direction probes all labels at once."""
+    warped = FixedSide(replace(warped_labels, header=fixed.seg.header), fixed.labels)
+    both = [lab for lab in fixed.labels if lab in fixed.boundary and lab in warped.boundary]
     out: dict[int, float | None] = {}
     for lab in fixed.labels:
-        in_f, in_w = lab in fixed.boundary, lab in wb
-        if not in_f and not in_w:
-            out[lab] = None
-        elif in_f != in_w:
-            out[lab] = _diagonal_mm(fixed.seg.dims, fixed.seg.spacing)
-        else:
-            out[lab] = _hd95_from_coords(fixed, lab, wb[lab])
+        one_sided = lab not in both and (lab in fixed.boundary or lab in warped.boundary)
+        out[lab] = _diagonal_mm(fixed.seg.dims, fixed.seg.spacing) if one_sided else None
+    if both:
+        for lab, a, b in zip(both, _directed(fixed, warped, both), _directed(warped, fixed, both)):
+            out[lab] = max(percentile(a, 95.0), percentile(b, 95.0))
     return out
 
 
@@ -508,12 +566,12 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
 
 class FixedSide:
     """What evaluating a pair derives from the fixed segmentation and the
-    NDV mask alone: the label list, HD95's boundary sets and KD-trees, and
-    the NDV cells.
+    NDV mask alone: the label list, HD95's boundary sets, map and KD-trees
+    (HD95 builds these for the warped labels too), and the NDV cells.
 
     ``labels`` defaults to the sorted nonzero labels of ``seg``; ``mask``
     (for NDV) defaults to the union of those labels.  The boundary sets,
-    trees and NDV cells are built on first use and then kept, so one
+    map, trees and NDV cells are built on first use and then kept, so one
     FixedSide serves every field evaluated against the same pair.
     """
 
@@ -527,6 +585,7 @@ class FixedSide:
         if labels is None:
             labels = [int(l) for l in np.unique(seg.data) if l != 0]
         self.labels = [int(l) for l in labels]
+        self.label_index = {l: i for i, l in enumerate(self.labels)}
         self._mask = mask
         self._trees: dict = {}
 
@@ -537,16 +596,27 @@ class FixedSide:
         return _boundary_by_label(self.seg.data, set(self.labels))
 
     @cached_property
-    def boundary_mm(self) -> dict[int, np.ndarray]:
-        """Label -> its boundary voxels as points in mm."""
-        return {l: _points_mm(f, self.seg) for l, f in self.boundary.items()}
+    def boundary_pos(self) -> dict[int, np.ndarray]:
+        """Label -> its boundary voxels as flat indices into the grid padded
+        by one voxel on each side."""
+        return {l: _padded(f, self.seg.dims) for l, f in self.boundary.items()}
+
+    @cached_property
+    def boundary_map(self) -> np.ndarray:
+        """The padded grid that HD95 probes: each boundary voxel holds its
+        label's index in ``labels``, every other voxel -1."""
+        pmap = np.full(tuple(n + 2 for n in self.seg.dims), -1, np.min_scalar_type(-1 - len(self.labels)))
+        for label, pos in self.boundary_pos.items():
+            pmap.ravel()[pos] = self.label_index[label]
+        return pmap
 
     def tree(self, label: int):
-        """The KD-tree of a label's boundary points, built on its first query."""
+        """The KD-tree of a label's boundary points, built when the probe first leaves one."""
         if label not in self._trees:
+            # imported here: an eval whose points all resolve never loads scipy
             from scipy.spatial import cKDTree
 
-            self._trees[label] = cKDTree(self.boundary_mm[label], **_TREE)
+            self._trees[label] = cKDTree(_points_mm(self.boundary[label], self.seg), **_TREE)
         return self._trees[label]
 
     @cached_property

@@ -285,13 +285,16 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=N
     schedule = cfg.iters_per_level if init is None else cfg.iters_per_level[-1:]
     f_pyr = _pyramid(fdata, len(schedule))
     m_pyr = _pyramid(mdata, len(schedule))
-    state = None  # the coarser level's result
+    coarser = [None]  # the coarser level's state, popped so that only _level_start holds it
     trace: list[list[float]] = []
     for level, iters in enumerate(schedule):
+        u = None  # the coarser level's field is not read again
         # a level's start goes in unnamed, so its first accepted step frees it
         state, losses, u = _optimize_level(
-            f_pyr[level], m_pyr[level], _level_start(state, init, f_pyr[level].shape), iters, cfg
+            f_pyr[level], m_pyr[level], _level_start(coarser.pop(), init, f_pyr[level].shape), iters, cfg
         )
+        coarser.append(state)
+        del state
         trace.append(losses)
 
     return DisplacementField(header=fixed.header, data=u), trace

@@ -82,7 +82,10 @@ class TestEval:
                 monkeypatch.setattr(metrics, "warp_labels", whole_array_warp_labels)
                 monkeypatch.setattr(metrics, "sample_trilinear", padded_sample_trilinear)
                 monkeypatch.setattr(metrics, "_folded_volume_cells", per_slab_folded_volume_cells)
-                monkeypatch.setattr(metrics, "_TREE", {})  # balanced, compact KD-trees
+                # HD95 without probing: every point off the other boundary
+                # goes to balanced, compact KD-trees
+                monkeypatch.setattr(metrics, "_stages", lambda spacing: iter(()))
+                monkeypatch.setattr(metrics, "_TREE", {})
             out = tmp_path / kernels
             assert cli.main(["--jobs", "1", "--out", str(out), "eval", str(root / "manifest.csv")]) == 0
             runs.append(read_dir_bytes(out))
@@ -108,6 +111,36 @@ class TestEval:
             == 0
         )
         assert read_dir_bytes(out1) == read_dir_bytes(out2)
+
+    def test_jobs_falling_back_to_kdtrees_give_the_same_bytes(self, cohort, tmp_path, monkeypatch):
+        # a 6-voxel translation leaves most HD95 points beyond the probe's
+        # budget: the KD-trees answer them, in the parent at --jobs 1 and in
+        # the workers (one query thread each) at --jobs 2
+        import shutil
+
+        from regeval import metrics
+        from regeval.synth import Translation, make_field
+
+        root = tmp_path / "cohort"
+        shutil.copytree(cohort, root)
+        shift, _ = make_field(Translation((6.0, 0.0, 0.0)), (20, 20, 20))
+        write_nifti(shift, root / "fields" / "shift.nii")
+        header, *rows = (root / "manifest.csv").read_text().splitlines()
+        far = [row.split(",") for row in rows if row.startswith("truth,")]
+        for cells in far:
+            cells[0], cells[4] = "shift", "fields/shift.nii"  # method, field
+        (root / "far.csv").write_text("\n".join([header] + [",".join(c) for c in far]) + "\n")
+        built = []
+        tree = metrics.FixedSide.tree
+        monkeypatch.setattr(metrics.FixedSide, "tree", lambda side, label: built.append(label) or tree(side, label))
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["--jobs", jobs, "--out", str(out), "eval", str(root / "far.csv")]) == 0
+            runs.append(read_dir_bytes(out))
+        assert built  # the fallback ran at --jobs 1
+        assert len(runs[0]) == 4  # three reports and errors.json
+        assert runs[0] == runs[1]
 
     def test_missing_file_recorded_without_aborting(self, cohort, tmp_path):
         manifest = tmp_path / "broken.csv"
@@ -482,14 +515,18 @@ class TestStartupImports:
         code = f"import sys, regeval, regeval.cli, regeval.refreg; print({SCIPY_MODULES})"
         assert run_fresh(code) == "[]"
 
-    @pytest.mark.parametrize("command", ["rank", "correlate", "ic"])
-    def test_numpy_only_commands_load_no_scipy(self, tmp_path, command):
+    @pytest.mark.parametrize("command", ["rank", "correlate", "ic", "eval"])
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path, command, cohort):
+        # eval: every HD95 point of the cohort resolves by probing, so no
+        # KD-tree is built and scipy.spatial is never imported
         reports = tmp_path / "reports"
         TestRank().synth_reports(reports, ["a", "b", "c"], n_cases=6)
         if command == "rank":
             argv = ["--out", str(tmp_path / "rank"), "rank", str(reports)]
         elif command == "correlate":
             argv = ["--out", str(tmp_path / "corr.csv"), "correlate", str(reports), "dsc", "tre"]
+        elif command == "eval":
+            argv = ["--jobs", "1", "--out", str(tmp_path / "eval"), "eval", str(cohort / "manifest.csv")]
         else:
             zero = DisplacementField.zero(AffineHeader.isotropic((4, 4, 4)))
             write_nifti(zero, tmp_path / "f.nii")
@@ -502,9 +539,10 @@ class TestStartupImports:
         )
         assert run_fresh(code, *argv).splitlines()[-1] == "[]"
 
-    def test_eval_loads_kdtree_before_its_pool_starts(self, cohort, tmp_path):
+    def test_eval_starts_its_pool_without_scipy(self, cohort, tmp_path):
         # a stand-in pool notes what is loaded when it is built (forked
-        # workers inherit exactly that) and then runs the jobs in-process
+        # workers inherit exactly that) and then runs the jobs in-process;
+        # only a worker whose HD95 falls back to a KD-tree imports scipy
         code = """
 import sys
 from concurrent.futures import Future
@@ -514,7 +552,7 @@ seen = []
 
 class StandInPool:
     def __init__(self, max_workers):
-        seen.append((max_workers, "scipy.spatial" in sys.modules))
+        seen.append((max_workers, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)))
 
     def __enter__(self):
         return self
@@ -533,7 +571,7 @@ assert cli.main(sys.argv[1:]) == 0
 print(seen)
 """
         argv = ["--jobs", "2", "--out", str(tmp_path / "reports"), "eval", str(cohort / "manifest.csv")]
-        assert run_fresh(code, *argv) == "[(2, True)]"
+        assert run_fresh(code, *argv) == "[(2, False)]"
 
     def test_bench_times_no_import(self, cohort):
         # every timed job, the first included, starts with the KD-tree loaded

@@ -77,6 +77,17 @@ def hd95_oracle(a: np.ndarray, b: np.ndarray, label: int, spacing):
     return max(percentile_oracle(d_ab, 95.0), percentile_oracle(d_ba, 95.0))
 
 
+def kdtree_hd95(a: np.ndarray, b: np.ndarray, label: int, spacing) -> float:
+    """hd95 from querying every boundary point through cKDTree, both ways."""
+    from scipy.spatial import cKDTree
+
+    from regeval.stats import percentile
+
+    pa = np.argwhere(boundary_oracle(a == label)) * np.asarray(spacing)
+    pb = np.argwhere(boundary_oracle(b == label)) * np.asarray(spacing)
+    return max(percentile(cKDTree(pb).query(pa)[0], 95.0), percentile(cKDTree(pa).query(pb)[0], 95.0))
+
+
 def lncc_oracle(a: np.ndarray, b: np.ndarray, window: int, eps: float = 1e-5) -> float:
     r = window // 2
     dims = a.shape
@@ -184,7 +195,7 @@ class TestHd95:
         assert set(side.boundary) == {l for l, mask in expected.items() if mask.any()}
         for l, flat in side.boundary.items():
             assert np.array_equal(flat, np.flatnonzero(expected[l]))
-            assert np.array_equal(side.boundary_mm[l], np.argwhere(expected[l]) * np.asarray(spacing))
+            assert np.array_equal(metrics._points_mm(flat, side.seg), np.argwhere(expected[l]) * np.asarray(spacing))
 
     def test_identical_shapes_zero(self):
         data = np.zeros((8, 8, 8), dtype=np.int16)
@@ -271,6 +282,57 @@ class TestHd95:
                 percentile(cKDTree(pa).query(pb)[0], 95.0),
             )
             assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.tuples(*[st.integers(3, 16)] * 3),
+        shift=st.integers(0, 12),
+        axis=st.integers(0, 2),
+        spacing=st.sampled_from([(0.7, 1.3, 0.9375), (1.3, 0.9375, 0.7), (1.0, 1.0, 1.0)]),
+    )
+    def test_probe_and_fallback_equal_querying_every_point_bit_for_bit(
+        self, seed, dims, shift, axis, spacing
+    ):
+        # balls that may cross the grid edge, one-voxel labels, label values
+        # above int16, and a copy rolled by up to 12 voxels: past the 3x3x3
+        # box and the probe's budget, so the KD-tree fallback runs too
+        rng = np.random.default_rng(seed)
+        grid = np.indices(dims)
+        a = np.zeros(dims, dtype=np.int32)
+        for value in (1, 40_000, 70_000):
+            center = rng.uniform(-2.0, np.asarray(dims) + 1.0)
+            radius = rng.uniform(0.5, 5.0)
+            a[np.sum((grid - center[:, None, None, None]) ** 2, axis=0) <= radius**2] = value
+        b = np.roll(a, shift, axis=axis)
+        for vol, value in ((a, 5), (b, 5), (a, 33_000), (b, 33_000)):
+            vol[tuple(rng.integers(0, dims))] = value
+        labels = [1, 5, 33_000, 40_000, 70_000]
+        header = AffineHeader(dims=dims, spacing=spacing, affine=np.diag(spacing + (1.0,)))
+        fixed = metrics.FixedSide(Volume(header=header, kind="label", data=a), labels)
+        got = metrics._hd95_many(fixed, Volume(header=header, kind="label", data=b))
+        assert list(got) == labels
+        for label in labels:
+            in_a, in_b = (a == label).any(), (b == label).any()
+            if not in_a and not in_b:
+                assert got[label] is None
+            elif in_a != in_b:
+                assert got[label] == metrics._diagonal_mm(dims, spacing)
+            else:
+                assert got[label] == kdtree_hd95(a, b, label, spacing)
+
+    def test_far_points_fall_back_to_the_trees(self, monkeypatch):
+        # a ball rolled 6 voxels: most points lie beyond the box, and the
+        # rings would cost more than the budget, so the trees answer them
+        built = []
+        tree = metrics.FixedSide.tree
+        monkeypatch.setattr(metrics.FixedSide, "tree", lambda side, label: built.append(label) or tree(side, label))
+        grid = np.indices((20, 20, 20))
+        a = (np.sum((grid - 9.5) ** 2, axis=0) <= 5.0**2).astype(np.int16)
+        b = np.roll(a, 6, axis=0)
+        spacing = (0.7, 1.3, 0.9375)
+        assert hd95(label_volume(a), label_volume(b), 1, spacing=spacing) == kdtree_hd95(a, b, 1, spacing)
+        assert len(built) == 2  # one tree per direction
 
     def test_query_threads_one_per_pool_worker_and_same_distance(self, rng):
         # a lone process queries on every CPU; a pool worker, whose siblings

@@ -458,3 +458,28 @@ def test_one_evaluation_at_64_cubed_holds_at_most_eleven_volumes(rng):
     got, peak = traced_peak(lambda: refreg._loss_and_grad(terms, mdata, u, 1.0))
     assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
     assert peak / (np.prod(dims) * 8) < 11.0
+
+
+def test_a_finer_level_holds_no_coarser_state_or_field(small_pair, monkeypatch):
+    # _level_start alone reads the coarser level's state: while the finer
+    # level runs, neither that state nor its field is held any more
+    import tracemalloc
+
+    fixed, moving, cfg = small_pair.fixed_image, small_pair.moving_image, RegConfig(iters_per_level=(2, 2))
+    register(fixed, moving, cfg)  # fills the identity-grid caches before tracing starts
+    coarse = 12**3 * 3 * 8  # bytes of one 12^3 vector field
+    held = []
+    loss_and_grad = refreg._loss_and_grad
+
+    def noting(terms, mdata, u, lam):
+        if u.shape[0] == 24:
+            held.append(sum(t.size == coarse for t in tracemalloc.take_snapshot().traces))
+        return loss_and_grad(terms, mdata, u, lam)
+
+    monkeypatch.setattr(refreg, "_loss_and_grad", noting)
+    tracemalloc.start()
+    try:
+        register(fixed, moving, cfg)
+    finally:
+        tracemalloc.stop()
+    assert held and max(held) == 0

@@ -325,6 +325,60 @@ def test_read_nifti_on_mutated_header_succeeds_or_raises_regeval_error(base, mut
     assert np.all(np.isfinite(obj.data))
 
 
+def _read_outcome(path):
+    """read_nifti's array (with its header and class), or its error class."""
+    try:
+        obj = volio.read_nifti(path)
+    except errors.RegEvalError as exc:
+        return type(exc)
+    return type(obj), obj.header.dims, obj.header.spacing, obj.data.dtype, obj.data.tobytes()
+
+
+# two gzip members, split inside the payload and NUL-padded, after the
+# single-member form: header, deflate stream, trailer and padding
+_GZ_PAYLOAD = craft_nifti(np.linspace(-3, 3, 60).reshape((3, 4, 5)), 16, (3, 3, 4, 5, 1, 1, 1, 1))
+_GZ_BASES = (
+    gzip.compress(_GZ_PAYLOAD, mtime=0),
+    gzip.compress(_GZ_PAYLOAD[:400], mtime=0) + b"\0" * 3 + gzip.compress(_GZ_PAYLOAD[400:], mtime=0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(_GZ_BASES),
+    st.lists(
+        st.tuples(st.sampled_from(["flip", "drop", "truncate"]), st.integers(0, 10**4), st.integers(1, 255)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_read_nifti_on_mutated_gzip_gives_the_decompressed_file_or_a_regeval_error(base, mutations):
+    blob = bytearray(base)
+    for kind, at, mask in mutations:
+        at %= len(blob) + 1
+        if kind == "flip" and at < len(blob):
+            blob[at] ^= mask
+        elif kind == "drop":
+            del blob[at : at + 1]
+        elif kind == "truncate":
+            del blob[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.nii.gz"
+        path.write_bytes(bytes(blob))
+        got = _read_outcome(path)  # any other exception fails the test
+        try:
+            raw = gzip.decompress(bytes(blob))
+        except Exception:  # not gzip, or a broken stream: only an error will do
+            assert isinstance(got, type) and issubclass(got, errors.RegEvalError)
+            return
+        (Path(tmp) / "raw.nii").write_bytes(raw)
+        want = _read_outcome(Path(tmp) / "raw.nii")
+    # zlib checks flags and the header CRC that gzip.decompress skips, so a
+    # file both accept may still be an error here, but never another array
+    if not (isinstance(got, type) and issubclass(got, errors.RegEvalError)):
+        assert got == want
+
+
 class TestWriteNifti:
     @pytest.mark.parametrize(
         "np_dtype,kind",
