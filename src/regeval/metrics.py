@@ -135,9 +135,12 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
 # HD95
 
 
-def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarray]:
-    """Ascending flat indices of each wanted label's boundary voxels, from
-    one pass over the volume; a label without any is not a key.
+def _boundary_by_label(lab: np.ndarray, labels: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """HD95's boundary form, from one pass over ``lab`` in its own memory
+    order: the grid padded by one voxel on each side, where each boundary
+    voxel holds its label's index in ``labels`` and every other voxel -1,
+    and per index, that label's boundary voxels as flat indices into it (a
+    repeated label's sit at its last index; its other indices are empty).
 
     A voxel belongs to its label's boundary when any of its six neighbors
     carries a different label or lies beyond the grid edge.
@@ -157,18 +160,23 @@ def _boundary_by_label(lab: np.ndarray, wanted: set[int]) -> dict[int, np.ndarra
         edge[axis] = lab.shape[axis] - 1
         bnd[tuple(edge)] = True
 
-    flat_idx = np.flatnonzero(bnd.ravel())
-    labs_at = lab.ravel()[flat_idx].astype(np.int64)
-    out: dict[int, np.ndarray] = {}
-    for label in sorted(wanted):
-        at_label = flat_idx[labs_at == label]
-        if at_label.size:
-            out[label] = at_label
-    return out
-
-
-def _points_mm(flat: np.ndarray, vol: Volume) -> np.ndarray:
-    return np.stack(np.unravel_index(flat, vol.dims), axis=1) * np.asarray(vol.spacing)
+    order = "F" if lab.flags.f_contiguous else "C"  # other views are copied in C order
+    flat = np.flatnonzero(bnd.ravel(order))
+    at = lab.ravel(order)[flat].astype(np.int64)
+    n = lab.shape
+    pmap = np.full(tuple(k + 2 for k in n), -1, np.min_scalar_type(-1 - len(labels)))
+    # lab's axes from slowest to fastest in its order, and the padded grid's
+    # strides in elements (by hand: unravel_index and ravel_multi_index took twice as long)
+    a0, a1, a2 = (0, 1, 2) if order == "C" else (2, 1, 0)
+    step = [s // pmap.itemsize for s in pmap.strides]
+    pos = [np.zeros(0, np.intp)] * len(labels)
+    for label, i in {l: i for i, l in enumerate(labels)}.items():
+        f = flat[at == label]
+        q = f // n[a2]
+        s = q // n[a1]
+        pos[i] = s * step[a0] + (q - s * n[a1]) * step[a1] + (f - q * n[a2]) * step[a2] + sum(step)
+        pmap.ravel()[pos[i]] = i
+    return pmap, pos
 
 
 def _diagonal_mm(dims, spacing) -> float:
@@ -186,13 +194,6 @@ def _query_workers() -> int:
     worker per CPU, so more threads only contend), every CPU in a lone
     process (``eval --jobs 1``, ``bench``).  Distances do not depend on it."""
     return 1 if multiprocessing.parent_process() is not None else -1
-
-
-def _padded(flat: np.ndarray, dims) -> np.ndarray:
-    """Flat indices into the grid padded by one voxel on each side."""
-    q = flat // dims[2]
-    i = q // dims[1]
-    return flat + i * (2 * dims[1] + 2 * dims[2] + 4) + 2 * (q - i * dims[1]) + (dims[1] + 3) * (dims[2] + 2) + 1
 
 
 def _stages(spacing: tuple):
@@ -232,23 +233,25 @@ def _probe(best, ijk, lab, pmap, mm, offsets) -> None:
         np.minimum.at(best, lo + rows, np.sqrt(sq))
 
 
-def _directed(side: FixedSide, other: FixedSide, labels: list[int]) -> list[np.ndarray]:
-    """Per label, the distance in mm from each of ``side``'s boundary voxels
-    to the nearest of ``other``'s with that label, with a cKDTree query's bits.
+def _directed(side: FixedSide, other: FixedSide, indices: list[int]) -> list[np.ndarray]:
+    """Per label index, the distance in mm from each of ``side``'s boundary
+    voxels to the nearest of ``other``'s with that label, with a cKDTree
+    query's bits.
 
     A voxel on both boundaries is at 0.  The others probe the box, then the
     rings, while the gathers so far stay within 27 per voxel resolved.  A
     voxel is resolved once its best distance is below the stage's bound
     less a margin far above any rounding; ``other``'s KD-trees take the rest."""
-    sizes = [side.boundary[l].size for l in labels]
-    pos = np.concatenate([side.boundary_pos[l] for l in labels])
-    idx = np.repeat([side.label_index[l] for l in labels], sizes)
-    pmap, sp = other.boundary_map, np.asarray(other.seg.spacing)
+    side_pos = side.boundary[1]
+    sizes = [side_pos[i].size for i in indices]
+    pos = np.concatenate([side_pos[i] for i in indices])
+    idx = np.repeat(indices, sizes)
+    pmap, sp = other.boundary[0], np.asarray(other.seg.spacing)
     out = np.zeros(len(pos))
     todo = np.flatnonzero(pmap.ravel()[pos] != idx)
     lab, best = idx[todo], np.full(todo.size, np.inf)
     ijk = np.unravel_index(pos[todo], pmap.shape)
-    mm = [np.arange(-1, n + 1) * sp[ax : ax + 1] for ax, n in enumerate(other.seg.dims)]  # as _points_mm
+    mm = [np.arange(-1, n + 1) * sp[ax : ax + 1] for ax, n in enumerate(other.seg.dims)]  # as the trees' points
     spent = len(pos)
     for offsets, bound in _stages(other.seg.spacing):
         spent += todo.size * len(offsets)
@@ -261,7 +264,7 @@ def _directed(side: FixedSide, other: FixedSide, labels: list[int]) -> list[np.n
     far_mm = (np.stack(ijk, axis=1) - 1) * sp
     for li in np.unique(lab):
         far = lab == li
-        out[todo[far]] = other.tree(other.labels[li]).query(far_mm[far], workers=_query_workers())[0]
+        out[todo[far]] = other.tree(li).query(far_mm[far], workers=_query_workers())[0]
     return np.split(out, np.cumsum(sizes)[:-1])
 
 
@@ -281,14 +284,16 @@ def _hd95_many(fixed: FixedSide, warped_labels: Volume):
     """hd95 for each of the FixedSide's labels; the warped labels get a
     FixedSide of their own, and each direction probes all labels at once."""
     warped = FixedSide(replace(warped_labels, header=fixed.seg.header), fixed.labels)
-    both = [lab for lab in fixed.labels if lab in fixed.boundary and lab in warped.boundary]
     out: dict[int, float | None] = {}
-    for lab in fixed.labels:
-        one_sided = lab not in both and (lab in fixed.boundary or lab in warped.boundary)
-        out[lab] = _diagonal_mm(fixed.seg.dims, fixed.seg.spacing) if one_sided else None
+    both = []
+    # a repeated label's last index holds its voxels, and sets its value last
+    for i, (lab, f, w) in enumerate(zip(fixed.labels, fixed.boundary[1], warped.boundary[1])):
+        out[lab] = _diagonal_mm(fixed.seg.dims, fixed.seg.spacing) if bool(f.size) != bool(w.size) else None
+        if f.size and w.size:
+            both.append(i)
     if both:
-        for lab, a, b in zip(both, _directed(fixed, warped, both), _directed(warped, fixed, both)):
-            out[lab] = max(percentile(a, 95.0), percentile(b, 95.0))
+        for i, a, b in zip(both, _directed(fixed, warped, both), _directed(warped, fixed, both)):
+            out[fixed.labels[i]] = max(percentile(a, 95.0), percentile(b, 95.0))
     return out
 
 
@@ -566,12 +571,12 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
 
 class FixedSide:
     """What evaluating a pair derives from the fixed segmentation and the
-    NDV mask alone: the label list, HD95's boundary sets, map and KD-trees
-    (HD95 builds these for the warped labels too), and the NDV cells.
+    NDV mask alone: the label list, HD95's boundary map and KD-trees (HD95
+    builds these for the warped labels too), and the NDV cells.
 
     ``labels`` defaults to the sorted nonzero labels of ``seg``; ``mask``
-    (for NDV) defaults to the union of those labels.  The boundary sets,
-    map, trees and NDV cells are built on first use and then kept, so one
+    (for NDV) defaults to the union of those labels.  The boundary, trees
+    and NDV cells are built on first use and then kept, so one
     FixedSide serves every field evaluated against the same pair.
     """
 
@@ -585,39 +590,26 @@ class FixedSide:
         if labels is None:
             labels = [int(l) for l in np.unique(seg.data) if l != 0]
         self.labels = [int(l) for l in labels]
-        self.label_index = {l: i for i, l in enumerate(self.labels)}
         self._mask = mask
         self._trees: dict = {}
 
     @cached_property
-    def boundary(self) -> dict[int, np.ndarray]:
-        """Label -> ascending flat indices of its boundary voxels; a label
-        without any is not a key."""
-        return _boundary_by_label(self.seg.data, set(self.labels))
+    def boundary(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The padded boundary map and, per index into ``labels``, that
+        label's padded boundary positions (see ``_boundary_by_label``)."""
+        return _boundary_by_label(self.seg.data, self.labels)
 
-    @cached_property
-    def boundary_pos(self) -> dict[int, np.ndarray]:
-        """Label -> its boundary voxels as flat indices into the grid padded
-        by one voxel on each side."""
-        return {l: _padded(f, self.seg.dims) for l, f in self.boundary.items()}
-
-    @cached_property
-    def boundary_map(self) -> np.ndarray:
-        """The padded grid that HD95 probes: each boundary voxel holds its
-        label's index in ``labels``, every other voxel -1."""
-        pmap = np.full(tuple(n + 2 for n in self.seg.dims), -1, np.min_scalar_type(-1 - len(self.labels)))
-        for label, pos in self.boundary_pos.items():
-            pmap.ravel()[pos] = self.label_index[label]
-        return pmap
-
-    def tree(self, label: int):
-        """The KD-tree of a label's boundary points, built when the probe first leaves one."""
-        if label not in self._trees:
+    def tree(self, index: int):
+        """The KD-tree of ``labels[index]``'s boundary points in mm, built
+        when the probe first leaves one."""
+        if index not in self._trees:
             # imported here: an eval whose points all resolve never loads scipy
             from scipy.spatial import cKDTree
 
-            self._trees[label] = cKDTree(_points_mm(self.boundary[label], self.seg), **_TREE)
-        return self._trees[label]
+            pmap, pos = self.boundary
+            ijk = np.stack(np.unravel_index(pos[index], pmap.shape), axis=1) - 1
+            self._trees[index] = cKDTree(ijk * np.asarray(self.seg.spacing), **_TREE)
+        return self._trees[index]
 
     @cached_property
     def ndv_mask(self) -> NdvMask:

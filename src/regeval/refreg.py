@@ -40,10 +40,10 @@ STALL_TOL = 1e-5
 class RegConfig:
     """Optimizer settings.
 
-    ``iters_per_level`` runs coarsest first and has one entry per pyramid
-    level.  ``step_size`` is the initial update magnitude in voxels (the
-    raw gradient is rescaled once per level so the first step moves at most
-    this far).  ``update_smoothing_sigma`` Gaussian-smooths each update.
+    ``iters_per_level`` runs coarsest first and has one entry, >= 0, per
+    pyramid level.  ``step_size`` is the initial update magnitude in voxels
+    (the raw gradient is rescaled once per level so the first step moves at
+    most this far).  ``update_smoothing_sigma`` Gaussian-smooths each update.
     """
 
     iters_per_level: tuple[int, ...] = (100, 100, 50)
@@ -57,6 +57,8 @@ class RegConfig:
     def __post_init__(self):
         if not self.iters_per_level:
             raise ValueError("iters_per_level must have at least one entry")
+        if min(self.iters_per_level) < 0:
+            raise ValueError(f"iters_per_level entries must be >= 0, got {self.iters_per_level}")
         if not 0 < self.step_size < np.inf:  # NaN fails too
             raise ValueError("step_size must be positive and finite")
         if not 0 <= self.lambda_diffusion < np.inf:

@@ -49,8 +49,9 @@ class PhantomSpec:
     def resolved(self) -> tuple[np.ndarray, np.ndarray]:
         """Validated (center, semi_axes array of shape (K, 3))."""
         dims = np.asarray(self.dims, dtype=np.float64)
-        if self.label_count < 2:
-            raise SpecInvalid(f"label_count must be >= 2, got {self.label_count}")
+        top = np.iinfo(np.int16).max  # the label map is int16
+        if not 2 <= self.label_count <= top:
+            raise SpecInvalid(f"label_count must lie in [2, {top}], got {self.label_count}")
         center = (
             (dims - 1.0) / 2.0
             if self.center is None

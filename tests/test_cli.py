@@ -1216,6 +1216,15 @@ class TestSynthCommand:
         assert err.startswith("error: bad Svf parameters") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("labels", ["32768", "40000"])
+    def test_labels_beyond_int16_exit_2(self, tmp_path, capsys, labels):
+        out = tmp_path / "c"
+        argv = ["--out", str(out), "synth", "--cases", "1", "--dims", "4", "4", "4", "--labels", labels]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "label_count" in err and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestRegisterCommand:
     def test_register_smoke(self, tmp_path):
@@ -1317,6 +1326,8 @@ class TestRegisterCommand:
             (["--sigma", "inf"], "update_smoothing_sigma"),
             (["--squarings", "1024"], "squarings"),
             (["--squarings", "2000"], "squarings"),
+            (["--iters", "-2"], "iters_per_level"),
+            (["--iters", "5,-1,3"], "iters_per_level"),
         ],
     )
     def test_bad_options_exit_2(self, tmp_path, capsys, options, message):

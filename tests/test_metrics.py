@@ -185,17 +185,34 @@ class TestHd95:
             lambda shape: arrays(np.int16, shape, elements=st.integers(0, 6))
         ),
         wanted=st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True),
+        layout=st.sampled_from(["C", "F", "view"]),
     )
-    def test_fixed_side_boundary_sets_match_the_oracle(self, seg, wanted):
-        # labels may be absent from seg, and axes may be a single voxel thick
+    def test_fixed_side_boundary_sets_match_the_oracle(self, seg, wanted, layout):
+        # labels may be absent from seg, axes may be a single voxel thick, the
+        # labels may be C-ordered, F-ordered or a strided view, and 40,000
+        # lies beyond int16
+        if layout == "F":
+            seg = np.asfortranarray(seg)
+        elif layout == "view":
+            strided = np.zeros(seg.shape[:2] + (2 * seg.shape[2],), seg.dtype)
+            strided[..., ::2] = seg
+            seg = strided[..., ::2]
+        wanted = wanted + [40_000]
         spacing = (2.0, 1.0, 0.5)
         header = AffineHeader(dims=seg.shape, spacing=spacing, affine=np.diag(spacing + (1.0,)))
         side = metrics.FixedSide(Volume(header=header, kind="label", data=seg), wanted)
-        expected = {l: boundary_oracle(seg == l) for l in wanted}
-        assert set(side.boundary) == {l for l, mask in expected.items() if mask.any()}
-        for l, flat in side.boundary.items():
-            assert np.array_equal(flat, np.flatnonzero(expected[l]))
-            assert np.array_equal(metrics._points_mm(flat, side.seg), np.argwhere(expected[l]) * np.asarray(spacing))
+        pmap, pos = side.boundary
+        expected_map = np.full(pmap.shape, -1)
+        for i, l in enumerate(wanted):
+            expected = boundary_oracle(seg == l)
+            padded = np.pad(expected, 1)
+            expected_map[padded] = i
+            assert np.array_equal(np.sort(pos[i]), np.flatnonzero(padded))
+            if pos[i].size:
+                points = side.tree(i).data[np.argsort(pos[i])]
+                assert np.array_equal(points, np.argwhere(expected) * np.asarray(spacing))
+        assert pos[-1].size == 0
+        assert np.array_equal(pmap, expected_map)
 
     def test_identical_shapes_zero(self):
         data = np.zeros((8, 8, 8), dtype=np.int16)

@@ -433,6 +433,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="iters_per_level"):
             RegConfig(iters_per_level=())
 
+    def test_negative_iters_are_rejected_and_zero_is_valid(self):
+        for iters in ((-2,), (5, -1, 3)):
+            with pytest.raises(ValueError, match="iters_per_level"):
+                RegConfig(iters_per_level=iters)
+        RegConfig(iters_per_level=(0, 3, 0))
+
     def test_levels_follow_iters_per_level(self, small_pair):
         cfg = RegConfig(iters_per_level=(2, 2, 1))
         _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)

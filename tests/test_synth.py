@@ -83,6 +83,11 @@ class TestMakePhantom:
                 )
             )
 
+    def test_label_count_fits_the_int16_label_map(self):
+        PhantomSpec(dims=(16, 16, 16), label_count=32_767).resolved()
+        with pytest.raises(errors.SpecInvalid, match="label_count"):
+            make_phantom(PhantomSpec(dims=(4, 4, 4), label_count=32_768))
+
 
 class TestMakeField:
     def test_translation_constant(self):

@@ -203,6 +203,20 @@ class TestReadErrors:
         with pytest.raises(errors.TruncatedPayload):
             write_and_read(tmp_path, blob)
 
+    @pytest.mark.parametrize("zipped", [False, True])
+    def test_huge_claimed_payload_is_refused_without_allocating_it(self, tmp_path, zipped):
+        # the header claims 2000^3 float64 values (64 GB); the file holds 64 bytes
+        blob = craft_nifti(np.zeros(8), 64, (3, 2000, 2000, 2000, 1, 1, 1, 1))
+        path = tmp_path / ("big.nii.gz" if zipped else "big.nii")
+        path.write_bytes(gzip.compress(blob) if zipped else blob)
+
+        def read():
+            with pytest.raises(errors.TruncatedPayload):
+                volio.read_nifti(path)
+
+        _, peak = traced_peak(read)
+        assert peak < 2**20
+
     def test_non_finite_scalar_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.float32)
         data[1, 1, 1] = np.nan
