@@ -13,6 +13,12 @@ Conventions fixed here (the evaluation protocol leaves them open):
   diagonal in mm.
 * NDV decomposes every grid cell into the fixed six-tetrahedron Kuhn
   split of the deformed lattice and accumulates negative signed volume.
+  A tetrahedron's edge chain c000 -> c_a -> c_ab -> c111 deforms to P + D
+  (P a permutation matrix, each column of D u's difference along a cube
+  edge).  If sum_c |du_c| <= q < 1 on every edge, ||P^T D||_1 <= q, so
+  det(I + P^T D) >= (1 - q)^3 > 0.  With q = 0.9 that margin, 1e-3, dwarfs
+  the rounding of the determinant and of psi = x + u for |u| <= 2**20, so
+  cell planes the bound proves skip the tetrahedra and keep the kernel's 0.0.
 * LNCC windows are cubic and cropped at the volume border; variance sums
   carry an epsilon guard of 1e-5.
 """
@@ -31,6 +37,7 @@ from .errors import (
     DimMismatch,
     EmptyLabelList,
     EmptyMask,
+    NonFiniteData,
     OutOfBoundsLandmark,
     UnpairedLandmarks,
 )
@@ -108,8 +115,10 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
     labels = list(labels)
     if not labels:
         raise EmptyLabelList("dsc needs at least one label")
-    fl = fixed_labels.data.ravel()
-    wl = warped_labels.data.ravel()
+    # the counts do not depend on the order: no copy when both are F-ordered
+    order = "F" if fixed_labels.data.flags.f_contiguous and warped_labels.data.flags.f_contiguous else "C"
+    fl = fixed_labels.data.ravel(order)
+    wl = warped_labels.data.ravel(order)
     top = max(int(fl.max()), int(wl.max()), max(int(l) for l in labels))
     n_fixed = np.bincount(fl, minlength=top + 1)
     n_warped = np.bincount(wl, minlength=top + 1)
@@ -352,7 +361,8 @@ class NdvMask:
     normalizer is the mask's nonzero voxel count.  The cells are split
     into slabs along x, and each slab keeps the flat index, in its
     (sx + 1, ny, nz) lattice, of every counted cell's first corner, in C
-    order.  Raises DimMismatch or EmptyMask as ``ndv`` does.
+    order.  ``box`` slices the counted cells' corners' bounding box (None
+    without cells).  Raises DimMismatch or EmptyMask as ``ndv`` does.
     """
 
     def __init__(self, mask: Volume | np.ndarray, dims):
@@ -383,16 +393,57 @@ class NdvMask:
             i, j, k = np.nonzero(cm[x0:x1])
             if i.size:
                 self.slabs.append((x0, x1, (i * ny + j) * nz + k))
+        spans = [np.flatnonzero(cm.any(axis=tuple({0, 1, 2} - {a}))) for a in range(3)]
+        self.box = tuple(slice(s[0], s[-1] + 2) for s in spans) if self.slabs else None
 
 
-def _folded_volume_cells(psi_flat, cells: np.ndarray, ny: int, nz: int) -> float:
-    """Negative signed volume summed over the Kuhn tetrahedra of some cells.
+# ndv's certificate: the edge bound q and the |u| guard (module docstring)
+_FOLD_FREE = 0.9
+_U_GUARD = 2.0**20
 
-    ``psi_flat`` holds the three deformed coordinate components of a slab
-    lattice, raveled; ``cells`` the flat index of each cell's first corner.
-    The cells run in chunks of ``warp._BLOCK``, so the temporaries stay in
-    cache.  Every value goes through the same float operations as on the
-    full grid, and the per-cell sums enter ``np.sum`` in C order.
+
+def _fold_free_planes(u: np.ndarray) -> np.ndarray:
+    """Per cell plane along x of ``u`` (the field on a box of corners),
+    whether ``ndv``'s certificate proves it fold-free: on each axis, the
+    components' largest |du_c| along it on the plane sum to at most
+    _FOLD_FREE, and |u| at the plane's first corner is _FOLD_FREE * (ny +
+    nz) below _U_GUARD (so |u| <= _U_GUARD on the plane).  NaN and infinity
+    fail it.  Each component is read in flat copies of blocks of planes
+    along its slowest axis (z for an F-ordered field, else x)."""
+    by_z = u.strides[2] > u.strides[0]
+    order = "F" if by_z else "C"
+    nx, ny, nz = u.shape[:3]
+    plane, flat_step = (nx * ny, (1, nx, nx * ny)) if by_z else (ny * nz, (ny * nz, nz, 1))
+    step = max(1, 8 * _BLOCK // plane)
+    block, diff = np.empty((2, (step + 1) * plane))
+    edge = np.zeros((3, 3, nx))  # component, axis, corner plane (x: cell plane)
+    for c in range(3):
+        v = u[..., c]
+        for lo in range(0, (nz if by_z else nx) - 1, step):
+            b = v[:, :, lo : lo + step + 1] if by_z else v[lo : lo + step + 1]
+            flat, d = block[: b.size], diff[: b.size]
+            np.copyto(flat.reshape(b.shape, order=order), b)
+            at = edge[c, :, 0 if by_z else lo :]
+            for a, k in enumerate(flat_step):
+                np.abs(np.subtract(flat[k:], flat[:-k], out=d[:-k]), out=d[:-k])
+                d3 = d.reshape(b.shape, order=order)
+                d3[(slice(None),) * a + (-1,)] = 0.0  # no edges: pairs across a row's end or past the block
+                m = d3.max(axis=2).max(axis=1) if by_z else d3.max(axis=(1, 2))
+                np.maximum(at[a, : m.size], m, out=at[a, : m.size])
+    per_axis = [edge[:, 0, :-1]] + [np.maximum(edge[:, a, :-1], edge[:, a, 1:]) for a in (1, 2)]
+    bound = np.max([e.sum(axis=0) for e in per_axis], axis=0)
+    first = np.abs(u[:-1, 0, 0]).max(axis=1)
+    return (bound <= _FOLD_FREE) & (first <= _U_GUARD - _FOLD_FREE * (ny + nz))
+
+
+def _folded_volume_cells(psi_flat, cells: np.ndarray, ny: int, nz: int) -> np.ndarray:
+    """Per cell, six times its Kuhn tetrahedra's negative signed volume.
+
+    ``psi_flat`` holds the three deformed coordinate components of a
+    lattice of x-planes, raveled; ``cells`` the flat index of each cell's
+    first corner.  The cells run in chunks of ``warp._BLOCK``, so the
+    temporaries stay in cache.  Every value goes through the same float
+    operations as on the full grid.
     """
 
     def corner(comp: int, offset) -> np.ndarray:
@@ -417,7 +468,7 @@ def _folded_volume_cells(psi_flat, cells: np.ndarray, ny: int, nz: int) -> float
                 signed = det if sign > 0 else -det
                 np.minimum(signed, 0.0, out=signed)
                 acc -= signed
-    return float(np.sum(folded)) / 6.0
+    return folded
 
 
 def ndv(phi: DisplacementField, mask: Volume | np.ndarray | NdvMask) -> float:
@@ -428,23 +479,35 @@ def ndv(phi: DisplacementField, mask: Volume | np.ndarray | NdvMask) -> float:
     tetrahedron volumes over cells touching the mask, normalized by the
     mask's voxel count.  Orientation-preserving fields give exactly 0.
     Only the cells touching the mask are computed; an ``NdvMask`` built
-    for ``phi``'s grid skips finding them again.
+    for ``phi``'s grid skips finding them again.  Cells in planes along x
+    that ``_fold_free_planes`` proves fold-free keep 0.0, and runs of the
+    other planes go through the tetrahedra; each slab sums in C order.
     """
     cells = mask if isinstance(mask, NdvMask) else NdvMask(mask, phi.dims)
     if cells.dims != phi.dims:
         raise DimMismatch(f"mask dims {cells.dims} do not match field dims {phi.dims}")
-    _, ny, nz = phi.dims
+    nx, ny, nz = phi.dims
     u = np.asarray(phi.data, dtype=np.float64)
     axes = [np.arange(n, dtype=np.float64) for n in phi.dims]
+    free = np.ones(max(nx - 1, 0), dtype=bool)  # planes beyond the box hold no counted cell
+    if cells.box is not None:
+        free[cells.box[0].start : cells.box[0].stop - 1] = _fold_free_planes(u[cells.box])
     folded = 0.0
     for x0, x1, first_corners in cells.slabs:
-        lattice = u[x0 : x1 + 1]
-        psi_flat = [
-            (lattice[..., 0] + axes[0][x0 : x1 + 1, None, None]).ravel(),
-            (lattice[..., 1] + axes[1][None, :, None]).ravel(),
-            (lattice[..., 2] + axes[2][None, None, :]).ravel(),
-        ]
-        folded += _folded_volume_cells(psi_flat, first_corners, ny, nz)
+        todo = np.flatnonzero(~free[x0:x1])
+        if not todo.size:
+            continue  # each cell's value is 0.0, and so is their sum
+        starts = np.searchsorted(first_corners, np.arange(x1 - x0 + 1) * (ny * nz))
+        per_cell = np.zeros(first_corners.shape)
+        for run in np.split(todo, np.flatnonzero(np.diff(todo) > 1) + 1):
+            a, b = run[0], run[-1] + 1
+            lattice = u[x0 + a : x0 + b + 1]
+            psi = np.empty((3,) + lattice.shape[:3])  # C order: each component ravels as a view
+            for c, ax in enumerate((axes[0][x0 + a : x0 + b + 1, None, None], axes[1][:, None], axes[2])):
+                np.add(lattice[..., c], ax, out=psi[c])
+            at = slice(starts[a], starts[b])
+            per_cell[at] = _folded_volume_cells(psi.reshape(3, -1), first_corners[at] - a * ny * nz, ny, nz)
+        folded += float(np.sum(per_cell)) / 6.0
     return folded / float(cells.voxels)
 
 
@@ -635,7 +698,8 @@ def evaluate_pair(
     ``fixed_seg`` is the fixed segmentation, or a ``FixedSide`` already
     built from it (which then holds ``labels`` and ``mask``); see
     ``FixedSide`` for their defaults.  The ZeroDisplacement baseline is
-    this function applied to the zero field.
+    this function applied to the zero field.  A field holding NaN or
+    infinity raises NonFiniteData before any metric runs.
     """
     if isinstance(fixed_seg, FixedSide):
         if labels is not None or mask is not None:
@@ -647,6 +711,8 @@ def evaluate_pair(
     _check_same_dims(seg, moving_seg)
     if seg.header.dims != phi.header.dims:
         raise DimMismatch(f"field dims {phi.header.dims} do not match segmentation {seg.header.dims}")
+    if not np.all(np.isfinite(phi.data)):  # e.g. overflow in a unit conversion
+        raise NonFiniteData("displacement field contains non-finite values")
     labels = fixed.labels
 
     warped = warp_labels(moving_seg, phi)

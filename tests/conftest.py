@@ -102,7 +102,8 @@ def padded_sample_trilinear(obj, points):
 
 
 def per_slab_folded_volume_cells(psi_flat, cells, ny, nz):
-    """NDV's folded volume over some cells of a slab, every cell at once."""
+    """NDV's per-cell folded volume (times six) over some cells of a slab,
+    every cell at once."""
     from regeval.metrics import _AXIS_OFFSETS, _KUHN_PAIRS
 
     def corner(comp, offset):
@@ -124,7 +125,7 @@ def per_slab_folded_volume_cells(psi_flat, cells, ny, nz):
             signed = det if sign > 0 else -det
             np.minimum(signed, 0.0, out=signed)
             folded -= signed
-    return float(np.sum(folded)) / 6.0
+    return folded
 
 
 def traced_peak(fn):

@@ -82,6 +82,8 @@ class TestEval:
                 monkeypatch.setattr(metrics, "warp_labels", whole_array_warp_labels)
                 monkeypatch.setattr(metrics, "sample_trilinear", padded_sample_trilinear)
                 monkeypatch.setattr(metrics, "_folded_volume_cells", per_slab_folded_volume_cells)
+                # NDV without the certificate: every counted cell goes through the tetrahedra
+                monkeypatch.setattr(metrics, "_fold_free_planes", lambda u: np.zeros(u.shape[0] - 1, dtype=bool))
                 # HD95 without probing: every point off the other boundary
                 # goes to balanced, compact KD-trees
                 monkeypatch.setattr(metrics, "_stages", lambda spacing: iter(()))
@@ -1374,6 +1376,30 @@ class TestRegisterCommand:
         assert cli.main(["--units", "mm", "--out", str(out_mm), "eval", str(manifest)]) == 0
         report = PairReport.from_dict(json.loads((out_mm / "m__p0.json").read_text()))
         assert report.dsc_mean == 1.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_units_mm_overflow_is_a_job_error(self, tmp_path):
+        # 1e300 mm over a 1e-10 mm spacing is inf voxels: the job fails with
+        # NonFiniteData instead of writing "ndv": NaN, and the others still run
+        hdr = AffineHeader.isotropic((6, 6, 6), 1e-10)
+        lab = np.zeros((6, 6, 6), dtype=np.int16)
+        lab[2:4, 2:4, 2:4] = 1
+        write_nifti(Volume(header=hdr, kind="label", data=lab), tmp_path / "f.nii")
+        u = np.zeros((6, 6, 6, 3))
+        write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "zero.nii")
+        u[1, 2, 3, 0] = 1e300
+        write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "huge.nii")
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(
+            ",".join(cli.MANIFEST_COLUMNS) + "\n" + "a,p0,f.nii,f.nii,huge.nii,,,\n" + "b,p0,f.nii,f.nii,zero.nii,,,\n"
+        )
+        out = tmp_path / "reports"
+        assert cli.main(["--units", "mm", "--out", str(out), "eval", str(manifest)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["b__p0.json", "errors.json"]
+        errors = json.loads((out / "errors.json").read_text())
+        assert errors == [{"error": "NonFiniteData: displacement field contains non-finite values",
+                           "method": "a", "pair_id": "p0"}]
+        assert PairReport.from_dict(json.loads((out / "b__p0.json").read_text())).ndv == 0.0
 
 
 class TestIcCommand:

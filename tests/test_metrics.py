@@ -165,6 +165,16 @@ class TestDsc:
                 want = dsc_oracle(a, b, lab)
                 assert per_label[lab] == want
 
+    @pytest.mark.parametrize("orders", ["CC", "FF", "CF", "FC"])
+    def test_memory_order_does_not_change_counts(self, rng, orders):
+        a = rng.integers(0, 5, size=(7, 8, 9)).astype(np.int16)
+        b = rng.integers(0, 5, size=(7, 8, 9)).astype(np.int16)
+        lay = {"C": np.ascontiguousarray, "F": np.asfortranarray}
+        fa, fb = label_volume(lay[orders[0]](a)), label_volume(lay[orders[1]](b))
+        assert fa.data.flags[f"{orders[0]}_CONTIGUOUS"] and fb.data.flags[f"{orders[1]}_CONTIGUOUS"]
+        per_label, _ = dsc(fa, fb, [1, 2, 3, 4])
+        assert per_label == {lab: dsc_oracle(a, b, lab) for lab in (1, 2, 3, 4)}
+
     def test_empty_label_list(self):
         vol = label_volume(np.zeros((3, 3, 3)))
         with pytest.raises(errors.EmptyLabelList):
@@ -618,6 +628,33 @@ def folded_fields_and_masks(draw):
     return u, mask.astype(np.int16)
 
 
+@st.composite
+def fold_free_fields_and_masks(draw):
+    """Fields that NDV's certificate proves fold-free plane by plane, some
+    with a local fold in a few planes, offsets up to and beyond the |u|
+    guard, perhaps one NaN; C- or F-ordered, on grids with an axis of 1 or 2."""
+    dims = [draw(st.integers(2, 8)) for _ in range(3)]
+    if draw(st.integers(0, 9)) == 0:
+        dims[draw(st.integers(0, 2))] = 1
+    dims = tuple(dims)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = rng.uniform(-1.0, 1.0, size=dims + (3,)) * draw(st.floats(0.02, 0.15))
+    for x in draw(st.lists(st.integers(0, dims[0] - 1), max_size=2)):
+        u[x, rng.integers(dims[1]), rng.integers(dims[2])] += rng.uniform(-2.0, 2.0, 3)
+    u += draw(st.sampled_from([0.0, 1e6, 1e13, 2.0**40 + 0.3]))
+    if draw(st.integers(0, 7)) == 0:
+        u[tuple(rng.integers(n) for n in (*dims, 3))] = np.nan
+    if draw(st.booleans()):
+        u = np.asfortranarray(u)
+    mask = np.where(rng.random(dims) < draw(st.floats(0.2, 1.0)), rng.integers(-1, 3, dims), 0)
+    mask[tuple(rng.integers(n) for n in dims)] = 1
+    return u, mask.astype(np.int16)
+
+
+def same_float(a: float, b: float) -> bool:
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
 B = warp._BLOCK
 
 
@@ -658,13 +695,115 @@ class TestNdvMaskedCells:
         i, j, k = np.nonzero(np.ones((dims[0] - 1, dims[1] - 1, dims[2] - 1), dtype=bool))
         cells = np.sort(rng.choice((i * dims[1] + j) * dims[2] + k, n_cells, replace=False))
         got = metrics._folded_volume_cells(psi_flat, cells, dims[1], dims[2])
-        assert got > 0.0
-        assert got == per_slab_folded_volume_cells(psi_flat, cells, dims[1], dims[2])
+        assert got.shape == cells.shape and np.sum(got) > 0.0
+        assert got.tobytes() == per_slab_folded_volume_cells(psi_flat, cells, dims[1], dims[2]).tobytes()
 
     def test_prepared_mask_for_another_grid_rejected(self):
         phi = DisplacementField.zero(AffineHeader.isotropic((6, 6, 6)))
         with pytest.raises(errors.DimMismatch):
             ndv(phi, metrics.NdvMask(np.ones((6, 6, 5), dtype=np.int16), (6, 6, 5)))
+
+
+class TestNdvCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(case=fold_free_fields_and_masks())
+    def test_equals_full_grid_oracle_bit_for_bit(self, case):
+        u, mask = case
+        assert same_float(ndv(field_from(u), mask), full_grid_ndv_oracle(u, mask))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q=st.sampled_from([0.9, 0.9 - 1e-9]),
+        kind=st.sampled_from(["compression", "linear", "alternating", "random"]),
+        fortran=st.booleans(),
+    )
+    def test_an_edge_bound_of_q_folds_nothing(self, seed, q, kind, fortran):
+        # the lemma: sum_c |du_c| <= q < 1 on every edge leaves every
+        # tetrahedron positive; u = -q x is its worst case, volume (1 - q)**3
+        rng = np.random.default_rng(seed)
+        dims = (7, 6, 5)
+        p = np.indices(dims, dtype=np.float64)
+        if kind in ("compression", "linear"):
+            # column a of m is du along axis a; each column's L1 norm is q
+            m = -q * np.eye(3)
+            if kind == "linear":
+                m = rng.dirichlet(np.ones(3), 3).T * q * rng.choice([-1.0, 1.0], (3, 3))
+            u = np.einsum("ca,a...->...c", m, p)
+        else:
+            # per component, values within w_c / 2 of 0 (alternating: exactly
+            # +-w_c / 2 by the parity of x + y + z), and sum_c w_c = q
+            w = rng.dirichlet(np.ones(3)) * q
+            half = (-1.0) ** p.sum(axis=0) if kind == "alternating" else rng.uniform(-1.0, 1.0, dims)
+            u = np.stack([w[c] / 2 * half * rng.choice([-1.0, 1.0]) for c in range(3)], axis=-1)
+        u = np.asfortranarray(u) if fortran else u
+        mask = np.ones(dims, dtype=np.int16)
+        assert full_grid_ndv_oracle(u, mask) == 0.0
+        assert ndv(field_from(u), mask) == 0.0
+        if q < 0.9:
+            assert metrics._fold_free_planes(u).all()
+
+    @pytest.mark.parametrize("dims", [(1, 5, 5), (5, 1, 5), (5, 5, 1), (2, 5, 5), (5, 2, 5), (5, 5, 2), (2, 2, 2)])
+    def test_degenerate_grids_equal_the_oracle(self, rng, dims):
+        for scale in (0.05, 1.5):
+            u = rng.uniform(-scale, scale, size=dims + (3,))
+            mask = np.ones(dims, dtype=np.int16)
+            assert ndv(field_from(u), mask) == full_grid_ndv_oracle(u, mask)
+
+    def test_only_unproved_planes_reach_the_kernel(self, rng, monkeypatch):
+        dims = (12, 9, 8)
+        u = rng.uniform(-0.05, 0.05, size=dims + (3,))
+        u[6, 4, 4] += (1.5, -1.5, 0.0)  # a fold in cell planes 5 and 6
+        assert metrics._fold_free_planes(u).tolist() == [x not in (5, 6) for x in range(11)]
+        seen = []
+        kernel = metrics._folded_volume_cells
+        monkeypatch.setattr(
+            metrics, "_folded_volume_cells", lambda psi, cells, ny, nz: seen.append(cells.size) or kernel(psi, cells, ny, nz)
+        )
+        mask = np.ones(dims, dtype=np.int16)
+        got = ndv(field_from(u), mask)
+        assert seen == [2 * 8 * 7]
+        assert got > 0.0 and got == full_grid_ndv_oracle(u, mask)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_y_and_z_edges_count_on_both_corner_planes(self, axis):
+        # only corner plane 3 alternates +-0.6 along the axis: its x-edges
+        # stay at 0.6, but its edges along the axis reach 1.2 and invert
+        dims = (6, 6, 6)
+        u = np.zeros(dims + (3,))
+        u[3, ..., axis] = 0.6 * (-1.0) ** np.indices(dims[1:])[axis - 1]
+        assert metrics._fold_free_planes(u).tolist() == [True, True, False, False, True]
+        mask = np.ones(dims, dtype=np.int16)
+        got = ndv(field_from(u), mask)
+        assert got > 0.0 and got == full_grid_ndv_oracle(u, mask)
+
+    def test_bound_is_taken_over_the_counted_cells_box(self, rng):
+        dims = (8, 10, 9)
+        u = rng.uniform(-0.05, 0.05, size=dims + (3,))
+        u[:, 0] = 50.0  # folds only in cells that touch y = 0, which the mask leaves out
+        mask = np.zeros(dims, dtype=np.int16)
+        mask[2:6, 3:7, 2:8] = 1
+        cells = metrics.NdvMask(mask, dims)
+        assert cells.box == (slice(1, 7), slice(2, 8), slice(1, 9))
+        assert metrics._fold_free_planes(u[cells.box]).all()
+        assert ndv(field_from(u), cells) == full_grid_ndv_oracle(u, mask) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0**20, 1e13])
+    def test_non_finite_or_large_values_are_not_proved(self, value):
+        u = np.zeros((6, 5, 5, 3))
+        u[3, 0, 0, 1] = value  # the first corner of cell planes 3 (and 2 by its edges)
+        assert metrics._fold_free_planes(u).tolist() == [True, True, False, False, True]
+        mask = np.ones((6, 5, 5), dtype=np.int16)
+        with np.errstate(invalid="ignore"):  # inf - inf in the tetrahedra
+            assert same_float(ndv(field_from(u), mask), full_grid_ndv_oracle(u, mask))
+
+    @pytest.mark.parametrize("offset, proved", [(1e6, True), (2.0**20 - 9.0, True), (2.0**20 - 8.9, False), (2.0**20, False)])
+    def test_the_guard_keeps_u_within_2_to_the_20(self, offset, proved):
+        # a constant field: the guard is |u| at a plane's first corner
+        # <= 2**20 - 0.9 * (5 + 5)
+        u = np.full((6, 5, 5, 3), offset)
+        assert metrics._fold_free_planes(u).tolist() == [proved] * 5
+        assert ndv(field_from(u), np.ones((6, 5, 5), dtype=np.int16)) == 0.0
 
 
 # --- LNCC --------------------------------------------------------------------
@@ -835,6 +974,22 @@ class TestEvaluatePair:
             assert evaluate_pair(side, moving, phi) == alone
         with pytest.raises(ValueError):
             evaluate_pair(side, moving, phi, labels=[1])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_field_raises_before_any_metric(self, value, monkeypatch):
+        data = np.zeros((6, 6, 6), dtype=np.int16)
+        data[2:4, 2:4, 2:4] = 1
+        seg = label_volume(data)
+        u = np.zeros((6, 6, 6, 3))
+        u[1, 2, 3, 0] = value
+
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran on a non-finite field")
+
+        monkeypatch.setattr(metrics, "warp_labels", no_kernel)
+        monkeypatch.setattr(metrics, "ndv", no_kernel)
+        with pytest.raises(errors.NonFiniteData):
+            evaluate_pair(seg, seg, field_from(u))
 
     def test_report_json_round_trip(self):
         data = np.zeros((8, 8, 8), dtype=np.int16)
