@@ -515,18 +515,18 @@ def ndv(phi: DisplacementField, mask: Volume | np.ndarray | NdvMask) -> float:
 # LNCC
 
 
-def _box_sum(x: np.ndarray, r: int) -> np.ndarray:
+def _box_sum(x: np.ndarray, r: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of x over the cubic window of radius r around each voxel,
     cropped at the volume border.  Exact via cumulative sums, one axis at a
     time: slab by slab, c[k + 1] = c[k] + x[k] (np.cumsum's order), then
     out[i] = c[hi] - c[lo] for the cropped window [lo, hi) of each i.
 
-    One buffer holds every axis's running sums.  Axis 0 writes a fresh
-    C-ordered output; axes 1 and 2 write over it, as their differences
-    read only the running sums."""
+    One buffer holds every axis's running sums.  Axis 0 writes ``out`` (a
+    fresh C-ordered array unless given; it may be ``x`` itself); axes 1
+    and 2 write over it, as their differences read only the running sums."""
     size = x.size
     sums = np.empty(max(size + size // n for n in x.shape))
-    out = np.empty(x.shape)
+    out = np.empty(x.shape) if out is None else out
     for axis in range(3):
         src = np.moveaxis(x if axis == 0 else out, axis, 0)
         n = src.shape[0]
@@ -577,7 +577,8 @@ class _LnccTerms:
         cross = box(f * w) - sa * bbar and inv_sqrt = 1 / sqrt(va * vb)."""
         sb = _box_sum(w, self.r)
         bbar = sb / self.n
-        vb = _box_sum(w * w, self.r)
+        vb = w * w
+        _box_sum(vb, self.r, out=vb)
         vb -= np.multiply(sb, bbar, out=sb)
         vb += LNCC_EPS
         cross = _box_sum(np.multiply(self.fdata, w, out=sb), self.r)
@@ -604,12 +605,12 @@ class _LnccTerms:
         del ncc
         dw = _box_sum(inv_sqrt, self.r)
         dw *= self.fdata
-        dw -= _box_sum(np.multiply(inv_sqrt, self.abar, out=inv_sqrt), self.r)
+        dw -= _box_sum(np.multiply(inv_sqrt, self.abar, out=inv_sqrt), self.r, out=inv_sqrt)
         del inv_sqrt
         t = _box_sum(beta, self.r)
         dw -= np.multiply(t, w, out=t)
         del t
-        dw += _box_sum(np.multiply(beta, bbar, out=beta), self.r)
+        dw += _box_sum(np.multiply(beta, bbar, out=beta), self.r, out=beta)
         dw /= self.fdata.size
         return value, dw
 

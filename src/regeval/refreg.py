@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
 from .metrics import _LnccTerms
 from .volio import DisplacementField, Volume
-from .warp import _check_squarings, _exp, _trilinear, _warp, _warp_with_grad, identity_grid
+from .warp import _SLAB, _axis_coords, _check_squarings, _exp, _trilinear, _warp, _warp_with_grad
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
@@ -76,25 +76,36 @@ class RegConfig:
 # diffusion regularizer
 
 
-def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None) -> float:
+def _diffusion_value(u: np.ndarray, grad: np.ndarray | None = None, lam: float = 1.0) -> float:
     """The diffusion term: the mean squared forward difference of a field
-    ``u`` (X, Y, Z, 3) along the three grid axes.  With ``grad`` (zeros
-    shaped like ``u``), its gradient with respect to ``u`` is also written
-    there."""
+    ``u`` (X, Y, Z, 3) along the three grid axes.  With ``grad`` (shaped
+    like ``u``), ``lam`` times its gradient with respect to ``u`` is added
+    into ``grad`` slab by slab along x: per element, the differences added
+    and subtracted into a zero axis by axis, times 2 / n, times ``lam``."""
     value, n_terms = 0.0, 0
     for axis in range(3):
-        hi = (slice(None),) * axis + (slice(1, None),)
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        d = u[hi] - u[lo]
-        if grad is not None:
-            grad[hi] += d
-            grad[lo] -= d
+        d = np.diff(u, axis=axis)
         value += float(np.sum(np.multiply(d, d, out=d)))
         n_terms += d.size
         del d  # before the next axis forms its differences
     n_terms = max(n_terms, 1)  # a one-voxel grid has no differences
     if grad is not None:
-        grad *= 2.0 / n_terms
+        step = max(1, _SLAB // u[0, ..., 0].size)
+        for x0 in range(0, len(u), step):
+            # with the rows either side, the slab's own rows get every difference
+            r0 = max(x0 - 1, 0)
+            v = u[r0 : x0 + step + 1]
+            s = np.zeros(v.shape)
+            for axis in range(3):
+                hi = (slice(None),) * axis + (slice(1, None),)
+                lo = (slice(None),) * axis + (slice(None, -1),)
+                d = v[hi] - v[lo]
+                s[hi] += d
+                s[lo] -= d
+            s = s[x0 - r0 : x0 - r0 + step]
+            s *= 2.0 / n_terms
+            s *= lam
+            grad[x0 : x0 + step] += s
     return value / n_terms
 
 
@@ -110,10 +121,7 @@ def _loss_and_grad(terms: _LnccTerms, mdata, u, lam):
     del dw
     loss = -value
     if lam > 0:
-        dgrad = np.zeros_like(u)
-        loss += lam * _diffusion_value(u, dgrad)
-        dgrad *= lam
-        grad += dgrad
+        loss += lam * _diffusion_value(u, grad, lam)
     return loss, grad
 
 
@@ -174,8 +182,10 @@ def _pyramid(data: np.ndarray, levels: int) -> list[np.ndarray]:
 
 def _upsample_state(state: np.ndarray, fine_dims) -> np.ndarray:
     """Upsample a field/velocity to the next finer grid, doubling values."""
-    pts = (identity_grid(tuple(fine_dims)).reshape(-1, 3) - 0.5) / 2.0
-    up = _trilinear(state, pts).reshape(tuple(fine_dims) + (3,))
+    pts = np.empty(tuple(fine_dims) + (3,))
+    for axis, n in enumerate(fine_dims):
+        pts[..., axis] = (_axis_coords(n, axis) - 0.5) / 2.0
+    up = _trilinear(state, pts.reshape(-1, 3)).reshape(pts.shape)
     return 2.0 * up
 
 

@@ -608,10 +608,14 @@ def write_landmarks(landmarks: LandmarkSet, path) -> None:
 
 
 def scale_field_units(fld: DisplacementField, from_units: str) -> DisplacementField:
-    """Convert a field's components to voxel units ('mm' divides by spacing)."""
+    """Convert a field's components to voxel units ('mm' divides by spacing).
+    A component that overflows raises ``NonFiniteData``, with no warning."""
     if from_units == "voxel":
         return fld
     if from_units != "mm":
         raise ValueError(f"units must be 'voxel' or 'mm', got {from_units!r}")
-    sp = np.asarray(fld.spacing, dtype=np.float64)
-    return replace(fld, data=fld.data / sp)
+    with np.errstate(all="ignore"):
+        data = fld.data / np.asarray(fld.spacing, dtype=np.float64)
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteData("displacement field contains non-finite values")
+    return replace(fld, data=data)

@@ -4,12 +4,12 @@ All operations are pure functions over immutable inputs and use float64
 internally.  Every sampling operation is total: out-of-grid coordinates are
 clamped to the nearest edge voxel (border replicate), so no boundary case can
 raise.  Displacements are in voxel units of the grid they live on, with the
-backward-warping convention phi(x) = x + u(x).
+backward-warping convention phi(x) = x + u(x).  No grid-sized array holds
+voxel coordinates (``_coords``); the exponential adds each block into u.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,26 +41,18 @@ class VelocityField:
         return self.header.dims
 
 
-@lru_cache(maxsize=8)
-def _cached_grid(dims: tuple[int, int, int]) -> np.ndarray:
-    """Identity coordinate grid of shape dims + (3,), read-only."""
-    g = np.empty(dims + (3,), dtype=np.float64)
-    g[..., 0] = np.arange(dims[0], dtype=np.float64)[:, None, None]
-    g[..., 1] = np.arange(dims[1], dtype=np.float64)[None, :, None]
-    g[..., 2] = np.arange(dims[2], dtype=np.float64)[None, None, :]
-    g.setflags(write=False)
-    return g
-
-
-def identity_grid(dims) -> np.ndarray:
-    """Voxel coordinates x as an array of shape dims + (3,)."""
-    return _cached_grid(tuple(int(d) for d in dims))
-
-
 # Points per kernel block: one block's workspace (about 0.8 MiB) stays in L2.
 _BLOCK = 1 << 13
-# Voxels per slab of ``warp_labels``: its slab buffers (0.8 MiB) stay in L2.
+# Voxels per slab of ``warp_labels`` and of the diffusion gradient: their
+# slab buffers (0.8 MiB) stay in L2.
 _SLAB = 1 << 15
+
+
+def _axis_coords(n: int, axis: int) -> np.ndarray:
+    """0, 1, ..., n - 1 as float64, shaped to run along ``axis`` of a 3-D
+    grid: one axis of the voxel coordinates, broadcast instead of stored."""
+    return np.arange(n, dtype=np.float64).reshape([-1 if a == axis else 1 for a in range(3)])
+
 
 # Lerps of the blend, in order: (corner a, corner b, axis) for a + (b - a) * f.
 # Corners are numbered x-major, v000 = 0 to v111 = 7; the last lerp is (0, 4, z).
@@ -76,20 +68,30 @@ def _blocks(n: int, fn) -> None:
 class _Workspace:
     """Buffers of the kernel for n points sampled from dims + (channels,)
     data: the channel planes, each padded by one replicated edge voxel at the
-    top of every axis, the (n, channels) output, and one block's coordinates,
-    corner index and corner values, which every block reuses.  ``_exp`` keeps
-    one workspace for all its squarings."""
+    top of every axis, and one block's coordinates, corner index and corner
+    values, which every block reuses.  With ``grid``, the dims of the n
+    points' voxel grid, also the voxel coordinates of as many of its first
+    planes as one block reaches (``_coords``).  ``_exp`` keeps one
+    workspace for all its squarings."""
 
-    def __init__(self, dims, channels: int, n: int):
+    def __init__(self, dims, channels: int, n: int, grid=None):
         self.padded = np.empty((channels,) + tuple(d + 1 for d in dims))
         sx, sy = (dims[1] + 1) * (dims[2] + 1), dims[2] + 1
         self.offsets = [(c & 1) * sx + (c >> 1 & 1) * sy + (c >> 2 & 1) for c in range(8)]
-        self.out = np.empty((n, channels))
         m = min(n, _BLOCK)
         self.p = np.empty((3, m))
         self.idx = np.empty(m, dtype=np.intp)
         self.floor = np.empty(m, dtype=np.intp)
         self.v = np.empty((8, m))
+        self.grid = grid
+        if grid is not None:
+            plane = grid[1] * grid[2]
+            # a block that starts on plane 0's last row ends on this plane
+            last = (plane - 1 + m - 1) // plane
+            t = np.empty((3, min(grid[0], last + 1)) + tuple(grid[1:]))
+            for axis, k in enumerate(t.shape[1:]):
+                t[axis] = _axis_coords(k, axis)
+            self.rows = t.reshape(3, -1)
 
 
 def _pad(data: np.ndarray, padded: np.ndarray) -> None:
@@ -102,14 +104,23 @@ def _pad(data: np.ndarray, padded: np.ndarray) -> None:
     padded[:, nx] = padded[:, nx - 1]
 
 
-def _coords(ws: _Workspace, points, shift, lo: int, hi: int) -> np.ndarray:
-    """The (3, m) coordinates points + shift of block [lo, hi), in ws.p."""
+def _coords(ws: _Workspace, points, lo: int, hi: int) -> np.ndarray:
+    """The (3, m) coordinates of block [lo, hi), in ws.p: its rows of
+    ``points`` or, with a grid, each row's voxel plus the row.  A block that
+    starts in x-plane x0 reads ``ws.rows`` from the same offset in plane 0
+    and adds x0 to x: exact integers, so the sums have a full grid's bits."""
     p = ws.p[:, : hi - lo]
-    for axis in range(3):
-        if shift is None:
+    if ws.grid is None:
+        for axis in range(3):
             np.copyto(p[axis], points[lo:hi, axis])
-        else:
-            np.add(points[lo:hi, axis], shift[lo:hi, axis], out=p[axis])
+        return p
+    plane = ws.grid[1] * ws.grid[2]
+    x0 = lo // plane
+    t = ws.rows[:, lo - x0 * plane : hi - x0 * plane]
+    np.add(t[0], float(x0), out=p[0])
+    np.add(p[0], points[lo:hi, 0], out=p[0])
+    np.add(t[1], points[lo:hi, 1], out=p[1])
+    np.add(t[2], points[lo:hi, 2], out=p[2])
     return p
 
 
@@ -158,24 +169,31 @@ def _blend(v: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     _lerp(v[0], v[4], f[2], out)
 
 
-def _trilinear(data: np.ndarray, points: np.ndarray, shift=None, ws=None) -> np.ndarray:
+def _trilinear(data: np.ndarray, points: np.ndarray, grid=None, ws=None, add_to=None) -> np.ndarray:
     """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3)
-    points, plus ``shift`` (n, 3) when given.  Every output element sees the
-    same float operations for any block split (``_blocks``).  The result is
-    the output buffer of ``ws`` (a fresh workspace unless one is passed), so
-    the next call with the same ``ws`` overwrites it."""
+    points or, with ``grid`` (the dims of n voxels), at each voxel plus its
+    row of ``points``.  Returns the (n,) or (n, c) samples; with ``add_to``
+    ((n, c)) each block's samples are added into its rows instead.  Every
+    output element sees the same float operations for any block split
+    (``_blocks``).  ``ws``, made for these points and grid, is a fresh
+    workspace unless one is passed."""
     dims = data.shape[:3]
     if ws is None:
-        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), len(points))
+        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), len(points), grid)
     _pad(data, ws.padded)
     planes = ws.padded.reshape(len(ws.padded), -1)
-    out = ws.out
+    out = np.empty((len(points), len(planes))) if add_to is None else add_to
 
     def block(lo, hi):
-        p = _coords(ws, points, shift, lo, hi)
+        p = _coords(ws, points, lo, hi)
         idx = _corners(ws, p, dims)
         for c, plane in enumerate(planes):
-            _blend(_gather(ws, plane, idx), p, out[lo:hi, c])
+            v = _gather(ws, plane, idx)
+            if add_to is None:
+                _blend(v, p, out[lo:hi, c])
+            else:
+                _blend(v, p, v[0])
+                np.add(out[lo:hi, c], v[0], out=out[lo:hi, c])
 
     _blocks(len(points), block)
     return out[:, 0] if data.ndim == 3 else out
@@ -204,20 +222,20 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
     """Warped image w(x) = M(x + u(x)) and the trilinear spatial gradient
     dM/dp at the sample positions (zero along axes that were clamped)."""
     dims = u.shape[:3]
-    grid, shift = identity_grid(dims).reshape(-1, 3), u.reshape(-1, 3)
-    n = len(grid)
-    ws = _Workspace(mdata.shape, 1, n)
+    shift = u.reshape(-1, 3)
+    n = len(shift)
+    ws = _Workspace(mdata.shape, 1, n, dims)
     _pad(mdata, ws.padded)
     plane = ws.padded.reshape(-1)
     top = np.asarray(mdata.shape, dtype=np.float64)[:, None] - 1.0
     m = ws.p.shape[1]
     g, t, scratch = np.empty((3, m)), np.empty((3, m)), np.empty(m)
     inside, upper = np.empty((3, m), dtype=bool), np.empty((3, m), dtype=bool)
-    warped, grad = ws.out[:, 0], np.empty((n, 3))
+    warped, grad = np.empty(n), np.empty((n, 3))
 
     def block(lo, hi):
         k = hi - lo
-        p = _coords(ws, grid, shift, lo, hi)
+        p = _coords(ws, shift, lo, hi)
         np.greater_equal(p, 0.0, out=inside[:, :k])
         np.less_equal(p, top, out=upper[:, :k])
         np.logical_and(inside[:, :k], upper[:, :k], out=inside[:, :k])
@@ -270,12 +288,10 @@ def sample_trilinear(obj, points):
     return out[0] if single else out
 
 
-def _warp(data: np.ndarray, u: np.ndarray, ws=None) -> np.ndarray:
-    """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid, in
-    the kernel workspace ``ws`` when one is passed."""
+def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid."""
     dims = u.shape[:3]
-    grid = identity_grid(dims).reshape(-1, 3)
-    return _trilinear(data, grid, u.reshape(-1, 3), ws).reshape(dims + data.shape[3:])
+    return _trilinear(data, u.reshape(-1, 3), dims).reshape(dims + data.shape[3:])
 
 
 def _check_squarings(squarings: int) -> None:
@@ -284,13 +300,16 @@ def _check_squarings(squarings: int) -> None:
 
 
 def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
-    """Scaling and squaring on arrays: u = v / 2**squarings, then
-    ``squarings`` times u = u + u(x + u(x)), i.e. u composed with itself.
-    All squarings share one kernel workspace."""
-    u = v / float(2**squarings)
-    ws = _Workspace(u.shape[:3], 3, u[..., 0].size)
+    """Scaling and squaring on arrays: u = v / 2**squarings (C-ordered),
+    then ``squarings`` times u = u + u(x + u(x)), i.e. u composed with
+    itself.  A squaring adds each kernel block's samples into u's rows at
+    once: later blocks read u only at their own rows, and sample the padded
+    copy taken before the squaring.  All squarings share one workspace."""
+    u = np.divide(v, float(2**squarings), order="C")
+    rows = u.reshape(-1, 3)
+    ws = _Workspace(u.shape[:3], 3, len(rows), u.shape[:3])
     for _ in range(squarings):
-        u += _warp(u, u, ws)
+        _trilinear(u, rows, ws=ws, add_to=rows)
     return u
 
 
@@ -337,8 +356,7 @@ def warp_labels(moving_labels: Volume, phi: DisplacementField) -> Volume:
     out = np.empty(dims, dtype=lab.dtype, order=order)
     slabs = out.transpose(perm)  # C-contiguous, like the planes' slabs
     planes = [u[..., axis].transpose(perm) for axis in range(3)]  # slab axis first
-    coords = [np.arange(n, dtype=np.float64).reshape([-1 if a == perm.index(axis) else 1 for a in range(3)])
-              for axis, n in enumerate(dims)]
+    coords = [_axis_coords(n, perm.index(axis)) for axis, n in enumerate(dims)]
     step = max(1, _SLAB // planes[0][0].size)
     pos = np.empty((step,) + planes[0].shape[1:])
     k, idx = np.empty(pos.shape, dtype=np.intp), np.empty(pos.shape, dtype=np.intp)
@@ -394,9 +412,11 @@ def ic_residual(
     dims = phi_ab.header.dims
     residual = compose(phi_ab, phi_ba)
 
-    pos = identity_grid(dims) + np.asarray(phi_ba.data, dtype=np.float64)
-    n = np.asarray(dims, dtype=np.float64) - 1.0
-    valid = np.all((pos >= 0.0) & (pos <= n), axis=-1)
+    u = np.asarray(phi_ba.data, dtype=np.float64)
+    valid = np.ones(dims, dtype=bool)
+    for axis, n in enumerate(dims):
+        pos = _axis_coords(n, axis) + u[..., axis]
+        valid &= (pos >= 0.0) & (pos <= n - 1.0)
     if mask is not None:
         mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
         if tuple(mdata.shape) != dims:

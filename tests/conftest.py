@@ -70,6 +70,12 @@ def brute_force_trilinear(data: np.ndarray, point) -> float | np.ndarray:
     return total
 
 
+def identity_grid(dims) -> np.ndarray:
+    """Voxel coordinates x as an array of shape dims + (3,): the full grid
+    the kernels once added displacements to, kept as their oracle."""
+    return np.stack(np.meshgrid(*[np.arange(n, dtype=np.float64) for n in dims], indexing="ij"), axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Whole-array reference kernels: the evaluation kernels as they ran before
 # they worked in slabs, corners and chunks.  The cache-sized kernels must
@@ -80,7 +86,6 @@ def whole_array_warp_labels(moving_labels, phi):
     """Nearest-neighbour label warp by fancy indexing with full-grid
     position and index arrays."""
     from regeval.volio import Volume
-    from regeval.warp import identity_grid
 
     pos = identity_grid(phi.header.dims) + np.asarray(phi.data, dtype=np.float64)
     idx = np.floor(pos + 0.5).astype(np.intp)

@@ -7,6 +7,7 @@ import stat
 import struct
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -1377,29 +1378,51 @@ class TestRegisterCommand:
         report = PairReport.from_dict(json.loads((out_mm / "m__p0.json").read_text()))
         assert report.dsc_mean == 1.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_units_mm_overflow_is_a_job_error(self, tmp_path):
+    def test_units_mm_overflow_is_a_job_error(self, tmp_path, capfd):
         # 1e300 mm over a 1e-10 mm spacing is inf voxels: the job fails with
-        # NonFiniteData instead of writing "ndv": NaN, and the others still run
-        hdr = AffineHeader.isotropic((6, 6, 6), 1e-10)
-        lab = np.zeros((6, 6, 6), dtype=np.int16)
-        lab[2:4, 2:4, 2:4] = 1
-        write_nifti(Volume(header=hdr, kind="label", data=lab), tmp_path / "f.nii")
-        u = np.zeros((6, 6, 6, 3))
-        write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "zero.nii")
-        u[1, 2, 3, 0] = 1e300
-        write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "huge.nii")
+        # NonFiniteData instead of writing "ndv": NaN, the others still run,
+        # and no RuntimeWarning reaches stderr
+        write_mm_overflow_inputs(tmp_path)
         manifest = tmp_path / "m.csv"
         manifest.write_text(
             ",".join(cli.MANIFEST_COLUMNS) + "\n" + "a,p0,f.nii,f.nii,huge.nii,,,\n" + "b,p0,f.nii,f.nii,zero.nii,,,\n"
         )
         out = tmp_path / "reports"
-        assert cli.main(["--units", "mm", "--out", str(out), "eval", str(manifest)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--units", "mm", "--out", str(out), "eval", str(manifest)]) == 1
         assert sorted(p.name for p in out.iterdir()) == ["b__p0.json", "errors.json"]
         errors = json.loads((out / "errors.json").read_text())
         assert errors == [{"error": "NonFiniteData: displacement field contains non-finite values",
                            "method": "a", "pair_id": "p0"}]
         assert PairReport.from_dict(json.loads((out / "b__p0.json").read_text())).ndv == 0.0
+        assert "Warning" not in capfd.readouterr().err
+
+    def test_units_mm_overflow_of_the_init_field_exits_2(self, tmp_path, capfd):
+        write_mm_overflow_inputs(tmp_path)
+        out = tmp_path / "field.nii"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--units", "mm", "--out", str(out), "register", str(tmp_path / "img.nii"),
+                             str(tmp_path / "img.nii"), "--init", str(tmp_path / "huge.nii")])
+        assert code == 2 and not out.exists()
+        err = capfd.readouterr().err
+        assert err == "error: displacement field contains non-finite values\n"
+
+
+def write_mm_overflow_inputs(tmp_path):
+    """A label volume f.nii, an image img.nii and the fields zero.nii and
+    huge.nii on a 6^3 grid of 1e-10 mm voxels; huge.nii holds one component
+    of 1e300 mm, which overflows to inf in voxel units."""
+    hdr = AffineHeader.isotropic((6, 6, 6), 1e-10)
+    lab = np.zeros((6, 6, 6), dtype=np.int16)
+    lab[2:4, 2:4, 2:4] = 1
+    write_nifti(Volume(header=hdr, kind="label", data=lab), tmp_path / "f.nii")
+    write_nifti(Volume(header=hdr, kind="scalar", data=lab.astype(np.float64)), tmp_path / "img.nii")
+    u = np.zeros((6, 6, 6, 3))
+    write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "zero.nii")
+    u[1, 2, 3, 0] = 1e300
+    write_nifti(DisplacementField(header=hdr, data=u), tmp_path / "huge.nii")
 
 
 class TestIcCommand:
@@ -1413,6 +1436,20 @@ class TestIcCommand:
         code = cli.main(["--out", str(out), "ic", str(tmp_path / "fwd.nii"), str(tmp_path / "bwd.nii")])
         assert code == 0
         assert json.loads(out.read_text())["ic_mae"] == 0.0
+
+    @pytest.mark.parametrize("fields", [("huge.nii", "zero.nii"), ("zero.nii", "huge.nii")])
+    def test_units_mm_overflow_exits_2_and_writes_nothing(self, tmp_path, capfd, fields):
+        # it once printed "ic_mae_voxels nan" and two RuntimeWarnings, wrote
+        # "ic_mae": NaN and exited 0
+        write_mm_overflow_inputs(tmp_path)
+        out = tmp_path / "ic.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["--units", "mm", "--out", str(out), "ic", *(str(tmp_path / f) for f in fields)])
+        assert code == 2 and not out.exists()
+        captured = capfd.readouterr()
+        assert captured.err == "error: displacement field contains non-finite values\n"
+        assert captured.out == ""
 
 
 class TestManifestRows:

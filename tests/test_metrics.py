@@ -15,6 +15,7 @@ from conftest import (
     expression_box_sum,
     expression_ncc,
     expression_value_and_adjoint,
+    identity_grid,
     per_slab_folded_volume_cells,
     traced_peak,
 )
@@ -691,7 +692,7 @@ class TestNdvMaskedCells:
         # chunks of warp._BLOCK cells: one short of a chunk, one, one and a cell, and a tail
         dims = (12, 40, 41)
         u = rng.uniform(-1.2, 1.2, size=dims + (3,))  # folds
-        psi_flat = [(u[..., a] + warp.identity_grid(dims)[..., a]).ravel() for a in range(3)]
+        psi_flat = [(u[..., a] + identity_grid(dims)[..., a]).ravel() for a in range(3)]
         i, j, k = np.nonzero(np.ones((dims[0] - 1, dims[1] - 1, dims[2] - 1), dtype=bool))
         cells = np.sort(rng.choice((i * dims[1] + j) * dims[2] + k, n_cells, replace=False))
         got = metrics._folded_volume_cells(psi_flat, cells, dims[1], dims[2])

@@ -11,7 +11,7 @@ from regeval import errors, warp
 from regeval.volio import AffineHeader, DisplacementField, Volume
 from regeval.warp import VelocityField, compose, exp_svf, ic_residual, sample_trilinear, warp_image, warp_labels
 
-from conftest import brute_force_trilinear, traced_peak, whole_array_warp_labels
+from conftest import brute_force_trilinear, identity_grid, traced_peak, whole_array_warp_labels
 
 
 def field_from(data) -> DisplacementField:
@@ -145,7 +145,7 @@ class TestBlockedKernel:
     def test_warp_with_grad_value_matches_whole_array_lerps(self, rng):
         u = rng.standard_normal((40, 41, 42, 3)) * 3.0
         img = rng.standard_normal((40, 41, 42))
-        pts = (warp.identity_grid(img.shape) + u).reshape(-1, 3)
+        pts = (identity_grid(img.shape) + u).reshape(-1, 3)
         warped, _ = warp._warp_with_grad(img, u)
         assert np.array_equal(warped.ravel(), whole_array_lerps(img, pts))
 
@@ -182,6 +182,62 @@ class TestBlockedKernel:
             mp.setattr(warp, "_BLOCK", block)
             got = warp._trilinear(data, pts)
         assert got.tobytes() == want.tobytes()
+
+
+def whole_array_grad(data, pts):
+    """``_warp_with_grad``'s slope at pts over all points at once, with fancy
+    indexing and ``_axis_grad``'s order of operations; 0 along clamped axes."""
+    top = np.array(data.shape) - 1
+    inside = (pts >= 0.0) & (pts <= top)
+    p = np.clip(pts, 0, top)
+    i0 = np.floor(p).astype(np.intp)
+    i1 = np.minimum(i0 + 1, top)
+    f = p - i0
+    g = 1 - f
+
+    def at(c):  # corner bits: 1 for x, 2 for y, 4 for z
+        return data[tuple((i1 if c >> a & 1 else i0)[:, a] for a in range(3))]
+
+    grad = np.empty(pts.shape)
+    for axis in range(3):
+        j, l = (a for a in range(3) if a != axis)
+        d = [[at(c | 1 << axis) - at(c) for c in (bl << l, 1 << j | bl << l)] for bl in (0, 1)]
+        near, far = (d0 * g[:, j] + d1 * f[:, j] for d0, d1 in d)
+        grad[:, axis] = (near * g[:, l] + far * f[:, l]) * inside[:, axis]
+    return grad
+
+
+class TestGridCoordinates:
+    """Grid warps take x + u(x) from u's rows and the coordinates of the
+    grid's first planes; ``_exp`` adds each block into u.  Any dims, block
+    size and layout must give the bytes of the materialized-grid forms:
+    lerps at grid + u, and u + lerps(u at grid + u) per squaring."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.sampled_from([1, 2, 3, 9, 12]), st.sampled_from([1, 2, 11, 12])),
+        block=st.sampled_from([7, 64, 100]),  # planes of 1 to 144 voxels fall on both sides
+        order=st.sampled_from("CF"),
+        scale=st.sampled_from([0.5, 4.0, 1e300]),  # 1e300 lands far outside the grid
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grid_paths_equal_the_materialized_grid(self, dims, block, order, scale, seed):
+        rng = np.random.default_rng(seed)
+        u = np.asarray(rng.standard_normal(dims + (3,)) * scale, order=order)
+        img = rng.standard_normal(dims)
+        pts = (identity_grid(dims) + u).reshape(-1, 3)
+        want_exp = u / 8.0
+        for _ in range(3):
+            at = (identity_grid(dims) + want_exp).reshape(-1, 3)
+            want_exp = want_exp + whole_array_lerps(want_exp, at).reshape(dims + (3,))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(warp, "_BLOCK", block)
+            warped_u, (warped, grad) = warp._warp(u, u), warp._warp_with_grad(img, u)
+            got_exp = warp._exp(u, 3)
+        assert warped_u.tobytes() == whole_array_lerps(u, pts).tobytes()
+        assert warped.tobytes() == whole_array_lerps(img, pts).tobytes()
+        assert grad.reshape(-1, 3).tobytes() == whole_array_grad(img, pts).tobytes()
+        assert got_exp.tobytes() == want_exp.tobytes()
 
 
 class TestKernelEdges:
@@ -232,7 +288,7 @@ class TestKernelEdges:
     def test_warp_with_grad_on_thin_and_fortran_images(self, rng):
         for img in (rng.standard_normal((1, 9, 2)), np.asfortranarray(rng.standard_normal((6, 7, 8)))):
             u = rng.standard_normal(img.shape + (3,)) * 2.0
-            pts = (warp.identity_grid(img.shape) + u).reshape(-1, 3)
+            pts = (identity_grid(img.shape) + u).reshape(-1, 3)
             warped, grad = warp._warp_with_grad(img, u)
             assert np.array_equal(warped.ravel(), whole_array_lerps(img, pts))
             assert np.all(grad[..., np.array(img.shape) == 1] == 0.0)  # a single voxel has no slope
@@ -478,7 +534,7 @@ class TestExpSvf:
 
         # independent oracle: 256-step explicit Euler integration of the flow
         steps = 256
-        pos = warp.identity_grid(dims).reshape(-1, 3).copy()
+        pos = identity_grid(dims).reshape(-1, 3).copy()
         vdata = v.data
         n = np.asarray(dims, dtype=np.float64) - 1.0
         for _ in range(steps):
@@ -495,10 +551,18 @@ class TestExpSvf:
             c11 = vdata[x0, y1, z1] * (1 - fx) + vdata[x1, y1, z1] * fx
             vel = (c00 * (1 - fy) + c10 * fy) * (1 - fz) + (c01 * (1 - fy) + c11 * fy) * fz
             pos = pos + vel / steps
-        u_euler = (pos - warp.identity_grid(dims).reshape(-1, 3)).reshape(dims + (3,))
+        u_euler = (pos - identity_grid(dims).reshape(-1, 3)).reshape(dims + (3,))
 
         deviation = np.max(np.sqrt(np.sum((u - u_euler) ** 2, axis=-1)))
         assert deviation < 0.01
+
+    def test_squarings_hold_u_the_padded_planes_and_one_block(self, rng):
+        # u (3 volumes), its padded copy (3.14) and one block's buffers
+        # (6.60 measured; 9.60 with an (n, 3) output and a coordinate grid)
+        dims = (64, 64, 64)
+        v = rng.uniform(-2.0, 2.0, size=dims + (3,))
+        _, peak = traced_peak(lambda: warp._exp(v, 7))
+        assert peak / (np.prod(dims) * 8) < 7.0
 
     def test_non_finite_velocity_rejected(self):
         dims = (4, 4, 4)
@@ -546,6 +610,19 @@ class TestIcResidual:
         mae_comp, _ = ic_residual(a, b, norm="component")
         assert np.isclose(mae_norm, 0.3)
         assert np.isclose(mae_comp, 0.1)  # |0.3| averaged over three components
+
+    @pytest.mark.parametrize("norm", ["euclidean", "component"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_grid_mask_is_the_full_grid_test(self, rng, norm, order):
+        # whole-voxel lookups land exactly on the first and last voxels
+        dims = (7, 5, 6)
+        b = rng.integers(-3, 4, size=dims + (3,)).astype(np.float64)
+        b[::2] += rng.uniform(-0.5, 0.5, size=b[::2].shape)
+        mae, residual = ic_residual(field_from(rng.standard_normal(dims + (3,))), field_from(np.asarray(b, order=order)),
+                                    norm=norm)
+        pos = identity_grid(dims) + b
+        r = residual.data[np.all((pos >= 0.0) & (pos <= np.array(dims) - 1.0), axis=-1)]
+        assert mae == float(np.mean(np.sqrt(np.sum(r * r, axis=-1))) if norm == "euclidean" else np.mean(np.abs(r)))
 
     def test_mask_and_empty_evaluation(self):
         dims = (6, 6, 6)
