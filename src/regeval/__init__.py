@@ -19,14 +19,14 @@ from .metrics import PairReport, dsc, evaluate_pair, hd95, lncc, ndv, tre
 from .ranking import MetricMatrix, RankTable, aggregate, pairwise_wins, rank_methods, wins_to_rank_scores
 from .refreg import RegConfig, loss_and_grad, register
 from .stats import (
-    TestResult,
+    RowResults,
     dsc30,
-    mann_whitney_u,
+    mann_whitney_u_rows,
     mean_std,
     pearson_fit,
     percentile,
     tre30,
-    wilcoxon_signed_rank,
+    wilcoxon_signed_rank_rows,
 )
 from .synth import FoldSlab, PhantomSpec, Svf, Translation, make_cohort, make_field, make_pair, make_phantom, make_velocity
 from .volio import (
@@ -62,8 +62,8 @@ __all__ = [
     "RankTable",
     "RegConfig",
     "RegEvalError",
+    "RowResults",
     "Svf",
-    "TestResult",
     "Translation",
     "VelocityField",
     "Volume",
@@ -82,7 +82,7 @@ __all__ = [
     "make_pair",
     "make_phantom",
     "make_velocity",
-    "mann_whitney_u",
+    "mann_whitney_u_rows",
     "mean_std",
     "ndv",
     "pairwise_wins",
@@ -97,7 +97,7 @@ __all__ = [
     "tre30",
     "warp_image",
     "warp_labels",
-    "wilcoxon_signed_rank",
+    "wilcoxon_signed_rank_rows",
     "wins_to_rank_scores",
     "write_landmarks",
     "write_nifti",

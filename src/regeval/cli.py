@@ -160,6 +160,8 @@ def cmd_eval(args) -> int:
     only return results: this is the one writer of ``--out``, a failed write
     stops the run there (IoFailure), and a failed or lost job's error
     replaces the report an earlier run left.  Bytes do not depend on --jobs."""
+    if args.jobs < 1:
+        raise BadParams(f"--jobs must be at least 1, got {args.jobs}")
     job_list = read_manifest(args.manifest)
     out = Path(args.out)
     workers = worker_count(args.jobs, len(job_list))
@@ -310,7 +312,7 @@ def cmd_rank(args) -> int:
     """
     if not 0.0 < args.alpha < 1.0:  # at 1 or above every method beats every other
         raise BadParams(f"--alpha must lie in (0, 1), got {args.alpha!r}")
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     reports = load_reports(args.report_dir)
     # every metric's values, read once for the matrices and the CSV; an unknown name stops here
     methods, cases, values = _metric_table(reports, [*METRICS, *metrics])
@@ -442,6 +444,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.cases < 0:
+        raise BadParams(f"--cases must not be negative, got {args.cases}")
     manifest = synth.make_cohort(
         args.out,
         cases=args.cases,

@@ -16,28 +16,13 @@ same counts as the distribution it sums, so the p-values are unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import BadQuantile, DegenerateInput, EmptyInput, LengthMismatch
-
-
-@dataclass(frozen=True)
-class TestResult:
-    """One-sided test outcome.
-
-    ``method`` is "exact" (enumerated null distribution), "normal"
-    (tie-corrected approximation with continuity correction), or
-    "degenerate" (no informative pairs; p forced to 1).
-    """
-
-    statistic: float
-    p_one_sided: float
-    n_effective: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -153,15 +138,20 @@ def _tie_sums(values: np.ndarray) -> np.ndarray:
     return np.repeat(t * t - 1, t).reshape(sorted_vals.shape).sum(axis=1)
 
 
-def _check_method(method: str) -> None:
+def _sample_rows(x, y, method: str, paired: bool) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as float64 (rows, k) stacks, a 1-D sample as one row; a
+    LengthMismatch names both shapes, and rows need at least one value."""
     if method not in ("auto", "exact", "normal"):
         raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
-
-
-def _check_options(alternative: str, method: str) -> None:
-    if alternative not in ("greater", "less"):
-        raise ValueError(f"alternative must be 'greater' or 'less', got {alternative!r}")
-    _check_method(method)
+    xv = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    yv = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if max(xv.ndim, yv.ndim) > 2 or xv.shape[0] != yv.shape[0]:
+        raise LengthMismatch(f"samples need one row per test: shapes {np.shape(x)} vs {np.shape(y)}")
+    if paired and xv.shape != yv.shape:
+        raise LengthMismatch(f"paired samples differ in length: shapes {np.shape(x)} vs {np.shape(y)}")
+    if xv.shape[1] == 0 or yv.shape[1] == 0:
+        raise EmptyInput("rank tests need nonempty samples")
+    return xv, yv
 
 
 def _use_exact(method: str, feasible: np.ndarray) -> np.ndarray:
@@ -186,7 +176,9 @@ class RowResults:
     Row r compares ``x[r]`` with ``y[r]``: ``statistic`` is that of x over y,
     ``p_greater`` the p-value that x tends to exceed y and ``p_less`` the one
     that y tends to exceed x, both from one ranking of the row.  ``method``
-    holds the :class:`TestResult` method names.
+    is "exact" (enumerated null distribution), "normal" (tie-corrected
+    approximation with continuity correction) or "degenerate" (no
+    informative pairs; both p-values forced to 1).
     """
 
     statistic: np.ndarray
@@ -194,15 +186,6 @@ class RowResults:
     p_less: np.ndarray
     n_effective: np.ndarray
     method: np.ndarray
-
-    def greater(self, row: int) -> TestResult:
-        """Row ``row`` as the test of x over y."""
-        return TestResult(
-            float(self.statistic[row]),
-            float(self.p_greater[row]),
-            int(self.n_effective[row]),
-            str(self.method[row]),
-        )
 
 
 def _method_names(degenerate: np.ndarray, exact: np.ndarray) -> np.ndarray:
@@ -249,20 +232,22 @@ def _wilcoxon_exact_tail(sorted_doubled_ranks: tuple[int, ...]) -> tuple[int, ..
 
 def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
     """Paired one-sided Wilcoxon signed-rank tests of ``x[r]`` against
-    ``y[r]`` for every row r of two (rows, k) stacks, in both directions.
+    ``y[r]`` for every row r of two (rows, k) stacks, in both directions;
+    1-D samples are one row.
 
-    Each row is tested as :func:`wilcoxon_signed_rank` describes.  y - x has
-    the |differences| and ranks of x - y, so W+ of y over x is the rank sum
-    over the negative differences of x - y, and both directions share one
-    exact null.  Each distinct null is looked up once per call.
+    Zero differences are dropped (classic Wilcoxon); |d| is ranked with
+    average ranks for ties and W+, the statistic, is the rank sum over
+    positive differences.  The null distribution is exact for
+    n_effective <= 25 (conditional on the observed ranks), otherwise a
+    tie-corrected normal approximation with a 0.5 continuity correction.
+    A row with no nonzero differences is "degenerate" with p = 1 both ways,
+    so that no comparison can be won.
+
+    y - x has the |differences| and ranks of x - y, so W+ of y over x is the
+    rank sum over the negative differences of x - y, and both directions
+    share one exact null.  Each distinct null is looked up once per call.
     """
-    _check_method(method)
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if xv.shape != yv.shape:
-        raise LengthMismatch(f"paired samples differ in length: {xv.shape[1]} vs {yv.shape[1]}")
-    if xv.shape[1] == 0:
-        raise EmptyInput("wilcoxon_signed_rank needs at least one pair")
+    xv, yv = _sample_rows(x, y, method, paired=True)
 
     d = xv - yv
     abs_d = np.abs(d)
@@ -303,31 +288,6 @@ def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
     return RowResults(w_plus, p_greater, p_less, n, _method_names(degenerate, exact))
 
 
-def wilcoxon_signed_rank(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
-    """Paired one-sided Wilcoxon signed-rank test.
-
-    Zero differences are dropped (classic Wilcoxon); |d| is ranked with
-    average ranks for ties and W+ is the rank sum over positive differences.
-    The null distribution is exact for n_effective <= 25 (conditional on the
-    observed ranks), otherwise a tie-corrected normal approximation with a
-    0.5 continuity correction.  With no nonzero differences the result is
-    flagged "degenerate" with p = 1 so that no comparison can be won.
-
-    ``alternative`` "greater" tests whether x tends to exceed y.  This is the
-    one-row case of :func:`wilcoxon_signed_rank_rows`.
-    """
-    _check_options(alternative, method)
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    row = wilcoxon_signed_rank_rows(xv[None], yv[None], method)
-    if alternative == "less":
-        # p(less on (x, y)) equals p(greater on (y, x)); route through one
-        # code path so the identity holds bit for bit.
-        swapped = wilcoxon_signed_rank(yv, xv, "greater", method)
-        return replace(swapped, statistic=float(row.statistic[0]))
-    return row.greater(0)
-
-
 # ---------------------------------------------------------------------------
 # Mann-Whitney U test
 
@@ -356,21 +316,22 @@ def _mwu_exact_tail(n: int, m: int) -> tuple[int, ...]:
 
 
 def mann_whitney_u_rows(x, y, method: str = "auto") -> RowResults:
-    """Unpaired one-sided Mann-Whitney U tests of ``x[r]`` against ``y[r]``
-    for every row r of a (rows, n) and a (rows, m) stack, in both directions.
+    """Unpaired one-sided Mann-Whitney U tests (Wilcoxon rank-sum) of
+    ``x[r]`` against ``y[r]`` for every row r of a (rows, n) and a (rows, m)
+    stack, in both directions; 1-D samples are one row.
 
-    Each row is tested as :func:`mann_whitney_u` describes.  The pooled
-    ranks sum to (n + m)(n + m + 1)/2, so U of y over x is n*m - U of x over
-    y, and the null for (n, m), looked up once per call, equals that for
-    (m, n).  Rows holding NaN rank it by position, so there the reversed
-    direction can differ from testing (y, x).
+    U, the statistic, is computed from average ranks of the pooled row.  The
+    null is exact when min(n, m) <= 10 and the pooled row is tie-free,
+    otherwise a tie-corrected normal approximation with continuity
+    correction; a row of equal values is "degenerate" with p = 1 both ways.
+
+    The pooled ranks sum to (n + m)(n + m + 1)/2, so U of y over x is
+    n*m - U of x over y, and the null for (n, m), looked up once per call,
+    equals that for (m, n).  Rows holding NaN rank it by position, so there
+    the reversed direction can differ from testing (y, x).
     """
-    _check_method(method)
-    xv = np.asarray(x, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
+    xv, yv = _sample_rows(x, y, method, paired=False)
     n, m = xv.shape[1], yv.shape[1]
-    if n == 0 or m == 0:
-        raise EmptyInput("mann_whitney_u needs nonempty samples")
 
     pooled = np.concatenate([xv, yv], axis=1)
     ranks = _average_ranks(pooled)
@@ -401,24 +362,6 @@ def mann_whitney_u_rows(x, y, method: str = "auto") -> RowResults:
     degenerate[normal] = var <= 0.0
     n_effective = np.full(exact.shape, big_n)
     return RowResults(u_x, p_greater, p_less, n_effective, _method_names(degenerate, exact))
-
-
-def mann_whitney_u(x, y, alternative: str = "greater", method: str = "auto") -> TestResult:
-    """Unpaired one-sided Mann-Whitney U test (Wilcoxon rank-sum).
-
-    U is computed from average ranks of the pooled sample.  The null is
-    exact when min(n, m) <= 10 and the pooled sample is tie-free, otherwise
-    a tie-corrected normal approximation with continuity correction.  This
-    is the one-row case of :func:`mann_whitney_u_rows`.
-    """
-    _check_options(alternative, method)
-    xv = np.asarray(x, dtype=np.float64).ravel()
-    yv = np.asarray(y, dtype=np.float64).ravel()
-    row = mann_whitney_u_rows(xv[None], yv[None], method)
-    if alternative == "less":
-        swapped = mann_whitney_u(yv, xv, "greater", method)
-        return replace(swapped, statistic=float(row.statistic[0]))
-    return row.greater(0)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,8 @@ def test_c04_statistical_tests(rng):
         x = _tie_free(rng, n)
         y = np.zeros(n)
         alt = "greater" if rng.random() < 0.5 else "less"
-        got = stats.wilcoxon_signed_rank(x, y, alt).p_one_sided
+        res = stats.wilcoxon_signed_rank_rows(x, y)
+        got = (res.p_greater if alt == "greater" else res.p_less)[0]
         want = _wilcoxon_oracle_p(x, alt)
         assert abs(got - want) <= 1e-12
 
@@ -242,7 +243,8 @@ def test_c04_statistical_tests(rng):
         pooled = _tie_free(rng, n + m)
         x, y = pooled[:n], pooled[n:]
         alt = "greater" if rng.random() < 0.5 else "less"
-        got = stats.mann_whitney_u(x, y, alt).p_one_sided
+        res = stats.mann_whitney_u_rows(x, y)
+        got = (res.p_greater if alt == "greater" else res.p_less)[0]
         want = _mwu_oracle_p(x, y, alt)
         assert abs(got - want) <= 1e-12
 
@@ -251,16 +253,16 @@ def test_c04_statistical_tests(rng):
         n = int(rng.integers(20, 26))
         x = _tie_free(rng, n)
         y = _tie_free(rng, n)
-        p_exact = stats.wilcoxon_signed_rank(x, y, method="exact").p_one_sided
-        p_normal = stats.wilcoxon_signed_rank(x, y, method="normal").p_one_sided
+        p_exact = stats.wilcoxon_signed_rank_rows(x, y, method="exact").p_greater[0]
+        p_normal = stats.wilcoxon_signed_rank_rows(x, y, method="normal").p_greater[0]
         worst = max(worst, abs(p_exact - p_normal))
     for _ in range(30):
         n = int(rng.integers(8, 11))
         m = int(rng.integers(20, 26))
         x = _tie_free(rng, n)
         y = _tie_free(rng, m)
-        p_exact = stats.mann_whitney_u(x, y, method="exact").p_one_sided
-        p_normal = stats.mann_whitney_u(x, y, method="normal").p_one_sided
+        p_exact = stats.mann_whitney_u_rows(x, y, method="exact").p_greater[0]
+        p_normal = stats.mann_whitney_u_rows(x, y, method="normal").p_greater[0]
         worst = max(worst, abs(p_exact - p_normal))
     assert worst < 0.01
 

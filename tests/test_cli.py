@@ -96,6 +96,13 @@ class TestEval:
         assert json.loads(runs[0]["fold__case000.json"])["ndv"] > 0.0
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2_and_writes_nothing(self, cohort, tmp_path, capsys, jobs):
+        out = tmp_path / "reports"
+        assert cli.main(["--jobs", jobs, "--out", str(out), "eval", str(cohort / "manifest.csv")]) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
     def test_reports_written_and_zero_exit(self, cohort, tmp_path):
         out = tmp_path / "reports"
         code = cli.main(["--out", str(out), "eval", str(cohort / "manifest.csv")])
@@ -816,6 +823,16 @@ class TestRank:
         for name in ("leaderboard.csv", "leaderboard.json"):
             assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
+    def test_a_repeated_metric_is_ranked_once(self, tmp_path):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["a", "b", "c"], n_cases=5)
+        for name, metrics in (("once", "dsc,hd95,tre"), ("repeated", "dsc,hd95,dsc,tre,hd95")):
+            assert cli.main(["--out", str(tmp_path / name), "rank", str(reports), "--metrics", metrics]) == 0
+        ranks = json.loads((tmp_path / "repeated" / "leaderboard.json").read_text())
+        assert ranks["metrics"] == ["dsc", "hd95", "tre"]
+        for name in ("leaderboard.csv", "leaderboard.json"):
+            assert (tmp_path / "repeated" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
     def test_tre_dropped_when_absent(self, tmp_path):
         reports = tmp_path / "reports"
         self.synth_reports(reports, ["a", "b"])
@@ -1217,6 +1234,12 @@ class TestSynthCommand:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad Svf parameters") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_cases_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert cli.main(["--out", str(out), "synth", "--cases", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --cases must not be negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("labels", ["32768", "40000"])

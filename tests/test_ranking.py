@@ -14,7 +14,7 @@ from regeval.ranking import (
     rank_methods,
     wins_to_rank_scores,
 )
-from regeval.stats import mann_whitney_u, wilcoxon_signed_rank
+from regeval.stats import mann_whitney_u_rows, wilcoxon_signed_rank_rows
 
 
 def matrix(values, direction=HIGHER_BETTER, methods=None, pairing="paired", metric_id="m"):
@@ -274,7 +274,7 @@ def test_paired_wins_can_change_under_nonlinear_rescaling():
     assert pairwise_wins(rescaled(m, np.log)) == {"a": 1, "b": 0}
 
 
-# --- the swapped test call against the "less" alternative ------------------------
+# --- the swapped test call against the p_less direction ---------------------------
 
 
 @st.composite
@@ -298,10 +298,10 @@ def gapped_matrices(draw):
 
 
 def p_values_via_alternative(m: MetricMatrix) -> dict:
-    """p of "row method beats column method", asked the direct way:
-    ``alternative="less"`` for a lower-is-better metric."""
-    better = "greater" if m.direction == HIGHER_BETTER else "less"
-    test = wilcoxon_signed_rank if m.pairing == "paired" else mann_whitney_u
+    """p of "row method beats column method", asked the direct way, one
+    pair per call: ``p_less`` for a lower-is-better metric."""
+    higher = m.direction == HIGHER_BETTER
+    test = wilcoxon_signed_rank_rows if m.pairing == "paired" else mann_whitney_u_rows
     p = {}
     for i, a in enumerate(m.methods):
         for j, b in enumerate(m.methods):
@@ -309,7 +309,8 @@ def p_values_via_alternative(m: MetricMatrix) -> dict:
                 va, vb = m.values[i], m.values[j]
                 if m.pairing == "unpaired":
                     va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
-                p[a, b] = test(va, vb, alternative=better).p_one_sided
+                result = test(va, vb)
+                p[a, b] = (result.p_greater if higher else result.p_less)[0]
     return p
 
 
@@ -329,10 +330,10 @@ def test_pairwise_wins_equal_the_less_alternative(m, data):
 
 
 def scalar_pairwise_wins(m: MetricMatrix, alpha: float) -> dict:
-    """The per-pair loop over the scalar tests that the batched pass
-    replaced, kept as the reference."""
+    """The per-pair loop, one test call per ordered pair, that the batched
+    pass replaced, kept as the reference."""
     higher = m.direction == HIGHER_BETTER
-    test = wilcoxon_signed_rank if m.pairing == "paired" else mann_whitney_u
+    test = wilcoxon_signed_rank_rows if m.pairing == "paired" else mann_whitney_u_rows
     wins = {a: 0 for a in m.methods}
     for i, a in enumerate(m.methods):
         for j in range(len(m.methods)):
@@ -342,7 +343,7 @@ def scalar_pairwise_wins(m: MetricMatrix, alpha: float) -> dict:
             if m.pairing == "unpaired":
                 va, vb = va[np.isfinite(va)], vb[np.isfinite(vb)]
             result = test(va, vb) if higher else test(vb, va)
-            wins[a] += result.p_one_sided < alpha
+            wins[a] += result.p_greater[0] < alpha
     return wins
 
 

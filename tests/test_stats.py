@@ -1,22 +1,35 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import stats as scipy_stats
 
 from regeval import errors, stats
 from regeval.stats import (
     dsc30,
-    mann_whitney_u,
+    mann_whitney_u_rows,
     mean_std,
     pearson_fit,
     percentile,
     tre30,
-    wilcoxon_signed_rank,
+    wilcoxon_signed_rank_rows,
 )
+
+
+def one_sided(res, alternative):
+    """Row 0's p-value for "x tends to exceed y" ("greater") or the reverse."""
+    return (res.p_greater if alternative == "greater" else res.p_less)[0]
+
+
+def row_fields(res, r):
+    """Every field of row ``r`` of a RowResults."""
+    return tuple(getattr(res, f.name)[r] for f in dataclasses.fields(res))
 
 
 # --- enumeration oracles -----------------------------------------------------
@@ -135,24 +148,24 @@ class TestWilcoxon:
     def test_all_positive_units(self):
         x = np.arange(10, dtype=float) + 1.0
         y = x - 1.0
-        res = wilcoxon_signed_rank(x, y, "greater")
-        assert res.statistic == 55.0
-        assert res.p_one_sided == pytest.approx(1.0 / 1024.0, abs=1e-15)
-        assert res.method == "exact"
+        res = wilcoxon_signed_rank_rows(x, y)
+        assert res.statistic[0] == 55.0
+        assert res.p_greater[0] == pytest.approx(1.0 / 1024.0, abs=1e-15)
+        assert res.method[0] == "exact"
 
     def test_identical_samples_flagged(self):
         x = [1.0, 2.0, 3.0]
-        res = wilcoxon_signed_rank(x, x, "greater")
-        assert res.p_one_sided == 1.0
-        assert res.n_effective == 0
-        assert res.method == "degenerate"
+        res = wilcoxon_signed_rank_rows(x, x)
+        assert res.p_greater[0] == 1.0
+        assert res.n_effective[0] == 0
+        assert res.method[0] == "degenerate"
 
     def test_fixed_example_matches_enumeration(self):
         d = np.array([3.0, -1.0, 2.0, -2.0, 4.0, 1.0])
         x = d
         y = np.zeros(6)
         for alt in ("greater", "less"):
-            got = wilcoxon_signed_rank(x, y, alt).p_one_sided
+            got = one_sided(wilcoxon_signed_rank_rows(x, y), alt)
             want = wilcoxon_enum_p(d, alt)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -162,7 +175,7 @@ class TestWilcoxon:
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
             alt = "greater" if rng.random() < 0.5 else "less"
-            got = wilcoxon_signed_rank(x, y, alt).p_one_sided
+            got = one_sided(wilcoxon_signed_rank_rows(x, y), alt)
             want = wilcoxon_enum_p(x - y, alt)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -170,7 +183,7 @@ class TestWilcoxon:
         # repeated |d| values: the exact branch conditions on average ranks
         x = np.array([2.0, 2.0, 2.0, -2.0, 1.0, 1.0])
         y = np.zeros(6)
-        got = wilcoxon_signed_rank(x, y, "greater").p_one_sided
+        got = wilcoxon_signed_rank_rows(x, y).p_greater[0]
         want = wilcoxon_enum_p(x, "greater")
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -180,8 +193,8 @@ class TestWilcoxon:
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
             assert (
-                wilcoxon_signed_rank(x, y, "greater").p_one_sided
-                == wilcoxon_signed_rank(y, x, "less").p_one_sided
+                wilcoxon_signed_rank_rows(x, y).p_greater[0]
+                == wilcoxon_signed_rank_rows(y, x).p_less[0]
             )
 
     def test_exact_and_normal_agree_for_moderate_n(self, rng):
@@ -190,13 +203,13 @@ class TestWilcoxon:
             n = int(rng.integers(20, 26))
             x = rng.standard_normal(n)
             y = rng.standard_normal(n)
-            p_exact = wilcoxon_signed_rank(x, y, "greater", method="exact").p_one_sided
-            p_normal = wilcoxon_signed_rank(x, y, "greater", method="normal").p_one_sided
+            p_exact = wilcoxon_signed_rank_rows(x, y, method="exact").p_greater[0]
+            p_normal = wilcoxon_signed_rank_rows(x, y, method="normal").p_greater[0]
             assert abs(p_exact - p_normal) < 0.01
 
     def test_length_mismatch(self):
         with pytest.raises(errors.LengthMismatch):
-            wilcoxon_signed_rank([1.0], [1.0, 2.0])
+            wilcoxon_signed_rank_rows([1.0], [1.0, 2.0])
 
 
 # --- Mann-Whitney ------------------------------------------------------------
@@ -204,15 +217,15 @@ class TestWilcoxon:
 
 class TestMannWhitney:
     def test_complete_separation(self):
-        res = mann_whitney_u([10.0, 11.0, 12.0], [1.0, 2.0, 3.0], "greater")
-        assert res.statistic == 9.0
-        assert res.p_one_sided == pytest.approx(1.0 / 20.0, abs=1e-15)
-        assert res.method == "exact"
+        res = mann_whitney_u_rows([10.0, 11.0, 12.0], [1.0, 2.0, 3.0])
+        assert res.statistic[0] == 9.0
+        assert res.p_greater[0] == pytest.approx(1.0 / 20.0, abs=1e-15)
+        assert res.method[0] == "exact"
 
     def test_equal_multisets_not_significant(self):
         x = [1.0, 2.0, 3.0, 4.0]
         for alt in ("greater", "less"):
-            assert mann_whitney_u(x, list(x), alt).p_one_sided >= 0.5
+            assert one_sided(mann_whitney_u_rows(x, list(x)), alt) >= 0.5
 
     def test_random_instances_match_enumeration(self, rng):
         for _ in range(40):
@@ -221,7 +234,7 @@ class TestMannWhitney:
             x = rng.standard_normal(n)
             y = rng.standard_normal(m)
             alt = "greater" if rng.random() < 0.5 else "less"
-            got = mann_whitney_u(x, y, alt).p_one_sided
+            got = one_sided(mann_whitney_u_rows(x, y), alt)
             want = mwu_enum_p(x, y, alt)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -231,8 +244,8 @@ class TestMannWhitney:
             x = rng.standard_normal(n)
             y = rng.standard_normal(m)
             assert (
-                mann_whitney_u(x, y, "greater").p_one_sided
-                == mann_whitney_u(y, x, "less").p_one_sided
+                mann_whitney_u_rows(x, y).p_greater[0]
+                == mann_whitney_u_rows(y, x).p_less[0]
             )
 
     def test_exact_and_normal_agree_for_moderate_sizes(self, rng):
@@ -241,13 +254,79 @@ class TestMannWhitney:
             m = int(rng.integers(12, 26))
             x = rng.standard_normal(n)
             y = rng.standard_normal(m)
-            p_exact = mann_whitney_u(x, y, "greater", method="exact").p_one_sided
-            p_normal = mann_whitney_u(x, y, "greater", method="normal").p_one_sided
+            p_exact = mann_whitney_u_rows(x, y, method="exact").p_greater[0]
+            p_normal = mann_whitney_u_rows(x, y, method="normal").p_greater[0]
             assert abs(p_exact - p_normal) < 0.01
 
     def test_empty_input(self):
         with pytest.raises(errors.EmptyInput):
-            mann_whitney_u([], [1.0])
+            mann_whitney_u_rows([], [1.0])
+
+
+# --- the normal branch against scipy ---------------------------------------------
+
+
+class TestNormalApproximation:
+    """The tie-corrected normal approximation with continuity correction
+    against scipy.stats' asymptotic tests, on tie-heavy samples."""
+
+    def test_signed_rank_matches_scipy(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(5, 40))
+            x = rng.integers(-3, 4, n).astype(np.float64)
+            y = rng.integers(-3, 4, n).astype(np.float64)
+            res = wilcoxon_signed_rank_rows(x, y, method="normal")
+            if res.method[0] == "degenerate":
+                continue
+            for alt in ("greater", "less"):
+                want = scipy_stats.wilcoxon(
+                    x, y, zero_method="wilcox", correction=True, alternative=alt, method="approx"
+                ).pvalue
+                assert one_sided(res, alt) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_rank_sum_matches_scipy(self, rng):
+        for _ in range(40):
+            x = rng.integers(-3, 4, int(rng.integers(2, 30))).astype(np.float64)
+            y = rng.integers(-3, 4, int(rng.integers(2, 30))).astype(np.float64)
+            res = mann_whitney_u_rows(x, y, method="normal")
+            if res.method[0] == "degenerate":
+                continue
+            for alt in ("greater", "less"):
+                want = scipy_stats.mannwhitneyu(x, y, alternative=alt, method="asymptotic").pvalue
+                assert one_sided(res, alt) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+# --- input contract of the row tests --------------------------------------------
+
+
+class TestRowInputs:
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank_rows, mann_whitney_u_rows])
+    def test_one_dimensional_samples_are_one_row(self, test):
+        x, y = np.array([3.0, -1.0, 2.0]), np.array([0.0, 0.5, 1.0])
+        assert row_fields(test(x, y), 0) == row_fields(test(x[None], y[None]), 0)
+        assert len(test(x, y).statistic) == 1
+
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank_rows, mann_whitney_u_rows])
+    @pytest.mark.parametrize(
+        "x_shape, y_shape",
+        [((2, 5), (3, 5)), ((3,), (2, 3)), ((2, 2, 5), (2, 2, 5))],
+        ids=["row_counts", "one_row_against_two", "three_dims"],
+    )
+    def test_row_counts_must_match(self, test, x_shape, y_shape):
+        x, y = np.ones(x_shape), np.zeros(y_shape)
+        with pytest.raises(errors.LengthMismatch, match=re.escape(f"{x_shape} vs {y_shape}")):
+            test(x, y)
+
+    def test_paired_rows_must_have_one_length(self):
+        with pytest.raises(errors.LengthMismatch, match=re.escape("(2, 5) vs (2, 4)")):
+            wilcoxon_signed_rank_rows(np.ones((2, 5)), np.zeros((2, 4)))
+        # unpaired rows may differ in length
+        assert mann_whitney_u_rows(np.ones((2, 5)), np.zeros((2, 4))).p_greater.shape == (2,)
+
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank_rows, mann_whitney_u_rows])
+    def test_empty_rows_raise(self, test):
+        with pytest.raises(errors.EmptyInput):
+            test(np.zeros((2, 0)), np.zeros((2, 0)))
 
 
 # --- exact nulls: brute force, cold and warm cache ----------------------------
@@ -301,12 +380,12 @@ class TestExactNullCache:
         clear_null_caches()
         for _ in ("cold", "warm"):
             for d, p in zip(cases, want):
-                res = wilcoxon_signed_rank(d, np.zeros(d.size), "greater", method="exact")
+                res = wilcoxon_signed_rank_rows(d, np.zeros(d.size), method="exact")
                 if p is None:
-                    assert res.method == "degenerate"
+                    assert res.method[0] == "degenerate"
                 else:
-                    assert res.method == "exact"
-                    assert res.p_one_sided == p
+                    assert res.method[0] == "exact"
+                    assert res.p_greater[0] == p
         info = stats._wilcoxon_exact_tail.cache_info()
         assert info.hits >= len([p for p in want if p is not None])
 
@@ -320,9 +399,9 @@ class TestExactNullCache:
         clear_null_caches()
         for _ in ("cold", "warm"):
             for (x, y), p in zip(cases, want):
-                res = mann_whitney_u(x, y, "greater", method="exact")
-                assert res.method == "exact"
-                assert res.p_one_sided == p
+                res = mann_whitney_u_rows(x, y, method="exact")
+                assert res.method[0] == "exact"
+                assert res.p_greater[0] == p
         assert stats._mwu_exact_tail.cache_info().hits >= len(cases)
 
     def test_tail_is_suffix_sums_with_a_zero_past_the_end(self):
@@ -339,9 +418,9 @@ class TestExactNullCache:
     def test_key_is_the_rank_multiset(self):
         clear_null_caches()
         # |d| ranks 4, 1, 2.5, 2.5 in two orders: one doubled-rank multiset
-        a = wilcoxon_signed_rank([3.0, 1.0, 2.0, -2.0], np.zeros(4), method="exact")
-        b = wilcoxon_signed_rank([-2.0, 2.0, 1.0, 3.0], np.zeros(4), method="exact")
-        assert a == b
+        a = wilcoxon_signed_rank_rows([3.0, 1.0, 2.0, -2.0], np.zeros(4), method="exact")
+        b = wilcoxon_signed_rank_rows([-2.0, 2.0, 1.0, 3.0], np.zeros(4), method="exact")
+        assert row_fields(a, 0) == row_fields(b, 0)
         assert stats._wilcoxon_exact_tail.cache_info().currsize == 1
 
     def test_cache_is_bounded(self):
@@ -422,11 +501,13 @@ sample_values = st.integers(-3, 3) | st.integers(-60, 60)
 def test_wilcoxon_less_is_swapped_greater(pairs):
     x = np.array([a for a, _ in pairs], dtype=np.float64)
     y = np.array([b for _, b in pairs], dtype=np.float64)
-    less = wilcoxon_signed_rank(x, y, "less")
-    swapped = wilcoxon_signed_rank(y, x, "greater")
-    assert less.p_one_sided == swapped.p_one_sided
-    assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
-    assert less.statistic == wilcoxon_signed_rank(x, y, "greater").statistic
+    less = wilcoxon_signed_rank_rows(x, y)
+    swapped = wilcoxon_signed_rank_rows(y, x)
+    assert less.p_less[0] == swapped.p_greater[0]
+    assert (less.method[0], less.n_effective[0]) == (swapped.method[0], swapped.n_effective[0])
+    # W+ of (y, x) is W- of (x, y); W+ + W- sums the ranks 1..n_effective
+    n = int(less.n_effective[0])
+    assert less.statistic[0] + swapped.statistic[0] == n * (n + 1) / 2
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,14 +517,14 @@ def test_wilcoxon_less_is_swapped_greater(pairs):
 )
 def test_mann_whitney_less_is_swapped_greater(xs, ys):
     x, y = np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
-    less = mann_whitney_u(x, y, "less")
-    swapped = mann_whitney_u(y, x, "greater")
-    assert less.p_one_sided == swapped.p_one_sided
-    assert (less.method, less.n_effective) == (swapped.method, swapped.n_effective)
-    assert less.statistic == mann_whitney_u(x, y, "greater").statistic
+    less = mann_whitney_u_rows(x, y)
+    swapped = mann_whitney_u_rows(y, x)
+    assert less.p_less[0] == swapped.p_greater[0]
+    assert (less.method[0], less.n_effective[0]) == (swapped.method[0], swapped.n_effective[0])
+    assert less.statistic[0] + swapped.statistic[0] == x.size * y.size
 
 
-# --- batched rows against the scalar tests, both ways ----------------------------------
+# --- batched rows against one-row calls, both ways ------------------------------------
 
 
 @st.composite
@@ -467,22 +548,18 @@ def row_stacks(draw):
 @given(row_stacks())
 def test_rows_equal_the_scalar_tests_in_both_directions(case):
     paired, x, y, method = case
-    rows_test = stats.wilcoxon_signed_rank_rows if paired else stats.mann_whitney_u_rows
-    scalar = wilcoxon_signed_rank if paired else mann_whitney_u
+    rows_test = wilcoxon_signed_rank_rows if paired else mann_whitney_u_rows
     try:
-        want = [
-            (scalar(a, b, "greater", method), scalar(b, a, "greater", method))
-            for a, b in zip(x, y)
-        ]
+        want = [(rows_test(a, b, method), rows_test(b, a, method)) for a, b in zip(x, y)]
     except ValueError as exc:  # an exact rank-sum null on tied data
         with pytest.raises(ValueError, match=str(exc)):
             rows_test(x, y, method)
         return
     got = rows_test(x, y, method)
     for r, (forward, reverse) in enumerate(want):
-        assert got.greater(r) == forward
-        assert got.p_less[r] == reverse.p_one_sided
-        assert (got.method[r], got.n_effective[r]) == (reverse.method, reverse.n_effective)
+        assert row_fields(got, r) == row_fields(forward, 0)
+        assert got.p_less[r] == reverse.p_greater[0]
+        assert (got.method[r], got.n_effective[r]) == (reverse.method[0], reverse.n_effective[0])
 
 
 # --- Pearson -----------------------------------------------------------------
