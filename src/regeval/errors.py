@@ -110,8 +110,8 @@ class SpecInvalid(RegEvalError):
     """PhantomSpec parameters violate their invariants."""
 
 
-class BadParams(RegEvalError):
-    """Field construction or optimizer parameters are invalid."""
+class BadParams(RegEvalError, ValueError):
+    """Field construction, optimizer or rank-test parameters are invalid."""
 
 
 class DivergedLoss(RegEvalError):

@@ -186,7 +186,7 @@ def _upsample_state(state: np.ndarray, fine_dims) -> np.ndarray:
     for axis, n in enumerate(fine_dims):
         pts[..., axis] = (_axis_coords(n, axis) - 0.5) / 2.0
     up = _trilinear(state, pts.reshape(-1, 3)).reshape(pts.shape)
-    return 2.0 * up
+    return np.multiply(up, 2.0, out=up)
 
 
 def gaussian_filter(*args, **kwargs):

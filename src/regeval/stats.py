@@ -7,22 +7,21 @@ a 0.5 continuity correction.  Exactness matters here: leaderboard positions
 hinge on p < alpha decisions, so the exact branch is used whenever feasible.
 
 An exact null depends only on the multiset of doubled ranks (signed-rank) or
-on the sample sizes ``(n, m)`` (rank-sum), so each is built once per process
-and its upper tail, as integer suffix sums, is kept in a bounded LRU cache of
-``_NULL_CACHE_SIZE`` entries.  On tie-free data a ranking run of M methods
-asks for the same null M*(M-1) times per metric.  The integer tail gives the
-same counts as the distribution it sums, so the p-values are unchanged.
+on the sample sizes ``(n, m)`` (rank-sum).  A call builds each distinct null
+once, as its upper tail in integer suffix sums: signed-rank once per unique
+rank pattern of its rows (``np.unique``), rank-sum once for all its rows.
+Nothing is kept between calls.  The integer tail gives the same counts as
+summing the distribution, so the p-values are exact quotients of counts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import BadQuantile, DegenerateInput, EmptyInput, LengthMismatch
+from .errors import BadParams, BadQuantile, DegenerateInput, EmptyInput, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -96,53 +95,39 @@ def summarize_cohort(per_case_values: dict) -> CohortStats:
 # rank helpers
 
 
-def _runs(sorted_rows: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the first and the last position of every run in a
-    (rows, k) stack of sorted rows.  ``split[r, p]`` is True where sorted
-    positions p and p + 1 of row r fall in different runs."""
-    rows, k = sorted_rows.shape
+def _rank_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a 2-D stack, from one sort: ranks 1..k with ties sharing
+    their average rank, and the sum of t**3 - t over the groups of t equal
+    values.
+
+    A run of ties is decided by ``!=`` between sorted neighbours, so -0.0
+    ties 0.0 and every NaN ranks on its own; as in ``np.unique``, all NaNs
+    of a row (sorted last) form one tie group.
+    """
+    rows, k = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(values, order, axis=1)
     # edge[r, p]: a run boundary between sorted positions p - 1 and p of row r
     edge = np.ones((rows, k + 1), dtype=bool)
-    edge[:, 1:k] = split
-    return np.flatnonzero(edge[:, :k]), np.flatnonzero(edge[:, 1:])
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..k along the last axis, each row of a 2-D stack on its own,
-    with ties sharing their average rank.
-
-    A run of ties is decided by ``==`` between sorted neighbours, so -0.0
-    ties 0.0 and every NaN is a run of its own.
-    """
-    rows = np.atleast_2d(values)
-    order = np.argsort(rows, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(rows, order, axis=1)
-    starts, ends = _runs(sorted_vals, sorted_vals[:, 1:] != sorted_vals[:, :-1])
-    # flat positions: row r begins at r * k
-    mid = np.repeat(0.5 * (starts + ends), ends - starts + 1).reshape(rows.shape)
-    row_start = rows.shape[1] * np.arange(rows.shape[0])[:, None]
-    ranks = np.empty(rows.shape, dtype=np.float64)
-    np.put_along_axis(ranks, order, mid - row_start + 1.0, axis=1)
-    return ranks.reshape(values.shape)
-
-
-def _tie_sums(values: np.ndarray) -> np.ndarray:
-    """Per row of a 2-D stack, the sum of t**3 - t over its groups of t equal
-    values; as in ``np.unique``, all NaNs of a row form one group."""
-    sorted_vals = np.sort(values, axis=1)
+    edge[:, 1:k] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
+    # flat positions of each run's first and last value; row r begins at r * k
+    starts, ends = np.flatnonzero(edge[:, :k]), np.flatnonzero(edge[:, 1:])
+    mid = np.repeat(0.5 * (starts + ends), ends - starts + 1).reshape(rows, k)
+    ranks = np.empty((rows, k))
+    np.put_along_axis(ranks, order, mid - k * np.arange(rows)[:, None] + 1.0, axis=1)
+    # tie groups are the runs with a row's NaNs merged into one
     nan = np.isnan(sorted_vals)
-    split = (sorted_vals[:, 1:] != sorted_vals[:, :-1]) & ~(nan[:, 1:] & nan[:, :-1])
-    starts, ends = _runs(sorted_vals, split)
-    t = ends - starts + 1
+    edge[:, 1:k] &= ~(nan[:, 1:] & nan[:, :-1])
+    t = np.flatnonzero(edge[:, 1:]) - np.flatnonzero(edge[:, :k]) + 1
     # each of a group's t positions adds t * t - 1
-    return np.repeat(t * t - 1, t).reshape(sorted_vals.shape).sum(axis=1)
+    return ranks, np.repeat(t * t - 1, t).reshape(rows, k).sum(axis=1)
 
 
 def _sample_rows(x, y, method: str, paired: bool) -> tuple[np.ndarray, np.ndarray]:
     """x and y as float64 (rows, k) stacks, a 1-D sample as one row; a
     LengthMismatch names both shapes, and rows need at least one value."""
     if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
+        raise BadParams(f"method must be 'auto', 'exact' or 'normal', got {method!r}")
     xv = np.atleast_2d(np.asarray(x, dtype=np.float64))
     yv = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if max(xv.ndim, yv.ndim) > 2 or xv.shape[0] != yv.shape[0]:
@@ -196,12 +181,6 @@ def _method_names(degenerate: np.ndarray, exact: np.ndarray) -> np.ndarray:
 # Wilcoxon signed-rank test
 
 
-# Entries per exact-null cache.  Under method="auto" a signed-rank key holds up
-# to 25 doubled ranks and its tail up to 652 ints; tie-heavy data can make many
-# distinct keys, so the cache must not grow without bound.
-_NULL_CACHE_SIZE = 256
-
-
 def _upper_tail(counts: list[int]) -> tuple[int, ...]:
     """Suffix sums of a count distribution, with a trailing 0 for values past
     its end: ``tail[k] == sum(counts[k:])`` for every k in 0..len(counts)."""
@@ -213,7 +192,6 @@ def _p_ge(tail: tuple[int, ...], k: int) -> float:
     return tail[min(max(k, 0), len(tail) - 1)] / tail[0]
 
 
-@lru_cache(maxsize=_NULL_CACHE_SIZE)
 def _wilcoxon_exact_tail(sorted_doubled_ranks: tuple[int, ...]) -> tuple[int, ...]:
     """Upper tail of the doubled positive-rank sum over all 2**n sign patterns.
 
@@ -245,7 +223,7 @@ def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
 
     y - x has the |differences| and ranks of x - y, so W+ of y over x is the
     rank sum over the negative differences of x - y, and both directions
-    share one exact null.  Each distinct null is looked up once per call.
+    share one exact null.  Each distinct null is built once per call.
     """
     xv, yv = _sample_rows(x, y, method, paired=True)
 
@@ -254,7 +232,8 @@ def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
     # zero differences are dropped: |d| = 0 sorts first and holds ranks 1..zeros
     zeros = np.count_nonzero(d == 0.0, axis=1)
     n = d.shape[1] - zeros
-    ranks = _average_ranks(abs_d) - zeros[:, None]
+    ranks, ties = _rank_rows(abs_d)
+    ranks -= zeros[:, None]
     # sums of ranks, multiples of 0.5 far below 2**53, are exact in any order
     w_plus = np.sum(ranks, axis=1, where=d > 0.0)
     w_minus = np.sum(ranks, axis=1, where=d < 0.0)
@@ -279,7 +258,7 @@ def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
     normal = ~degenerate & ~exact
     m = n[normal]
     # the tie sum of |d| less that of the zero group
-    ties = _tie_sums(abs_d[normal]) - (zeros[normal] ** 3 - zeros[normal])
+    ties = ties[normal] - (zeros[normal] ** 3 - zeros[normal])
     var = m * (m + 1) * (2 * m + 1) / 24.0 - ties / 48.0
     mean = m * (m + 1) / 4.0
     p_greater[normal] = _normal_p(w_plus[normal], mean, var)
@@ -292,7 +271,6 @@ def wilcoxon_signed_rank_rows(x, y, method: str = "auto") -> RowResults:
 # Mann-Whitney U test
 
 
-@lru_cache(maxsize=_NULL_CACHE_SIZE)
 def _mwu_exact_tail(n: int, m: int) -> tuple[int, ...]:
     """Upper tail of the distribution of U for sample sizes (n, m) without ties.
 
@@ -326,7 +304,7 @@ def mann_whitney_u_rows(x, y, method: str = "auto") -> RowResults:
     correction; a row of equal values is "degenerate" with p = 1 both ways.
 
     The pooled ranks sum to (n + m)(n + m + 1)/2, so U of y over x is
-    n*m - U of x over y, and the null for (n, m), looked up once per call,
+    n*m - U of x over y, and the null for (n, m), built once per call,
     equals that for (m, n).  Rows holding NaN rank it by position, so there
     the reversed direction can differ from testing (y, x).
     """
@@ -334,14 +312,13 @@ def mann_whitney_u_rows(x, y, method: str = "auto") -> RowResults:
     n, m = xv.shape[1], yv.shape[1]
 
     pooled = np.concatenate([xv, yv], axis=1)
-    ranks = _average_ranks(pooled)
+    ranks, ties = _rank_rows(pooled)
     u_x = np.sum(ranks[:, :n], axis=1) - n * (n + 1) / 2.0
     u_y = n * m - u_x
-    ties = _tie_sums(pooled)
     has_ties = ties > 0
     exact = _use_exact(method, (min(n, m) <= 10) & ~has_ties)
     if np.any(exact & has_ties):
-        raise ValueError("exact Mann-Whitney null is only defined for tie-free data")
+        raise BadParams("exact Mann-Whitney null is only defined for tie-free data")
     p_greater = np.ones(pooled.shape[0])
     p_less = np.ones(pooled.shape[0])
 

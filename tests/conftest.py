@@ -133,6 +133,26 @@ def per_slab_folded_volume_cells(psi_flat, cells, ny, nz):
     return folded
 
 
+@pytest.fixture
+def count_builds(monkeypatch):
+    """``count_builds(name)`` wraps ``regeval.stats.<name>`` for the test
+    and returns the list that collects the arguments of its calls."""
+    from regeval import stats
+
+    def wrap(name):
+        built = []
+        build = getattr(stats, name)
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(stats, name, counting)
+        return built
+
+    return wrap
+
+
 def traced_peak(fn):
     """(result, peak bytes that tracemalloc saw allocated during fn())."""
     import tracemalloc

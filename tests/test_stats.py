@@ -328,8 +328,19 @@ class TestRowInputs:
         with pytest.raises(errors.EmptyInput):
             test(np.zeros((2, 0)), np.zeros((2, 0)))
 
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank_rows, mann_whitney_u_rows])
+    def test_an_unknown_method_is_a_library_error(self, test):
+        with pytest.raises(errors.RegEvalError, match="method must be 'auto', 'exact' or 'normal'"):
+            test(np.ones((2, 3)), np.zeros((2, 3)), method="approx")
 
-# --- exact nulls: brute force, cold and warm cache ----------------------------
+    def test_an_exact_rank_sum_null_on_ties_is_a_library_error(self):
+        with pytest.raises(errors.RegEvalError, match="only defined for tie-free data"):
+            mann_whitney_u_rows([1.0, 2.0], [2.0, 3.0], method="exact")
+        # callers that catch ValueError still catch it
+        assert issubclass(errors.BadParams, ValueError)
+
+
+# --- exact nulls: brute force, built per call ----------------------------------
 
 
 def wilcoxon_brute_p_ge(d):
@@ -359,12 +370,15 @@ def mwu_brute_p_ge(x, y):
     return count / math.comb(n + m, n)
 
 
-def clear_null_caches():
-    stats._wilcoxon_exact_tail.cache_clear()
-    stats._mwu_exact_tail.cache_clear()
+def field_bytes(res):
+    """The dtype and bytes of every field of a RowResults."""
+    return tuple((a.dtype.str, a.tobytes()) for a in map(np.asarray, row_fields(res, slice(None))))
 
 
 class TestExactNullCache:
+    """Exact nulls against brute-force enumeration.  A call builds each
+    distinct null once and keeps none, so a second pass repeats the first."""
+
     def wilcoxon_cases(self, rng):
         cases = []
         for _ in range(80):
@@ -377,8 +391,9 @@ class TestExactNullCache:
     def test_wilcoxon_equals_sign_pattern_enumeration_cold_and_warm(self, rng):
         cases = self.wilcoxon_cases(rng)
         want = [wilcoxon_brute_p_ge(d) if np.any(d) else None for d in cases]
-        clear_null_caches()
+        passes = []
         for _ in ("cold", "warm"):
+            passes.append([])
             for d, p in zip(cases, want):
                 res = wilcoxon_signed_rank_rows(d, np.zeros(d.size), method="exact")
                 if p is None:
@@ -386,8 +401,8 @@ class TestExactNullCache:
                 else:
                     assert res.method[0] == "exact"
                     assert res.p_greater[0] == p
-        info = stats._wilcoxon_exact_tail.cache_info()
-        assert info.hits >= len([p for p in want if p is not None])
+                passes[-1].append(field_bytes(res))
+        assert passes[0] == passes[1]
 
     def test_mann_whitney_equals_split_enumeration_cold_and_warm(self, rng):
         cases = []
@@ -396,13 +411,15 @@ class TestExactNullCache:
             pooled = rng.permutation(n + m).astype(np.float64)
             cases.append((pooled[:n], pooled[n:]))
         want = [mwu_brute_p_ge(x, y) for x, y in cases]
-        clear_null_caches()
+        passes = []
         for _ in ("cold", "warm"):
+            passes.append([])
             for (x, y), p in zip(cases, want):
                 res = mann_whitney_u_rows(x, y, method="exact")
                 assert res.method[0] == "exact"
                 assert res.p_greater[0] == p
-        assert stats._mwu_exact_tail.cache_info().hits >= len(cases)
+                passes[-1].append(field_bytes(res))
+        assert passes[0] == passes[1]
 
     def test_tail_is_suffix_sums_with_a_zero_past_the_end(self):
         assert stats._upper_tail([1, 2, 3, 4]) == (10, 9, 7, 4, 0)
@@ -415,28 +432,26 @@ class TestExactNullCache:
         assert stats._p_ge(tail, 6) == 0.25
         assert stats._p_ge(tail, 7) == 0.0
 
-    def test_key_is_the_rank_multiset(self):
-        clear_null_caches()
+    def test_key_is_the_rank_multiset(self, count_builds):
+        built = count_builds("_wilcoxon_exact_tail")
         # |d| ranks 4, 1, 2.5, 2.5 in two orders: one doubled-rank multiset
         a = wilcoxon_signed_rank_rows([3.0, 1.0, 2.0, -2.0], np.zeros(4), method="exact")
         b = wilcoxon_signed_rank_rows([-2.0, 2.0, 1.0, 3.0], np.zeros(4), method="exact")
         assert row_fields(a, 0) == row_fields(b, 0)
-        assert stats._wilcoxon_exact_tail.cache_info().currsize == 1
-
-    def test_cache_is_bounded(self):
-        clear_null_caches()
-        size = stats._NULL_CACHE_SIZE
-        for k in range(1, size + 50):
-            stats._wilcoxon_exact_tail((k,))
-            stats._mwu_exact_tail(1, k)
-        for cached in (stats._wilcoxon_exact_tail, stats._mwu_exact_tail):
-            info = cached.cache_info()
-            assert info.maxsize == size
-            assert info.currsize == size
-        clear_null_caches()
+        assert built == [((2, 5, 5, 8),)] * 2  # one build per call
+        # in one call, both rows share one build; a third multiset adds one
+        d = [[3.0, 1.0, 2.0, -2.0], [-2.0, 2.0, 1.0, 3.0], [1.0, -2.0, 3.0, 4.0]]
+        both = wilcoxon_signed_rank_rows(d, np.zeros((3, 4)), method="exact")
+        assert row_fields(both, 0) == row_fields(both, 1) == row_fields(a, 0)
+        assert sorted(built[2:]) == [((2, 4, 6, 8),), ((2, 5, 5, 8),)]
 
 
 # --- average ranks -------------------------------------------------------------
+
+
+def rank_row(values):
+    """The average ranks of one 1-D row, from the stack function."""
+    return stats._rank_rows(values[None])[0][0]
 
 
 def loop_average_ranks(values):
@@ -469,13 +484,13 @@ class TestAverageRanks:
     )
     def test_equals_the_loop_byte_for_byte(self, values):
         v = np.array(values, dtype=np.float64)
-        assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+        assert rank_row(v).tobytes() == loop_average_ranks(v).tobytes()
 
     def test_strided_and_fortran_views(self, rng):
         grid = np.asfortranarray(rng.integers(0, 4, (7, 9)).astype(np.float64))
         views = [grid[2], grid[:, 3], grid.ravel(order="K")[::3], grid[::-1, 0]]
         for v in views:
-            assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+            assert rank_row(v).tobytes() == loop_average_ranks(v).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -486,7 +501,22 @@ class TestAverageRanks:
     )
     def test_equals_the_loop_on_any_floats(self, values):
         v = np.array(values, dtype=np.float64)
-        assert stats._average_ranks(v).tobytes() == loop_average_ranks(v).tobytes()
+        assert rank_row(v).tobytes() == loop_average_ranks(v).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(0, 30)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]) | st.floats(),
+    )
+)
+def test_tie_sums_equal_the_unique_counts(rows):
+    ties = stats._rank_rows(rows)[1]
+    for row, got in zip(rows, ties.tolist()):
+        counts = np.unique(row, return_counts=True)[1].astype(np.int64)
+        assert got == int(np.sum(counts**3 - counts))
 
 
 # --- direction swap, as a property -----------------------------------------------
@@ -551,8 +581,8 @@ def test_rows_equal_the_scalar_tests_in_both_directions(case):
     rows_test = wilcoxon_signed_rank_rows if paired else mann_whitney_u_rows
     try:
         want = [(rows_test(a, b, method), rows_test(b, a, method)) for a, b in zip(x, y)]
-    except ValueError as exc:  # an exact rank-sum null on tied data
-        with pytest.raises(ValueError, match=str(exc)):
+    except errors.BadParams as exc:  # an exact rank-sum null on tied data
+        with pytest.raises(errors.BadParams, match=str(exc)):
             rows_test(x, y, method)
         return
     got = rows_test(x, y, method)
