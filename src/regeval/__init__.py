@@ -15,7 +15,7 @@ The package splits into small, composable layers:
 """
 
 from .errors import RegEvalError
-from .metrics import PairReport, dsc, evaluate_pair, hd95, lncc, ndv, tre
+from .metrics import FixedSide, PairReport, dsc, evaluate_pair, hd95, lncc, ndv, tre
 from .ranking import MetricMatrix, RankTable, aggregate, pairwise_wins, rank_methods, wins_to_rank_scores
 from .refreg import RegConfig, loss_and_grad, register
 from .stats import (
@@ -54,6 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineHeader",
     "DisplacementField",
+    "FixedSide",
     "FoldSlab",
     "LandmarkSet",
     "MetricMatrix",

@@ -467,18 +467,15 @@ def _reg_config(args) -> refreg.RegConfig:
         iters = tuple(int(x) for x in args.iters.split(","))
     except ValueError:
         raise BadParams(f"--iters must be comma-separated integers, got {args.iters!r}") from None
-    try:
-        return refreg.RegConfig(
-            iters_per_level=iters,
-            step_size=args.step_size,
-            lambda_diffusion=args.lambda_diffusion,
-            lncc_window=args.window,
-            parameterization=args.parameterization,
-            squarings=args.squarings,
-            update_smoothing_sigma=args.sigma,
-        )
-    except ValueError as exc:
-        raise BadParams(f"register options: {exc}") from exc
+    return refreg.RegConfig(
+        iters_per_level=iters,
+        step_size=args.step_size,
+        lambda_diffusion=args.lambda_diffusion,
+        lncc_window=args.window,
+        parameterization=args.parameterization,
+        squarings=args.squarings,
+        update_smoothing_sigma=args.sigma,
+    )
 
 
 def cmd_register(args) -> int:

@@ -2,7 +2,9 @@
 
 Every error raised by library code derives from :class:`RegEvalError`, so
 callers can catch one base class at pipeline boundaries (the CLI does this
-per job) while tests assert on the precise subclass.
+per job) while tests assert on the precise subclass.  The one exception:
+``metrics.PairReport.from_dict`` raises KeyError or TypeError for a dict
+that is not a pair report, which the CLI reports as MalformedReport.
 """
 
 
@@ -49,7 +51,7 @@ class DuplicateName(RegEvalError):
 
 
 class NonFiniteCoordinate(RegEvalError):
-    """Landmark coordinate is NaN or infinite."""
+    """A landmark or sample coordinate is NaN or infinite."""
 
 
 # --- field algebra and metrics --------------------------------------------
@@ -111,7 +113,7 @@ class SpecInvalid(RegEvalError):
 
 
 class BadParams(RegEvalError, ValueError):
-    """Field construction, optimizer or rank-test parameters are invalid."""
+    """An option or argument of a library call is invalid."""
 
 
 class DivergedLoss(RegEvalError):

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadParams,
     DimMismatch,
     EmptyLabelList,
     EmptyMask,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .stats import percentile
 from .volio import DisplacementField, LandmarkSet, Volume
-from .warp import _BLOCK, _check_same_dims, sample_trilinear, warp_labels
+from .warp import _BLOCK, _check_same_dims, _mask_data, sample_trilinear, warp_labels
 
 LNCC_EPS = 1e-5
 
@@ -366,9 +367,7 @@ class NdvMask:
     """
 
     def __init__(self, mask: Volume | np.ndarray, dims):
-        mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-        if tuple(mdata.shape) != tuple(dims):
-            raise DimMismatch(f"mask dims {mdata.shape} do not match field dims {dims}")
+        mdata = _mask_data(mask, dims)
         self.dims = tuple(dims)
         self.voxels = int(np.count_nonzero(mdata))
         if self.voxels == 0:
@@ -615,6 +614,11 @@ class _LnccTerms:
         return value, dw
 
 
+def _check_window(window: int, name: str) -> None:
+    if window < 1 or window % 2 == 0:
+        raise BadParams(f"{name} must be a positive odd integer, got {window}")
+
+
 def lncc(a: Volume, b: Volume, window: int = 9) -> float:
     """Mean local normalized cross-correlation over all voxels.
 
@@ -623,8 +627,7 @@ def lncc(a: Volume, b: Volume, window: int = 9) -> float:
     guard, so constant windows contribute 0 rather than dividing by zero.
     """
     _check_same_dims(a, b)
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be a positive odd integer, got {window}")
+    _check_window(window, "window")
     ad = np.asarray(a.data, dtype=np.float64)
     return _LnccTerms(ad, window).value(np.asarray(b.data, dtype=np.float64))
 
@@ -688,26 +691,19 @@ def evaluate_pair(
     fixed_seg: Volume | FixedSide,
     moving_seg: Volume,
     phi: DisplacementField,
-    labels: Sequence[int] | None = None,
     landmarks: tuple[LandmarkSet, LandmarkSet] | None = None,
-    mask: Volume | np.ndarray | None = None,
     method_id: str = "",
     pair_id: str = "",
 ) -> PairReport:
     """Warp the moving segmentation and fill a PairReport.
 
-    ``fixed_seg`` is the fixed segmentation, or a ``FixedSide`` already
-    built from it (which then holds ``labels`` and ``mask``); see
-    ``FixedSide`` for their defaults.  The ZeroDisplacement baseline is
-    this function applied to the zero field.  A field holding NaN or
-    infinity raises NonFiniteData before any metric runs.
+    ``fixed_seg`` is a ``FixedSide``, which holds the labels and the NDV
+    mask, or the fixed segmentation, which stands for ``FixedSide(fixed_seg)``
+    with its defaults.  The ZeroDisplacement baseline is this function
+    applied to the zero field.  A field holding NaN or infinity raises
+    NonFiniteData before any metric runs.
     """
-    if isinstance(fixed_seg, FixedSide):
-        if labels is not None or mask is not None:
-            raise ValueError("labels and mask come from the FixedSide")
-        fixed = fixed_seg
-    else:
-        fixed = FixedSide(fixed_seg, labels, mask)
+    fixed = fixed_seg if isinstance(fixed_seg, FixedSide) else FixedSide(fixed_seg)
     seg = fixed.seg
     _check_same_dims(seg, moving_seg)
     if seg.header.dims != phi.header.dims:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InconsistentMethodSets, MissingMethods, UnpairedCases
+from .errors import BadParams, InconsistentMethodSets, MissingMethods, UnpairedCases
 from .stats import mann_whitney_u_rows, wilcoxon_signed_rank_rows
 
 HIGHER_BETTER = "higher"
@@ -45,14 +45,14 @@ class MetricMatrix:
 
     def __post_init__(self):
         if self.direction not in (HIGHER_BETTER, LOWER_BETTER):
-            raise ValueError(f"direction must be 'higher' or 'lower', got {self.direction!r}")
+            raise BadParams(f"direction must be 'higher' or 'lower', got {self.direction!r}")
         if self.pairing not in ("paired", "unpaired"):
-            raise ValueError(f"pairing must be 'paired' or 'unpaired', got {self.pairing!r}")
+            raise BadParams(f"pairing must be 'paired' or 'unpaired', got {self.pairing!r}")
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (len(self.methods), len(self.cases)):
-            raise ValueError(f"values shape {vals.shape} does not match methods x cases")
+            raise BadParams(f"values shape {vals.shape} does not match methods x cases")
         if len(set(self.methods)) != len(self.methods):
-            raise ValueError("method ids must be unique")
+            raise BadParams("method ids must be unique")
         if self.pairing == "paired" and not np.all(np.isfinite(vals)):
             raise UnpairedCases(f"{self.metric_id}: not every method covers every case")
         if self.pairing == "unpaired":

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
-from .metrics import _LnccTerms
+from .errors import BadParams, DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
+from .metrics import _LnccTerms, _check_window
 from .volio import DisplacementField, Volume
 from .warp import _SLAB, _axis_coords, _check_squarings, _exp, _trilinear, _warp, _warp_with_grad
 
@@ -56,20 +56,19 @@ class RegConfig:
 
     def __post_init__(self):
         if not self.iters_per_level:
-            raise ValueError("iters_per_level must have at least one entry")
+            raise BadParams("iters_per_level must have at least one entry")
         if min(self.iters_per_level) < 0:
-            raise ValueError(f"iters_per_level entries must be >= 0, got {self.iters_per_level}")
+            raise BadParams(f"iters_per_level entries must be >= 0, got {self.iters_per_level}")
         if not 0 < self.step_size < np.inf:  # NaN fails too
-            raise ValueError("step_size must be positive and finite")
+            raise BadParams("step_size must be positive and finite")
         if not 0 <= self.lambda_diffusion < np.inf:
-            raise ValueError("lambda_diffusion must be finite and >= 0")
-        if self.lncc_window < 1 or self.lncc_window % 2 == 0:
-            raise ValueError("lncc_window must be a positive odd integer")
+            raise BadParams("lambda_diffusion must be finite and >= 0")
+        _check_window(self.lncc_window, "lncc_window")
         if self.parameterization not in (DISPLACEMENT, SVF):
-            raise ValueError(f"parameterization must be '{DISPLACEMENT}' or '{SVF}'")
+            raise BadParams(f"parameterization must be '{DISPLACEMENT}' or '{SVF}'")
         _check_squarings(self.squarings)
         if not 0 <= self.update_smoothing_sigma < np.inf:
-            raise ValueError("update_smoothing_sigma must be finite and >= 0")
+            raise BadParams("update_smoothing_sigma must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ fields do not provide.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -249,8 +249,6 @@ class PhantomPair:
     moving_labels: Volume
     moving_landmarks: LandmarkSet
     truth: DisplacementField
-    inverse: DisplacementField
-    velocity: VelocityField = dc_field(repr=False, default=None)
 
 
 def make_pair(
@@ -281,8 +279,6 @@ def make_pair(
         moving_labels=moving_labels,
         moving_landmarks=moving_lm,
         truth=truth,
-        inverse=inverse,
-        velocity=velocity,
     )
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    BadParams,
     DuplicateName,
     InvalidLabelData,
     IoFailure,
@@ -113,7 +114,7 @@ class Volume:
 
     def __post_init__(self):
         if self.kind not in ("scalar", "label"):
-            raise ValueError(f"kind must be 'scalar' or 'label', got {self.kind!r}")
+            raise UnsupportedLayout(f"kind must be 'scalar' or 'label', got {self.kind!r}")
         if tuple(self.data.shape) != self.header.dims:
             raise UnsupportedLayout(
                 f"data shape {self.data.shape} does not match header dims {self.header.dims}"
@@ -613,7 +614,7 @@ def scale_field_units(fld: DisplacementField, from_units: str) -> DisplacementFi
     if from_units == "voxel":
         return fld
     if from_units != "mm":
-        raise ValueError(f"units must be 'voxel' or 'mm', got {from_units!r}")
+        raise BadParams(f"units must be 'voxel' or 'mm', got {from_units!r}")
     with np.errstate(all="ignore"):
         data = fld.data / np.asarray(fld.spacing, dtype=np.float64)
     if not np.all(np.isfinite(data)):

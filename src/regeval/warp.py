@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    BadParams,
     DimMismatch,
     EmptyEvaluationSet,
+    NonFiniteCoordinate,
     NonFiniteVelocity,
     UnsupportedLayout,
 )
@@ -271,7 +273,7 @@ def sample_trilinear(obj, points):
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if not np.all(np.isfinite(pts)):
-        raise ValueError("sample coordinates must be finite")
+        raise NonFiniteCoordinate("sample coordinates must be finite")
     # only each point's 8 corners are read: the lower one and the fraction as in
     # ``_corners``, the upper one min(i + 1, n - 1), which ``_pad`` repeats there
     data = np.asarray(data)
@@ -296,7 +298,7 @@ def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _check_squarings(squarings: int) -> None:
     if not 0 <= squarings <= 1023:
-        raise ValueError(f"squarings {squarings} is outside [0, 1023]; 2**1024 overflows a float")
+        raise BadParams(f"squarings {squarings} is outside [0, 1023]; 2**1024 overflows a float")
 
 
 def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
@@ -316,6 +318,14 @@ def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
 def _check_same_dims(a, b) -> None:
     if a.header.dims != b.header.dims:
         raise DimMismatch(f"grid dims differ: {a.header.dims} vs {b.header.dims}")
+
+
+def _mask_data(mask: Volume | np.ndarray, dims) -> np.ndarray:
+    """A mask's voxel array, checked against the grid ``dims``."""
+    mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
+    if tuple(mdata.shape) != tuple(dims):
+        raise DimMismatch(f"mask dims {mdata.shape} do not match field dims {dims}")
+    return mdata
 
 
 def compose(phi_outer: DisplacementField, phi_inner: DisplacementField) -> DisplacementField:
@@ -408,7 +418,7 @@ def ic_residual(
     """
     _check_same_dims(phi_ab, phi_ba)
     if norm not in ("euclidean", "component"):
-        raise ValueError(f"norm must be 'euclidean' or 'component', got {norm!r}")
+        raise BadParams(f"norm must be 'euclidean' or 'component', got {norm!r}")
     dims = phi_ab.header.dims
     residual = compose(phi_ab, phi_ba)
 
@@ -418,10 +428,7 @@ def ic_residual(
         pos = _axis_coords(n, axis) + u[..., axis]
         valid &= (pos >= 0.0) & (pos <= n - 1.0)
     if mask is not None:
-        mdata = mask.data if isinstance(mask, Volume) else np.asarray(mask)
-        if tuple(mdata.shape) != dims:
-            raise DimMismatch(f"mask dims {mdata.shape} do not match field dims {dims}")
-        valid &= mdata > 0
+        valid &= _mask_data(mask, dims) > 0
     if not np.any(valid):
         raise EmptyEvaluationSet("every voxel was excluded from the residual mean")
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from regeval import cli, stats
-from regeval.metrics import dsc, evaluate_pair, hd95, ndv, tre
+from regeval.metrics import FixedSide, dsc, evaluate_pair, hd95, ndv, tre
 from regeval.ranking import HIGHER_BETTER, LOWER_BETTER, MetricMatrix, rank_methods, wins_to_rank_scores
 from regeval.refreg import RegConfig, loss_and_grad, register
 from regeval.synth import (
@@ -389,7 +389,7 @@ def test_c07_zero_displacement_consistency(rng):
         b = _random_blob_volume(rng, dims, n_labels=3)
         fixed, moving = label_volume(a), label_volume(b)
         labels = [1, 2, 3]
-        report = evaluate_pair(fixed, moving, DisplacementField.zero(fixed.header), labels=labels)
+        report = evaluate_pair(FixedSide(fixed, labels), moving, DisplacementField.zero(fixed.header))
         direct_dsc, direct_mean = dsc(fixed, moving, labels)
         assert report.dsc_per_label == direct_dsc
         if direct_mean is None:

@@ -836,7 +836,7 @@ class TestLncc:
 
     def test_even_window_rejected(self, rng):
         a = scalar_volume(rng.standard_normal((4, 4, 4)))
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadParams, match="window must be a positive odd integer, got 4"):
             lncc(a, a, window=4)
 
     @settings(max_examples=200, deadline=None)
@@ -955,7 +955,8 @@ class TestEvaluatePair:
         b = rng.integers(0, 4, size=dims).astype(np.int16)
         fixed, moving = label_volume(a), label_volume(b)
         labels = [1, 2, 3]
-        report = evaluate_pair(fixed, moving, DisplacementField.zero(fixed.header), labels=labels)
+        side = metrics.FixedSide(fixed, labels)
+        report = evaluate_pair(side, moving, DisplacementField.zero(fixed.header))
         for lab in labels:
             assert report.dsc_per_label[lab] == dsc_oracle(a, b, lab)
             assert report.hd95_per_label[lab] == pytest.approx(
@@ -971,10 +972,8 @@ class TestEvaluatePair:
         side = metrics.FixedSide(fixed, mask=mask)
         for amplitude in (0.0, 0.7, 1.5):
             phi = field_from(rng.uniform(-amplitude, amplitude, size=dims + (3,)))
-            alone = evaluate_pair(fixed, moving, phi, mask=mask)
+            alone = evaluate_pair(metrics.FixedSide(fixed, mask=mask), moving, phi)
             assert evaluate_pair(side, moving, phi) == alone
-        with pytest.raises(ValueError):
-            evaluate_pair(side, moving, phi, labels=[1])
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_field_raises_before_any_metric(self, value, monkeypatch):

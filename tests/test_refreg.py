@@ -441,12 +441,12 @@ class TestInstanceOptimize:
 
 class TestConfigValidation:
     def test_iters_per_level_must_not_be_empty(self):
-        with pytest.raises(ValueError, match="iters_per_level"):
+        with pytest.raises(errors.BadParams, match="iters_per_level"):
             RegConfig(iters_per_level=())
 
     def test_negative_iters_are_rejected_and_zero_is_valid(self):
         for iters in ((-2,), (5, -1, 3)):
-            with pytest.raises(ValueError, match="iters_per_level"):
+            with pytest.raises(errors.BadParams, match="iters_per_level"):
                 RegConfig(iters_per_level=iters)
         RegConfig(iters_per_level=(0, 3, 0))
 
@@ -456,11 +456,11 @@ class TestConfigValidation:
         assert len(trace) == 3
 
     def test_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadParams, match="lncc_window must be a positive odd integer, got 4"):
             RegConfig(lncc_window=4)
 
     def test_bad_parameterization(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadParams, match="parameterization"):
             RegConfig(parameterization="affine")
 
 

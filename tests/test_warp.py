@@ -499,7 +499,7 @@ class TestExpSvf:
         dims = (2, 2, 2)
         v = VelocityField(header=AffineHeader.isotropic(dims), data=np.zeros(dims + (3,)))
         for squarings in (-1, 1024):
-            with pytest.raises(ValueError, match=rf"squarings {squarings} is outside \[0, 1023\]"):
+            with pytest.raises(errors.BadParams, match=rf"squarings {squarings} is outside \[0, 1023\]"):
                 exp_svf(v, squarings=squarings)
         assert not np.any(exp_svf(v, squarings=1023).data)
 
