@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import inspect
 import json
 import os
@@ -44,23 +43,19 @@ from .manifest import MANIFEST_COLUMNS, ZERO_FIELD, Job, read_manifest  # noqa: 
 from .metrics import FixedSide, PairReport, evaluate_pair
 from .volio import (
     DisplacementField,
-    atomic_open,
     read_field,
     read_landmarks,
     read_volume,
     scale_field_units,
+    write_csv,
     write_nifti,
 )
+# a module attribute: perfbench/tracer.py times it as cli.write
+from .volio import write_json as _write_json
 from .warp import ic_residual
 
 # make_cohort's defaults, read at import: a tracer may rebind synth.make_cohort
 _COHORT_PARAMS = inspect.signature(synth.make_cohort).parameters
-
-
-def _write_json(obj, path) -> None:
-    with atomic_open(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 class _Shared:
@@ -224,7 +219,7 @@ def load_reports(report_dir) -> list[PairReport]:
     reports = []
     paths: dict[tuple[str, str], Path] = {}
     for path in sorted(Path(report_dir).glob("*.json")):
-        if path.name == "errors.json":
+        if path.name in ("errors.json", "leaderboard.json"):  # eval's and rank's own outputs
             continue
         report = _read_report(path)
         key = (report.method_id, report.pair_id)
@@ -295,14 +290,6 @@ def _metric_table(reports: list[PairReport], metrics) -> tuple[tuple, tuple, dic
     return tuple(row), tuple(col), table
 
 
-def _cell(v) -> str:
-    """A leaderboard CSV cell: empty when missing, floats in shortest
-    round-trip form."""
-    if v is None:
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def cmd_rank(args) -> int:
     """Build the leaderboard CSV and rank JSON from a report directory.
 
@@ -310,8 +297,6 @@ def cmd_rank(args) -> int:
     every report has landmark results; further requested metrics (e.g. ndv)
     are ranked and reported but stay out of the accuracy score.
     """
-    if not 0.0 < args.alpha < 1.0:  # at 1 or above every method beats every other
-        raise BadParams(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     reports = load_reports(args.report_dir)
     # every metric's values, read once for the matrices and the CSV; an unknown name stops here
@@ -329,20 +314,19 @@ def cmd_rank(args) -> int:
         )
     table, scores = ranking.rank_methods(matrices, acc_metrics, alpha=args.alpha)
 
+    board = []
+    for row in table.rows:
+        i = methods.index(row.method)
+        # the method's cohort values: its row of each matrix without the NaNs
+        present = {m: v[i][~np.isnan(v[i])] for m, v in values.items()}
+        cohort = stats.summarize_cohort({m: v for m, v in present.items() if v.size})
+        cells = [row.method]
+        cells += [s.get(m) for m in METRICS for s in (cohort.means, cohort.stds)]
+        cells += [row.rank_scores.get(m) for m in ACC_METRICS]
+        board.append(cells + [row.acc_score, row.final_rank])
     out = Path(args.out)
     csv_path = out / "leaderboard.csv"
-    with atomic_open(csv_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LEADERBOARD_COLUMNS)
-        for row in table.rows:
-            i = methods.index(row.method)
-            # the method's cohort values: its row of each matrix without the NaNs
-            present = {m: v[i][~np.isnan(v[i])] for m, v in values.items()}
-            cohort = stats.summarize_cohort({m: v for m, v in present.items() if v.size})
-            cells = [row.method]
-            cells += [s.get(m) for m in METRICS for s in (cohort.means, cohort.stds)]
-            cells += [row.rank_scores.get(m) for m in ACC_METRICS]
-            writer.writerow([_cell(v) for v in cells + [row.acc_score, row.final_rank]])
+    write_csv(csv_path, LEADERBOARD_COLUMNS, board)
 
     rank_json = {
         "alpha": args.alpha,
@@ -386,19 +370,16 @@ def cmd_correlate(args) -> int:
     reports = load_reports(args.report_dir)
     methods, _, table = _metric_table(reports, [args.x_metric, args.y_metric])
     x, y = table[args.x_metric], table[args.y_metric]
-    with atomic_open(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "n_cases", "r", "slope", "intercept", "note"])
-        for method, xr, yr in zip(methods, x, y):
-            both = ~(np.isnan(xr) | np.isnan(yr))
-            xs, ys = xr[both], yr[both]
-            try:
-                fit = stats.pearson_fit(xs, ys)
-                writer.writerow(
-                    [method, len(xs), repr(fit.r), repr(fit.slope), repr(fit.intercept), "ok"]
-                )
-            except RegEvalError:
-                writer.writerow([method, len(xs), "", "", "", "degenerate"])
+    rows = []
+    for method, xr, yr in zip(methods, x, y):
+        both = ~(np.isnan(xr) | np.isnan(yr))
+        xs, ys = xr[both], yr[both]
+        try:
+            fit = stats.pearson_fit(xs, ys)
+            rows.append([method, len(xs), fit.r, fit.slope, fit.intercept, "ok"])
+        except RegEvalError:
+            rows.append([method, len(xs), None, None, None, "degenerate"])
+    write_csv(args.out, ["method", "n_cases", "r", "slope", "intercept", "note"], rows)
     print(f"correlation table written to {args.out}")
     return 0
 
@@ -444,8 +425,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.cases < 0:
-        raise BadParams(f"--cases must not be negative, got {args.cases}")
     manifest = synth.make_cohort(
         args.out,
         cases=args.cases,

@@ -13,12 +13,11 @@ empty or hold a path separator, and no two jobs may share a report name.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .errors import UnpairedCases
-from .volio import atomic_open, read_csv_rows
+from .volio import read_csv_rows, write_csv
 
 ZERO_FIELD = "ZERO"
 
@@ -95,19 +94,14 @@ def write_manifest(path, jobs) -> None:
     """Write ``jobs`` as a manifest that ``read_manifest`` reads back.
 
     Paths are written as given, so relative ones stay relative to the
-    manifest's directory; ``None`` becomes an empty cell.  Lines end in
-    ``\\n``, and a cell is quoted only where CSV needs it.  A cell with
-    leading or trailing blanks, which the reader would strip, or an empty
-    method or pair id or one with a path separator raises UnpairedCases
-    before anything is written.
+    manifest's directory, by ``volio.write_csv`` (``None`` as an empty
+    cell).  A cell with leading or trailing blanks, which the reader would
+    strip, or an empty method or pair id or one with a path separator
+    raises UnpairedCases before anything is written.
     """
     for job in jobs:
         _check_ids(job, "manifest job")
         for cell in astuple(job):
             if cell is not None and cell != cell.strip():
                 raise UnpairedCases(f"manifest cell {cell!r} has leading or trailing blanks")
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_COLUMNS)
-        for job in jobs:
-            writer.writerow(["" if cell is None else cell for cell in astuple(job)])
+    write_csv(path, MANIFEST_COLUMNS, map(astuple, jobs))

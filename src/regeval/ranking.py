@@ -92,8 +92,10 @@ def pairwise_wins(matrix: MetricMatrix, alpha: float = 0.05) -> dict:
     metric's direction yields p < alpha.  Each unordered pair of methods is
     tested once, in both directions, and all pairs go through one batched
     test per metric (one per pair of sample sizes when unpaired rows lost
-    different numbers of missing cells).
+    different numbers of missing cells).  An alpha outside (0, 1) raises BadParams.
     """
+    if not 0.0 < alpha < 1.0:  # NaN too; at 1 or above every method beats every other
+        raise BadParams(f"alpha must lie in (0, 1), got {alpha!r}")
     higher = matrix.direction == HIGHER_BETTER
     test = wilcoxon_signed_rank_rows if matrix.pairing == "paired" else mann_whitney_u_rows
     # unpaired rows drop their missing cells; paired rows have none

@@ -11,7 +11,6 @@ fields do not provide.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .volio import (
     DisplacementField,
     LandmarkSet,
     Volume,
-    atomic_open,
+    write_json,
     write_landmarks,
     write_nifti,
 )
@@ -300,8 +299,11 @@ def make_cohort(
 
     Layout: images/, labels/, landmarks/, fields/ plus manifest.json with
     per-case seeds and analytic facts, and manifest.csv listing evaluation
-    jobs for the truth fields and the ZeroDisplacement baseline.
+    jobs for the truth fields and the ZeroDisplacement baseline.  Negative
+    ``cases`` raise BadParams before anything is written.
     """
+    if cases < 0:
+        raise BadParams(f"cases must not be negative, got {cases}")
     out = Path(out_dir)
     suffix = ".nii.gz" if gzip_files else ".nii"
 
@@ -366,7 +368,6 @@ def make_cohort(
                 )
             )
 
-    with atomic_open(out / "manifest.json") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest, out / "manifest.json")
     write_manifest(out / "manifest.csv", jobs)
     return manifest

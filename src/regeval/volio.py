@@ -1,4 +1,4 @@
-"""NIfTI-1 subset I/O for volumes and displacement fields, plus landmark CSV.
+"""NIfTI-1 subset I/O, landmark CSV, and the one JSON and one CSV writer.
 
 The reader understands exactly the slice of NIfTI-1 used for challenge-style
 evaluation: single-file ``.nii`` / ``.nii.gz``, datatype codes 2 (uint8),
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import stat
 import struct
@@ -547,8 +548,15 @@ def write_nifti(obj, path, use_gzip: bool = False) -> None:
             fh.write(payload)
 
 
+def write_json(obj, path) -> None:
+    """Write ``obj`` as JSON through ``atomic_open``: indent 2, sorted keys, final newline."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # ---------------------------------------------------------------------------
-# CSV: one reader for manifests and landmarks
+# CSV: one reader and one writer for manifests, landmarks and tables
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -561,6 +569,23 @@ def read_csv_rows(path) -> list[tuple[int, list[str]]]:
             return [(reader.line_num, row) for row in reader if any(c.strip() for c in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
+
+
+def _csv_cell(v):
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return "" if v is None else v
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then ``rows``, as CSV through ``atomic_open``: lines end
+    in ``\\n``, ``None`` is an empty cell, a float (numpy's too) is written as
+    ``repr(float(v))`` and any other value as ``csv`` writes it."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row])
 
 
 def read_landmarks(path) -> LandmarkSet:
@@ -601,11 +626,8 @@ def read_landmarks(path) -> LandmarkSet:
 
 def write_landmarks(landmarks: LandmarkSet, path) -> None:
     """Write a LandmarkSet as a ``name,x,y,z`` CSV (inverse of read_landmarks)."""
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "x", "y", "z"])
-        for name, p in zip(landmarks.names, landmarks.points):
-            writer.writerow([name, repr(float(p[0])), repr(float(p[1])), repr(float(p[2]))])
+    rows = ([name, *p] for name, p in zip(landmarks.names, landmarks.points))
+    write_csv(path, ["name", "x", "y", "z"], rows)
 
 
 def scale_field_units(fld: DisplacementField, from_units: str) -> DisplacementField:

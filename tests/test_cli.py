@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regeval import cli
+from regeval import cli, volio
 from regeval.manifest import write_manifest
 from regeval.metrics import PairReport
 from regeval.synth import make_cohort
@@ -375,7 +375,7 @@ class TestOneWriter:
         def no_write(*args, **kwargs):
             raise AssertionError("a worker wrote or removed a file")
 
-        for owner, name in [(cli, "_write_json"), (cli, "atomic_open"), (os, "replace"),
+        for owner, name in [(cli, "_write_json"), (volio, "atomic_open"), (os, "replace"),
                             (os, "unlink"), (Path, "unlink")]:
             monkeypatch.setattr(owner, name, no_write)
         monkeypatch.chdir(tmp_path)
@@ -797,6 +797,16 @@ class TestRank:
             ("weak", 0.1, 0, 0.10000000000000002, 3),
         ])
 
+    def test_rank_into_its_report_dir_twice_gives_the_same_board(self, tmp_path):
+        reports = tmp_path / "reports"
+        self.synth_reports(reports, ["good", "mid", "weak"])
+        boards = []
+        for _ in range(2):
+            assert cli.main(["--out", str(reports), "rank", str(reports)]) == 0
+            boards.append({n: (reports / n).read_bytes() for n in ("leaderboard.csv", "leaderboard.json")})
+        assert boards[0] == boards[1]
+        assert boards[0]["leaderboard.csv"] == THREE_METHOD_CSV.encode()
+
     def test_single_method_gets_rank_one_floor_score(self, tmp_path):
         reports = tmp_path / "reports"
         self.synth_reports(reports, ["only"])
@@ -1118,7 +1128,7 @@ class TestAtomicWrites:
                     raise RuntimeError("disk went away")
                 self.inner.writerow(row)
 
-        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+        monkeypatch.setattr(volio.csv, "writer", FailingWriter)
         with pytest.raises(RuntimeError):
             cli.main(["--out", str(out), "rank", str(reports)])
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -1239,7 +1249,7 @@ class TestSynthCommand:
     def test_negative_cases_exit_2(self, tmp_path, capsys):
         out = tmp_path / "c"
         assert cli.main(["--out", str(out), "synth", "--cases", "-1"]) == 2
-        assert capsys.readouterr().err == "error: --cases must not be negative, got -1\n"
+        assert capsys.readouterr().err == "error: cases must not be negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("labels", ["32768", "40000"])
@@ -1525,7 +1535,7 @@ class TestRankAlpha:
         TestRank().synth_reports(reports, ["a", "b"])
         out = tmp_path / "rank"
         assert cli.main(["--out", str(out), "rank", str(reports), "--alpha", alpha]) == 2
-        assert capsys.readouterr().err == f"error: --alpha must lie in (0, 1), got {float(alpha)!r}\n"
+        assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
         assert not out.exists()
 
 

@@ -69,6 +69,12 @@ class TestPairwiseWins:
         assert pairwise_wins(m, alpha=0.05) == {"A": 1, "B": 0}
         assert pairwise_wins(m, alpha=0.01) == {"A": 0, "B": 0}
 
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.5, float("nan"), float("inf")])
+    def test_alpha_outside_the_unit_interval_is_a_library_error(self, rng, alpha):
+        m = matrix(rng.standard_normal((3, 6)), methods=["A", "B", "C"])
+        with pytest.raises(errors.BadParams, match=r"alpha must lie in \(0, 1\)"):
+            pairwise_wins(m, alpha=alpha)
+
 
 class TestWinsToRankScores:
     def test_three_method_example(self):
@@ -322,6 +328,10 @@ def test_pairwise_wins_equal_the_less_alternative(m, data):
     # that p-value differs in its last bit
     at = data.draw(st.sampled_from(sorted(set(p.values()))))
     for alpha in (0.05, at, float(np.nextafter(at, 2.0))):
+        if not 0 < alpha < 1:  # a threshold at a p-value of 1, or past it
+            with pytest.raises(errors.BadParams):
+                pairwise_wins(m, alpha=alpha)
+            continue
         want = {a: sum(p[a, b] < alpha for b in m.methods if b != a) for a in m.methods}
         assert pairwise_wins(m, alpha=alpha) == want
 
@@ -377,6 +387,10 @@ def test_pairwise_wins_equal_the_scalar_loop(m, data):
     # that p-value differs in its last bit
     at = data.draw(st.sampled_from(p_values))
     for alpha in (0.05, 0.2, at, float(np.nextafter(at, 2.0))):
+        if not 0 < alpha < 1:  # a threshold at a p-value of 1, or past it
+            with pytest.raises(errors.BadParams):
+                pairwise_wins(m, alpha=alpha)
+            continue
         assert pairwise_wins(m, alpha=alpha) == scalar_pairwise_wins(m, alpha)
 
 

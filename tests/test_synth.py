@@ -221,6 +221,11 @@ class TestMakeCohort:
         # one more 24^3 float64 array (110 KiB) than one case needs is too many
         assert max(peaks) - peaks[0] < 24**3 * 8
 
+    def test_negative_cases_are_a_library_error_before_any_write(self, tmp_path):
+        with pytest.raises(errors.BadParams, match="cases must not be negative, got -2"):
+            make_cohort(tmp_path / "c", cases=-2)
+        assert list(tmp_path.iterdir()) == []
+
     def test_landmarks_round_trip_through_cohort(self, tmp_path):
         make_cohort(tmp_path / "c", cases=1, dims=(20, 20, 20), seed=1)
         lm = read_landmarks(tmp_path / "c" / "landmarks" / "case000_fixed.csv")

@@ -1,3 +1,4 @@
+import ast
 import gzip
 import os
 import stat
@@ -764,3 +765,24 @@ class TestUnits:
     def test_voxel_is_identity(self):
         fld = DisplacementField(header=AffineHeader.isotropic((2, 2, 2)), data=np.ones((2, 2, 2, 3)))
         assert volio.scale_field_units(fld, "voxel") is fld
+
+
+class TestTextWriters:
+    def test_csv_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [["a,b", None, 0.1, np.float64(1e-300), np.float32(0.1), 3, np.int64(4), True]]
+        volio.write_csv(path, ["s", "none", "f", "f64", "f32", "i", "i64", "b"], rows)
+        want = f's,none,f,f64,f32,i,i64,b\n"a,b",,0.1,1e-300,{float(np.float32(0.1))!r},3,4,True\n'
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_only_volio_calls_the_text_writers(self):
+        """Every JSON and CSV file is written by volio.write_json / write_csv,
+        so their format rules live in one place."""
+        writers = {"csv.writer", "json.dump", "json.dumps", "atomic_open", "volio.atomic_open"}
+        found = []
+        for path in sorted(Path(volio.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in writers:
+                    found.append((path.name, ast.unparse(node.func), node.lineno))
+        assert [site for site in found if site[0] != "volio.py"] == []
+        assert {name for _, name, _ in found} == {"csv.writer", "json.dump", "atomic_open"}
