@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +53,17 @@ from .volio import (
 from .volio import write_json as _write_json
 from .warp import ic_residual
 
-# make_cohort's defaults, read at import: a tracer may rebind synth.make_cohort
-_COHORT_PARAMS = inspect.signature(synth.make_cohort).parameters
+
+def _print(line: str) -> None:
+    """Print one line now; a stdout that cannot take it (a closed pipe, say) raises IoFailure."""
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        # the line stays buffered: let the interpreter's flush at exit write it to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise IoFailure(f"could not write stdout: {exc}") from None
 
 
 class _Shared:
@@ -345,7 +353,7 @@ def cmd_rank(args) -> int:
         ],
     }
     _write_json(rank_json, out / "leaderboard.json")
-    print(f"leaderboard written to {csv_path}")
+    _print(f"leaderboard written to {csv_path}")
     return 0
 
 
@@ -358,7 +366,7 @@ def cmd_ic(args) -> int:
     phi_ba = scale_field_units(read_field(args.bwd), args.units)
     mask_vol = read_volume(args.mask, kind="label") if args.mask else None
     mae, _ = ic_residual(phi_ab, phi_ba, mask=mask_vol, norm=args.norm)
-    print(f"ic_mae_voxels {mae!r}")
+    _print(f"ic_mae_voxels {mae!r}")
     if args.out:
         _write_json({"ic_mae": mae, "norm": args.norm, "fwd": args.fwd, "bwd": args.bwd}, args.out)
     return 0
@@ -380,7 +388,7 @@ def cmd_correlate(args) -> int:
         except RegEvalError:
             rows.append([method, len(xs), None, None, None, "degenerate"])
     write_csv(args.out, ["method", "n_cases", "r", "slope", "intercept", "note"], rows)
-    print(f"correlation table written to {args.out}")
+    _print(f"correlation table written to {args.out}")
     return 0
 
 
@@ -411,7 +419,7 @@ def cmd_bench(args) -> int:
     if not (0 <= args.row < len(jobs)):
         raise UnpairedCases(f"row {args.row} outside manifest with {len(jobs)} jobs")
     result = bench_job(jobs[args.row], repeats=args.repeats, units=args.units)
-    print(
+    _print(
         f"{result['method']} {result['pair_id']}: mean {result['mean_s']:.3f} s, "
         f"std {result['std_s']:.3f} s over {result['repeats']} runs"
     )
@@ -425,36 +433,25 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    manifest = synth.make_cohort(
-        args.out,
-        cases=args.cases,
-        dims=tuple(args.dims),
-        seed=args.seed,
-        label_count=args.labels,
-        amplitude=args.amplitude,
-        smoothness=args.smoothness,
-        gzip_files=args.gzip,
-    )
-    print(f"cohort with {len(manifest['cases'])} cases written to {args.out}")
+    # the options given, under make_cohort's names; it owns the defaults of the rest
+    names = ("seed", "dims", "label_count", "amplitude", "smoothness", "gzip_files")
+    given = {name: getattr(args, name) for name in names if name in args}
+    manifest = synth.make_cohort(args.out, cases=args.cases, **given)
+    _print(f"cohort with {len(manifest['cases'])} cases written to {args.out}")
     return 0
 
 
 def _reg_config(args) -> refreg.RegConfig:
-    """The optimizer settings of the register options; BadParams if any
-    does not parse or fails a RegConfig check."""
-    try:
-        iters = tuple(int(x) for x in args.iters.split(","))
-    except ValueError:
-        raise BadParams(f"--iters must be comma-separated integers, got {args.iters!r}") from None
-    return refreg.RegConfig(
-        iters_per_level=iters,
-        step_size=args.step_size,
-        lambda_diffusion=args.lambda_diffusion,
-        lncc_window=args.window,
-        parameterization=args.parameterization,
-        squarings=args.squarings,
-        update_smoothing_sigma=args.sigma,
-    )
+    """The optimizer settings of the register options given, RegConfig's
+    defaults for the rest; BadParams if --iters does not parse or a value
+    fails a RegConfig check."""
+    given = {f.name: getattr(args, f.name) for f in fields(refreg.RegConfig) if f.name in args}
+    if (iters := given.get("iters_per_level")) is not None:
+        try:
+            given["iters_per_level"] = tuple(int(x) for x in iters.split(","))
+        except ValueError:
+            raise BadParams(f"--iters must be comma-separated integers, got {iters!r}") from None
+    return refreg.RegConfig(**given)
 
 
 def cmd_register(args) -> int:
@@ -464,12 +461,12 @@ def cmd_register(args) -> int:
     init = scale_field_units(read_field(args.init), args.units) if args.init else None
     field, trace = refreg.register(fixed, moving, cfg, init=init)
     final_loss = trace[-1][-1] if trace[-1] else refreg.loss(fixed, moving, field, cfg)
+    write_nifti(field, args.out, use_gzip=str(args.out).endswith(".gz"))  # kept if stdout fails
     if init is None:
-        print(f"registration done over {len(trace)} levels, final loss {final_loss!r}")
+        _print(f"registration done over {len(trace)} levels, final loss {final_loss!r}")
     else:
-        print(f"instance optimization done, loss {final_loss!r}")
-    write_nifti(field, args.out, use_gzip=str(args.out).endswith(".gz"))
-    print(f"field written to {args.out}")
+        _print(f"instance optimization done, loss {final_loss!r}")
+    _print(f"field written to {args.out}")
     return 0
 
 
@@ -494,11 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="units of displacement components in input field files",
     )
     parser.add_argument("--out", default=None, help="output directory or file")
-    parser.add_argument("--seed", type=int, default=0, help="seed for synthesis")
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="seed for synthesis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, out_kind, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, handler, out_kind, help, argument_default=None):
+        p = sub.add_parser(name, help=help, argument_default=argument_default)
         p.set_defaults(handler=handler, out_kind=out_kind)
         return p
 
@@ -526,28 +523,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--row", type=int, default=0)
     p_bench.add_argument("--repeats", type=int, default=10)
 
-    p_synth = command("synth", cmd_synth, "DIR", "write a synthetic cohort")
+    # register and synth pass on only the options given: RegConfig and
+    # make_cohort own the defaults, so these options have none
+    p_synth = command("synth", cmd_synth, "DIR", "write a synthetic cohort", argparse.SUPPRESS)
     p_synth.add_argument("--cases", type=int, default=8)
-    p_synth.add_argument("--dims", type=int, nargs=3, default=_COHORT_PARAMS["dims"].default)
-    p_synth.add_argument("--labels", type=int, default=_COHORT_PARAMS["label_count"].default)
-    p_synth.add_argument("--amplitude", type=float, default=_COHORT_PARAMS["amplitude"].default)
-    p_synth.add_argument("--smoothness", type=float, default=_COHORT_PARAMS["smoothness"].default)
-    p_synth.add_argument("--gzip", action="store_true")
+    p_synth.add_argument("--dims", type=int, nargs=3)
+    p_synth.add_argument("--labels", type=int, dest="label_count")
+    p_synth.add_argument("--amplitude", type=float)
+    p_synth.add_argument("--smoothness", type=float)
+    p_synth.add_argument("--gzip", action="store_true", dest="gzip_files")
 
-    p_reg = command("register", cmd_register, "FILE", "optimize a field aligning moving to fixed")
+    p_reg = command(
+        "register", cmd_register, "FILE", "optimize a field aligning moving to fixed", argparse.SUPPRESS
+    )
     p_reg.add_argument("fixed")
     p_reg.add_argument("moving")
-    reg = refreg.RegConfig()
-    iters = ",".join(map(str, reg.iters_per_level))
-    p_reg.add_argument("--iters", default=iters, help="iterations per level, coarsest first")
-    p_reg.add_argument("--step-size", type=float, default=reg.step_size)
-    p_reg.add_argument("--lambda-diffusion", type=float, default=reg.lambda_diffusion)
-    p_reg.add_argument("--window", type=int, default=reg.lncc_window)
-    p_reg.add_argument(  # unlike RegConfig, diffeomorphic unless told otherwise
-        "--parameterization", choices=(refreg.DISPLACEMENT, refreg.SVF), default=refreg.SVF
-    )
-    p_reg.add_argument("--squarings", type=int, default=reg.squarings)
-    p_reg.add_argument("--sigma", type=float, default=reg.update_smoothing_sigma)
+    p_reg.add_argument("--iters", dest="iters_per_level", help="iterations per level, coarsest first")
+    p_reg.add_argument("--step-size", type=float)
+    p_reg.add_argument("--lambda-diffusion", type=float)
+    p_reg.add_argument("--window", type=int, dest="lncc_window")
+    p_reg.add_argument("--parameterization", choices=(refreg.DISPLACEMENT, refreg.SVF))
+    p_reg.add_argument("--squarings", type=int)
+    p_reg.add_argument("--sigma", type=float, dest="update_smoothing_sigma")
     p_reg.add_argument("--init", default=None, help="initial field for instance optimization")
     return parser
 

@@ -99,6 +99,7 @@ def write_manifest(path, jobs) -> None:
     strip, or an empty method or pair id or one with a path separator
     raises UnpairedCases before anything is written.
     """
+    jobs = list(jobs)  # an iterator too: checked whole, then written
     for job in jobs:
         _check_ids(job, "manifest job")
         for cell in astuple(job):

@@ -13,11 +13,11 @@ derivative of the trilinear warp.  Every update passes a halving line
 search on the true loss, so the per-level loss trace is non-increasing;
 each trial computes the loss and its gradient in one pass.
 
-In SVF mode the state is a stationary velocity and the returned field is
-its scaling-and-squaring exponential, diffeomorphic up to discretization.
-The update direction is the displacement-space gradient evaluated at
-exp(v) (exact to first order in the step); the line search on the true
-loss keeps descent honest regardless.
+In SVF mode, RegConfig's default, the state is a stationary velocity and
+the returned field is its scaling-and-squaring exponential, diffeomorphic
+up to discretization. The update direction is the displacement-space
+gradient evaluated at exp(v) (exact to first order in the step); the line
+search on the true loss keeps descent honest regardless.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class RegConfig:
     step_size: float = 1.0
     lambda_diffusion: float = 1.0
     lncc_window: int = 9
-    parameterization: str = DISPLACEMENT
+    parameterization: str = SVF
     squarings: int = 7
     update_smoothing_sigma: float = 1.0
 

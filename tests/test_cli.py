@@ -1198,25 +1198,25 @@ class TestBench:
 
 class TestSynthCommand:
     def test_defaults_are_make_cohort_defaults(self, tmp_path, monkeypatch):
-        import inspect
-
+        # make_cohort owns every default but --cases: an option left out is not passed on
         from regeval import synth
 
-        defaults = {
-            name: p.default
-            for name, p in inspect.signature(synth.make_cohort).parameters.items()
-            if p.default is not p.empty
-        }
-        passed = {}
+        received = []
 
         def fake_make_cohort(out_dir, **kwargs):
-            passed.update(kwargs)
+            received.append(kwargs)
             return {"cases": []}
 
         monkeypatch.setattr(synth, "make_cohort", fake_make_cohort)
         assert cli.main(["--out", str(tmp_path / "c"), "synth"]) == 0
-        assert passed.pop("cases") == 8
-        assert passed == defaults
+        options = ["--dims", "9", "10", "11", "--labels", "2", "--amplitude", "1.5",
+                   "--smoothness", "4", "--gzip"]
+        assert cli.main(["--seed", "3", "--out", str(tmp_path / "c"), "synth", *options]) == 0
+        assert received == [
+            {"cases": 8},
+            {"cases": 8, "seed": 3, "dims": [9, 10, 11], "label_count": 2, "amplitude": 1.5,
+             "smoothness": 4.0, "gzip_files": True},
+        ]
 
     def test_writes_cohort(self, tmp_path):
         out = tmp_path / "c"
@@ -1380,11 +1380,16 @@ class TestRegisterCommand:
     def test_defaults_are_reg_config_defaults(self):
         from regeval.refreg import RegConfig
 
-        # only --parameterization departs from RegConfig: svf by default
-        args = cli.build_parser().parse_args(
-            ["--out", "f.nii", "register", "a", "b", "--parameterization", "displacement"]
+        # RegConfig owns every default: an option left out is not passed on
+        parse = cli.build_parser().parse_args
+        assert cli._reg_config(parse(["--out", "f.nii", "register", "a", "b"])) == RegConfig()
+        options = ["--iters", "3,2", "--step-size", "0.5", "--lambda-diffusion", "2",
+                   "--window", "5", "--parameterization", "displacement", "--squarings", "6",
+                   "--sigma", "0"]
+        assert cli._reg_config(parse(["--out", "f.nii", "register", "a", "b", *options])) == RegConfig(
+            iters_per_level=(3, 2), step_size=0.5, lambda_diffusion=2.0, lncc_window=5,
+            parameterization="displacement", squarings=6, update_smoothing_sigma=0.0,
         )
-        assert cli._reg_config(args) == RegConfig()
 
     def test_units_mm_scaling_on_eval(self, tmp_path):
         # a field stored in mm on an anisotropic grid evaluates like its
@@ -1626,6 +1631,28 @@ class TestOutputBoundary:
         out = tmp_path / "new" / "deeper" / "out"
         assert cli.main(command_argv(command, out, cohort, boundary_reports)) == 0
         assert out.is_dir() and any(out.iterdir())
+        self.assert_no_temp_file(tmp_path)
+
+    @pytest.mark.parametrize("command", ["synth", "register"])
+    def test_closed_stdout_exits_2(self, cohort, boundary_reports, tmp_path, command):
+        # stdout is a pipe whose read end is already closed, as under `| head -c 0`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        code = "import sys\nfrom regeval import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        argv = command_argv(command, tmp_path / "out", cohort, boundary_reports)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, which is flushed again at exit
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", code, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        # one line, so no traceback and no "Exception ignored" at interpreter exit
+        assert done.stderr.startswith("error: could not write stdout: ") and done.stderr.count("\n") == 1
+        assert done.returncode == 2
+        assert any((tmp_path / "out").iterdir())  # the outputs come before the stdout lines
         self.assert_no_temp_file(tmp_path)
 
     @pytest.mark.parametrize("command", COMMANDS)

@@ -123,3 +123,14 @@ def test_path_separator_in_an_id_rejected(tmp_path, method, pair_id):
     with pytest.raises(UnpairedCases, match="holds a path separator"):
         write_manifest(written, [Job(method, pair_id, "f", "m", ZERO_FIELD)])
     assert not written.exists()
+
+
+def test_an_iterator_of_jobs_is_written_whole(tmp_path):
+    jobs = [Job("m", f"p{i}", "f.nii", "m.nii", ZERO_FIELD) for i in range(3)]
+    path = tmp_path / "m.csv"
+    write_manifest(path, (job for job in jobs))
+    assert read_manifest(path) == [resolved(j, tmp_path) for j in jobs]
+    bad = tmp_path / "bad.csv"
+    with pytest.raises(UnpairedCases, match="holds a path separator"):
+        write_manifest(bad, (job for job in [*jobs, Job("m", "a/b", "f", "m", ZERO_FIELD)]))
+    assert not bad.exists()

@@ -171,7 +171,7 @@ class TestRegister:
         dims = (32, 32, 32)
         phantom = make_phantom(PhantomSpec(dims=dims, label_count=3, seed=41, noise_sigma=0.08))
         fixed = phantom[0]
-        cfg = RegConfig(iters_per_level=(20, 10))
+        cfg = RegConfig(iters_per_level=(20, 10), parameterization="displacement")
         field, _ = register(fixed, fixed, cfg)
         mean_norm = float(np.mean(np.sqrt(np.sum(field.data**2, axis=-1))))
         assert mean_norm < 0.1
@@ -182,20 +182,20 @@ class TestRegister:
         fixed = phantom[0]
         shifted = np.roll(fixed.data, 3, axis=0)  # moving(x) = fixed(x - 3), so u = +3
         moving = Volume(header=fixed.header, kind="scalar", data=shifted)
-        field, _ = register(fixed, moving, RegConfig())
+        field, _ = register(fixed, moving, RegConfig(parameterization="displacement"))
         interior = field.data[8:-8, 8:-8, 8:-8]
         mean_u = interior.reshape(-1, 3).mean(axis=0)
         assert np.max(np.abs(mean_u - np.array([3.0, 0.0, 0.0]))) < 0.5
 
     def test_trace_non_increasing_within_levels(self, small_pair):
-        cfg = RegConfig(iters_per_level=(15, 10))
+        cfg = RegConfig(iters_per_level=(15, 10), parameterization="displacement")
         _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         for level_losses in trace:
             diffs = np.diff(level_losses)
             assert np.all(diffs <= 0.0)
 
     def test_deterministic(self, small_pair):
-        cfg = RegConfig(iters_per_level=(8, 5))
+        cfg = RegConfig(iters_per_level=(8, 5), parameterization="displacement")
         f1, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         f2, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         assert np.array_equal(f1.data, f2.data)
@@ -211,7 +211,7 @@ class TestRegister:
 
         energies = []
         for lam in (0.1, 1.0, 10.0):
-            cfg = RegConfig(iters_per_level=(15, 10), lambda_diffusion=lam)
+            cfg = RegConfig(iters_per_level=(15, 10), lambda_diffusion=lam, parameterization="displacement")
             field, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg)
             energies.append(_diffusion_value(field.data))
         assert energies[0] > energies[1] > energies[2]
@@ -271,7 +271,7 @@ class TestStops:
             return (loss, grad) if not np.any(u) else (np.inf, grad)
 
         monkeypatch.setattr(refreg, "_loss_and_grad", no_move_accepted)
-        cfg = RegConfig(iters_per_level=(5,), lncc_window=3)
+        cfg = RegConfig(iters_per_level=(5,), lncc_window=3, parameterization="displacement")
         state, losses, u = refreg._optimize_level(f.data, m.data, np.zeros((8, 8, 8, 3)), 5, cfg)
         assert losses == [] and not np.any(state) and not np.any(u)
         assert calls == [False] + [True] * 30  # the initial loss, then 30 halvings
@@ -303,7 +303,7 @@ class TestStops:
             raise AssertionError("sigma 0 smoothed the update")
 
         monkeypatch.setattr(refreg, "gaussian_filter", no_smoothing)
-        cfg = RegConfig(iters_per_level=(3, 3), update_smoothing_sigma=0.0)
+        cfg = RegConfig(iters_per_level=(3, 3), update_smoothing_sigma=0.0, parameterization="displacement")
         _, trace = register(small_pair.fixed_image, small_pair.moving_image, cfg)
         assert all(level for level in trace)
 
@@ -377,9 +377,10 @@ class TestInstanceOptimize:
     def test_zero_init_equals_single_level_register(self, small_pair):
         # with init, only the last iters_per_level entry runs, at full resolution
         fixed, moving = small_pair.fixed_image, small_pair.moving_image
-        from_register, trace = register(fixed, moving, RegConfig(iters_per_level=(12,)))
+        from_register, trace = register(fixed, moving, RegConfig(iters_per_level=(12,), parameterization="displacement"))
         zero = DisplacementField.zero(fixed.header)
-        from_init, init_trace = register(fixed, moving, RegConfig(iters_per_level=(3, 12)), init=zero)
+        cfg = RegConfig(iters_per_level=(3, 12), parameterization="displacement")
+        from_init, init_trace = register(fixed, moving, cfg, init=zero)
         assert np.array_equal(from_register.data, from_init.data)
         assert init_trace == trace and len(trace) == 1
 
@@ -409,7 +410,7 @@ class TestInstanceOptimize:
         assert out.data.tobytes() == u.tobytes()
 
     def test_truth_init_does_not_worsen(self, small_pair):
-        cfg = RegConfig(iters_per_level=(10,))
+        cfg = RegConfig(iters_per_level=(10,), parameterization="displacement")
         refined, _ = register(
             small_pair.fixed_image, small_pair.moving_image, cfg, init=small_pair.truth
         )
@@ -431,7 +432,7 @@ class TestInstanceOptimize:
             header=small_pair.truth.header,
             data=small_pair.truth.data + rng.standard_normal(small_pair.truth.data.shape),
         )
-        cfg = RegConfig(iters_per_level=(50,))
+        cfg = RegConfig(iters_per_level=(50,), parameterization="displacement")
         refined, _ = register(small_pair.fixed_image, small_pair.moving_image, cfg, init=noisy)
         lm = (small_pair.fixed_landmarks, small_pair.moving_landmarks)
         tre_before = float(np.mean(tre(lm[0], lm[1], noisy)))
