@@ -59,10 +59,6 @@ def _print(line: str) -> None:
     try:
         print(line, flush=True)
     except OSError as exc:
-        # the line stays buffered: let the interpreter's flush at exit write it to devnull
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
         raise IoFailure(f"could not write stdout: {exc}") from None
 
 
@@ -395,10 +391,12 @@ def cmd_correlate(args) -> int:
 def bench_job(job: Job, repeats: int = 10, units: str = "voxel") -> dict:
     """Wall-clock samples of the full job: file reads, evaluation, report
     write.  Matches the runtime protocol of timing on CPU including I/O."""
+    if repeats < 1:
+        raise BadParams(f"repeats must be at least 1, got {repeats}")
     samples = []
     import scipy.spatial  # noqa: F401  (HD95's fallback KD-trees: no timed job imports them)
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             report = run_job(job, units=units)
             _write_json(report.to_dict(), Path(tmp) / job.report_name)
@@ -551,14 +549,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.out_kind and not args.out:
-        parser.error(f"{args.command} requires --out {args.out_kind}")
     try:
+        args = parser.parse_args(argv)
+        if args.out_kind and not args.out:
+            parser.error(f"{args.command} requires --out {args.out_kind}")
         return args.handler(args)
     except RegEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # a closed stderr, as below
+            print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # what a closed stdout or stderr still buffers goes to devnull: the flush at exit keeps the code
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except OSError:
+                with open(os.devnull, "wb") as devnull:
+                    os.dup2(devnull.fileno(), stream.fileno())
 
 
 if __name__ == "__main__":

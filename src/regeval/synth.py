@@ -49,6 +49,8 @@ class PhantomSpec:
         """Validated (center, semi_axes array of shape (K, 3))."""
         dims = np.asarray(self.dims, dtype=np.float64)
         top = np.iinfo(np.int16).max  # the label map is int16
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be non-negative, got {self.seed}")
         if not 2 <= self.label_count <= top:
             raise SpecInvalid(f"label_count must lie in [2, {top}], got {self.label_count}")
         center = (
@@ -164,8 +166,8 @@ def make_velocity(kind: Svf, dims) -> VelocityField:
     """The stationary velocity that backs an Svf field request."""
     dims = tuple(int(d) for d in dims)
     bound = 10 * max(dims)  # the Gaussian allocates 8 sigma + 1 taps: keep sigma near the grid
-    if not (0 <= kind.amplitude < np.inf and 0 < kind.smoothness <= bound):  # NaN fails too
-        raise BadParams(f"bad Svf parameters {kind}: need 0 <= amplitude < inf, 0 < smoothness <= {bound}")
+    if not (kind.seed >= 0 and 0 <= kind.amplitude < np.inf and 0 < kind.smoothness <= bound):  # NaN fails too
+        raise BadParams(f"bad Svf parameters {kind}: need seed >= 0, 0 <= amplitude < inf, 0 < smoothness <= {bound}")
     from scipy.ndimage import gaussian_filter  # loaded only when smoothing
 
     header = AffineHeader.isotropic(dims)

@@ -68,32 +68,29 @@ def _blocks(n: int, fn) -> None:
 
 
 class _Workspace:
-    """Buffers of the kernel for n points sampled from dims + (channels,)
-    data: the channel planes, each padded by one replicated edge voxel at the
-    top of every axis, and one block's coordinates, corner index and corner
-    values, which every block reuses.  With ``grid``, the dims of the n
-    points' voxel grid, also the voxel coordinates of as many of its first
-    planes as one block reaches (``_coords``).  ``_exp`` keeps one
-    workspace for all its squarings."""
+    """Buffers of the kernel for the voxels of ``grid`` (dims) sampled from
+    dims + (channels,) data: the channel planes, each padded by one
+    replicated edge voxel at the top of every axis; one block's coordinates,
+    corner index and corner values, which every block reuses; and the
+    template, scale * x over as many of the grid's first planes as one block
+    reaches (``_coords``).  ``_exp`` keeps one workspace for all squarings."""
 
-    def __init__(self, dims, channels: int, n: int, grid=None):
+    def __init__(self, dims, channels: int, grid, scale: float = 1.0):
         self.padded = np.empty((channels,) + tuple(d + 1 for d in dims))
         sx, sy = (dims[1] + 1) * (dims[2] + 1), dims[2] + 1
         self.offsets = [(c & 1) * sx + (c >> 1 & 1) * sy + (c >> 2 & 1) for c in range(8)]
-        m = min(n, _BLOCK)
+        m = min(int(np.prod(grid, dtype=np.int64)), _BLOCK)
         self.p = np.empty((3, m))
         self.idx = np.empty(m, dtype=np.intp)
         self.floor = np.empty(m, dtype=np.intp)
         self.v = np.empty((8, m))
-        self.grid = grid
-        if grid is not None:
-            plane = grid[1] * grid[2]
-            # a block that starts on plane 0's last row ends on this plane
-            last = (plane - 1 + m - 1) // plane
-            t = np.empty((3, min(grid[0], last + 1)) + tuple(grid[1:]))
-            for axis, k in enumerate(t.shape[1:]):
-                t[axis] = _axis_coords(k, axis)
-            self.rows = t.reshape(3, -1)
+        self.plane, self.scale = grid[1] * grid[2], scale
+        # a block that starts on plane 0's last row ends on this plane
+        last = (self.plane - 1 + m - 1) // self.plane
+        t = np.empty((3, min(grid[0], last + 1)) + tuple(grid[1:]))
+        for axis, k in enumerate(t.shape[1:]):
+            t[axis] = _axis_coords(k, axis) * scale
+        self.rows = t.reshape(3, -1)
 
 
 def _pad(data: np.ndarray, padded: np.ndarray) -> None:
@@ -106,23 +103,18 @@ def _pad(data: np.ndarray, padded: np.ndarray) -> None:
     padded[:, nx] = padded[:, nx - 1]
 
 
-def _coords(ws: _Workspace, points, lo: int, hi: int) -> np.ndarray:
-    """The (3, m) coordinates of block [lo, hi), in ws.p: its rows of
-    ``points`` or, with a grid, each row's voxel plus the row.  A block that
-    starts in x-plane x0 reads ``ws.rows`` from the same offset in plane 0
-    and adds x0 to x: exact integers, so the sums have a full grid's bits."""
+def _coords(ws: _Workspace, rows, lo: int, hi: int) -> np.ndarray:
+    """The (3, m) coordinates scale * x + u(x) of block [lo, hi) of the grid
+    in ws.p, u(x) being its row of ``rows``.  A block that starts in x-plane
+    x0 reads the template ``ws.rows`` from the same offset in plane 0 and adds
+    scale * x0 to x: exact for a scale of 1 or 1/2, so no bit differs."""
     p = ws.p[:, : hi - lo]
-    if ws.grid is None:
-        for axis in range(3):
-            np.copyto(p[axis], points[lo:hi, axis])
-        return p
-    plane = ws.grid[1] * ws.grid[2]
-    x0 = lo // plane
-    t = ws.rows[:, lo - x0 * plane : hi - x0 * plane]
-    np.add(t[0], float(x0), out=p[0])
-    np.add(p[0], points[lo:hi, 0], out=p[0])
-    np.add(t[1], points[lo:hi, 1], out=p[1])
-    np.add(t[2], points[lo:hi, 2], out=p[2])
+    x0 = lo // ws.plane
+    t = ws.rows[:, lo - x0 * ws.plane : hi - x0 * ws.plane]
+    np.add(t[0], x0 * ws.scale, out=p[0])
+    np.add(p[0], rows[lo:hi, 0], out=p[0])
+    np.add(t[1], rows[lo:hi, 1], out=p[1])
+    np.add(t[2], rows[lo:hi, 2], out=p[2])
     return p
 
 
@@ -171,23 +163,23 @@ def _blend(v: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     _lerp(v[0], v[4], f[2], out)
 
 
-def _trilinear(data: np.ndarray, points: np.ndarray, grid=None, ws=None, add_to=None) -> np.ndarray:
-    """Trilinear interpolation of ``data`` (dims or dims + (c,)) at (n, 3)
-    points or, with ``grid`` (the dims of n voxels), at each voxel plus its
-    row of ``points``.  Returns the (n,) or (n, c) samples; with ``add_to``
+def _trilinear(data: np.ndarray, rows: np.ndarray, grid, scale: float = 1.0, ws=None, add_to=None) -> np.ndarray:
+    """Trilinear interpolation of ``data`` (dims or dims + (c,)) at
+    scale * x + u(x) for each voxel x of ``grid``, u(x) being its row of the
+    (n, 3) ``rows``.  Returns the (n,) or (n, c) samples; with ``add_to``
     ((n, c)) each block's samples are added into its rows instead.  Every
     output element sees the same float operations for any block split
-    (``_blocks``).  ``ws``, made for these points and grid, is a fresh
+    (``_blocks``).  ``ws``, made for this grid and scale, is a fresh
     workspace unless one is passed."""
     dims = data.shape[:3]
     if ws is None:
-        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), len(points), grid)
+        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), grid, scale)
     _pad(data, ws.padded)
     planes = ws.padded.reshape(len(ws.padded), -1)
-    out = np.empty((len(points), len(planes))) if add_to is None else add_to
+    out = np.empty((len(rows), len(planes))) if add_to is None else add_to
 
     def block(lo, hi):
-        p = _coords(ws, points, lo, hi)
+        p = _coords(ws, rows, lo, hi)
         idx = _corners(ws, p, dims)
         for c, plane in enumerate(planes):
             v = _gather(ws, plane, idx)
@@ -197,7 +189,7 @@ def _trilinear(data: np.ndarray, points: np.ndarray, grid=None, ws=None, add_to=
                 _blend(v, p, v[0])
                 np.add(out[lo:hi, c], v[0], out=out[lo:hi, c])
 
-    _blocks(len(points), block)
+    _blocks(len(rows), block)
     return out[:, 0] if data.ndim == 3 else out
 
 
@@ -226,7 +218,7 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
     dims = u.shape[:3]
     shift = u.reshape(-1, 3)
     n = len(shift)
-    ws = _Workspace(mdata.shape, 1, n, dims)
+    ws = _Workspace(mdata.shape, 1, dims)
     _pad(mdata, ws.padded)
     plane = ws.padded.reshape(-1)
     top = np.asarray(mdata.shape, dtype=np.float64)[:, None] - 1.0
@@ -309,9 +301,9 @@ def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
     copy taken before the squaring.  All squarings share one workspace."""
     u = np.divide(v, float(2**squarings), order="C")
     rows = u.reshape(-1, 3)
-    ws = _Workspace(u.shape[:3], 3, len(rows), u.shape[:3])
+    ws = _Workspace(u.shape[:3], 3, u.shape[:3])
     for _ in range(squarings):
-        _trilinear(u, rows, ws=ws, add_to=rows)
+        _trilinear(u, rows, u.shape[:3], ws=ws, add_to=rows)
     return u
 
 

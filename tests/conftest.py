@@ -95,15 +95,26 @@ def whole_array_warp_labels(moving_labels, phi):
     return Volume(header=phi.header, kind="label", data=out)
 
 
-def padded_sample_trilinear(obj, points):
-    """Point sampling through the bulk kernel, which pads a copy of the whole
-    field."""
-    from regeval.warp import _trilinear
+def whole_array_lerps(data, pts):
+    """Trilinear lerps along x, then y, then z over all (n, 3) points at
+    once, with fancy indexing: the arithmetic the blocked kernel and
+    ``sample_trilinear`` must keep bit for bit."""
+    top = np.array(data.shape[:3]) - 1
+    p = np.clip(pts, 0, top)
+    i0 = np.floor(p).astype(np.intp)
+    i1 = np.minimum(i0 + 1, top)
+    f = p - i0
+    fx, fy, fz = (f[:, a].reshape((-1,) + (1,) * (data.ndim - 3)) for a in range(3))
 
-    data = obj if isinstance(obj, np.ndarray) else obj.data
-    pts = np.asarray(points, dtype=np.float64)
-    out = _trilinear(np.asarray(data, dtype=np.float64), np.atleast_2d(pts))
-    return out[0] if pts.ndim == 1 else out
+    def at(cx, cy, cz):
+        return data[(i1 if cx else i0)[:, 0], (i1 if cy else i0)[:, 1], (i1 if cz else i0)[:, 2]]
+
+    def lerp(a, b, t):
+        return a + (b - a) * t
+
+    c0 = lerp(lerp(at(0, 0, 0), at(1, 0, 0), fx), lerp(at(0, 1, 0), at(1, 1, 0), fx), fy)
+    c1 = lerp(lerp(at(0, 0, 1), at(1, 0, 1), fx), lerp(at(0, 1, 1), at(1, 1, 1), fx), fy)
+    return lerp(c0, c1, fz)
 
 
 def per_slab_folded_volume_cells(psi_flat, cells, ny, nz):

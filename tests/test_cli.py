@@ -22,7 +22,7 @@ from regeval.metrics import PairReport
 from regeval.synth import make_cohort
 from regeval.volio import AffineHeader, DisplacementField, Volume, write_nifti
 
-from conftest import padded_sample_trilinear, per_slab_folded_volume_cells, whole_array_warp_labels
+from conftest import per_slab_folded_volume_cells, whole_array_lerps, whole_array_warp_labels
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,8 @@ class TestEval:
         for kernels in ("blocked", "whole-array"):
             if kernels == "whole-array":
                 monkeypatch.setattr(metrics, "warp_labels", whole_array_warp_labels)
-                monkeypatch.setattr(metrics, "sample_trilinear", padded_sample_trilinear)
+                monkeypatch.setattr(metrics, "sample_trilinear",
+                                    lambda phi, pts: whole_array_lerps(np.asarray(phi.data, dtype=np.float64), pts))
                 monkeypatch.setattr(metrics, "_folded_volume_cells", per_slab_folded_volume_cells)
                 # NDV without the certificate: every counted cell goes through the tetrahedra
                 monkeypatch.setattr(metrics, "_fold_free_planes", lambda u: np.zeros(u.shape[0] - 1, dtype=bool))
@@ -1161,6 +1162,14 @@ class TestBench:
         assert result["repeats"] == 1
         assert result["std_s"] == 0.0
 
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one_exit_2_and_time_nothing(self, cohort, tmp_path, capsys, monkeypatch, repeats):
+        monkeypatch.setattr(cli, "run_job", lambda *a, **k: pytest.fail("a job ran"))
+        out = tmp_path / "bench.json"
+        assert cli.main(["--out", str(out), "bench", str(cohort / "manifest.csv"), "--repeats", repeats]) == 2
+        assert capsys.readouterr().err == f"error: repeats must be at least 1, got {repeats}\n"
+        assert not out.exists()
+
     def test_mean_within_sample_range(self, cohort, tmp_path):
         out = tmp_path / "bench.json"
         code = cli.main(
@@ -1250,6 +1259,14 @@ class TestSynthCommand:
         out = tmp_path / "c"
         assert cli.main(["--out", str(out), "synth", "--cases", "-1"]) == 2
         assert capsys.readouterr().err == "error: cases must not be negative, got -1\n"
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # checked before numpy's generator sees it, which raises a plain ValueError
+        out = tmp_path / "c"
+        assert cli.main(["--seed", "-1", "--out", str(out), "synth", "--cases", "1", "--dims", "8", "8", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("labels", ["32768", "40000"])
@@ -1654,6 +1671,25 @@ class TestOutputBoundary:
         assert done.returncode == 2
         assert any((tmp_path / "out").iterdir())  # the outputs come before the stdout lines
         self.assert_no_temp_file(tmp_path)
+
+    @pytest.mark.parametrize("argv", [["synth", "--cases", "-1"], ["rank", "reports"]],
+                             ids=["library-error", "usage-error"])
+    def test_closed_stderr_exits_2(self, tmp_path, argv):
+        # stderr is a closed pipe: the error line, or argparse's usage line,
+        # is dropped, and neither the line nor the flush at exit changes the code
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        code = "import sys\nfrom regeval import cli\nsys.exit(cli.main(sys.argv[1:]))"
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "synth" else []
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            done = subprocess.run([sys.executable, "-c", code, *out, *argv], stdout=subprocess.PIPE,
+                                  stderr=write_end, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_failure_before_writing_leaves_no_directory(self, tmp_path, capsys, command):

@@ -9,6 +9,7 @@ from regeval import errors
 from regeval.metrics import lncc
 from regeval.ranking import MetricMatrix
 from regeval.refreg import RegConfig
+from regeval.synth import PhantomSpec, Svf, make_phantom, make_velocity
 from regeval.volio import AffineHeader, DisplacementField, Volume, scale_field_units
 from regeval.warp import VelocityField, exp_svf, ic_residual, sample_trilinear
 
@@ -80,6 +81,10 @@ def _matrix(**changes):
         pytest.param(lambda: RegConfig(squarings=1024), errors.BadParams, id="RegConfig-squarings"),
         pytest.param(lambda: RegConfig(update_smoothing_sigma=np.inf), errors.BadParams, id="RegConfig-sigma"),
         pytest.param(lambda: lncc(_scalar(), _scalar(), window=0), errors.BadParams, id="lncc-window"),
+        pytest.param(lambda: make_phantom(PhantomSpec(dims=(8, 8, 8), seed=-1)), errors.SpecInvalid,
+                     id="make_phantom-seed"),
+        pytest.param(lambda: make_velocity(Svf(seed=-3, amplitude=1.0), (8, 8, 8)), errors.BadParams,
+                     id="make_velocity-seed"),
         pytest.param(lambda: _scalar(kind="vector"), errors.UnsupportedLayout, id="Volume-kind"),
         pytest.param(lambda: scale_field_units(_field(), "cm"), errors.BadParams, id="scale_field_units-units"),
         pytest.param(lambda: _matrix(direction="up"), errors.BadParams, id="MetricMatrix-direction"),

@@ -94,6 +94,16 @@ def run_sequence(root: Path) -> dict:
     _register(reg, "svf", fixed, moving, "--iters", "5,5,5")
     _register(reg, "init", fixed, moving, "--iters", "5", "--parameterization",
               "displacement", "--init", str(reg / "svf.nii"))
+
+    # an odd grid: levels of 6^3, 12x11x11 and 23x22x21, so that both
+    # upsamples land on odd axes
+    odd = (23, 22, 21)
+    phantom = synth.make_phantom(synth.PhantomSpec(dims=odd, label_count=4, seed=23, noise_sigma=0.1))
+    pair = synth.make_pair(phantom, synth.make_velocity(synth.Svf(seed=24, amplitude=4.0, smoothness=6.0), odd))
+    fixed, moving = str(reg / "odd_fixed.nii"), str(reg / "odd_moving.nii")
+    volio.write_nifti(pair.fixed_image, fixed)
+    volio.write_nifti(pair.moving_image, moving)
+    _register(reg, "odd", fixed, moving, "--iters", "2,2,2", "--window", "5")
     digests.update(_digests(reg, root, "register/"))
     return digests
 

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 import zlib
 from pathlib import Path
@@ -168,6 +169,27 @@ class TestOnePayloadCopy:
         while arr is not None:
             assert not isinstance(arr, (bytes, bytearray, memoryview))
             arr = getattr(arr, "base", None)
+
+    @pytest.mark.parametrize("zipped", [False, True])
+    def test_pipe_reads_like_its_file(self, tmp_path, rng, zipped):
+        # a pipe cannot seek: its bytes are read whole first, then parsed
+        blob = self.field_blob(rng)
+        blob = gzip.compress(blob) if zipped else blob
+        path, fifo = tmp_path / "field.nii", tmp_path / "pipe.nii"
+        path.write_bytes(blob)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(blob,), daemon=True)
+        writer.start()
+        try:
+            got = volio.read_nifti(fifo)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
+        want = volio.read_nifti(path)
+        assert type(got) is type(want) is DisplacementField
+        assert got.header.dims == want.header.dims and np.array_equal(got.header.affine, want.header.affine)
+        assert got.data.dtype == want.data.dtype and got.data.strides == want.data.strides
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_gzip_field_read_peaks_below_payload_plus_2_mib(self, tmp_path, rng):
         dims = (64, 64, 64)

@@ -11,7 +11,7 @@ from regeval import errors, warp
 from regeval.volio import AffineHeader, DisplacementField, Volume
 from regeval.warp import VelocityField, compose, exp_svf, ic_residual, sample_trilinear, warp_image, warp_labels
 
-from conftest import brute_force_trilinear, identity_grid, traced_peak, whole_array_warp_labels
+from conftest import brute_force_trilinear, identity_grid, traced_peak, whole_array_lerps, whole_array_warp_labels
 
 
 def field_from(data) -> DisplacementField:
@@ -92,32 +92,26 @@ class TestSampleTrilinear:
 B = warp._BLOCK
 
 
-def one_block(data, pts):
-    """The kernel with every point in a single inline block."""
+def one_block(data, rows, grid):
+    """The kernel with every voxel of ``grid`` in a single inline block."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(warp, "_BLOCK", len(pts) + 1)
-        return warp._trilinear(data, pts)
+        mp.setattr(warp, "_BLOCK", len(rows) + 1)
+        return warp._trilinear(data, rows, grid)
 
 
-def whole_array_lerps(data, pts):
-    """Trilinear lerps along x, then y, then z over all points at once, with
-    fancy indexing: the arithmetic the blocked kernel must keep bit for bit."""
-    top = np.array(data.shape[:3]) - 1
-    p = np.clip(pts, 0, top)
-    i0 = np.floor(p).astype(np.intp)
-    i1 = np.minimum(i0 + 1, top)
-    f = p - i0
-    fx, fy, fz = (f[:, a].reshape((-1,) + (1,) * (data.ndim - 3)) for a in range(3))
+def on_grid(pts, grid):
+    """The kernel's form of the points ``pts``, one per voxel of ``grid``:
+    the rows u of a field with identity_grid + u about at ``pts``, and those
+    coordinates, identity_grid + u, for the references to sample."""
+    u = np.reshape(pts, tuple(grid) + (3,)) - identity_grid(grid)
+    return u.reshape(-1, 3), (identity_grid(grid) + u).reshape(-1, 3)
 
-    def at(cx, cy, cz):
-        return data[(i1 if cx else i0)[:, 0], (i1 if cy else i0)[:, 1], (i1 if cz else i0)[:, 2]]
 
-    def lerp(a, b, t):
-        return a + (b - a) * t
-
-    c0 = lerp(lerp(at(0, 0, 0), at(1, 0, 0), fx), lerp(at(0, 1, 0), at(1, 1, 0), fx), fy)
-    c1 = lerp(lerp(at(0, 0, 1), at(1, 0, 1), fx), lerp(at(0, 1, 1), at(1, 1, 1), fx), fy)
-    return lerp(c0, c1, fz)
+# A grid of n voxels for each n of the block-edge cases.  Their planes (443
+# to 16384 voxels) do not divide _BLOCK, so blocks start inside planes past
+# the first; a prime n has one row, and powers of two cannot avoid a divisor.
+GRIDS = {1: (1, 1, 1), B - 1: (1, 1, B - 1), B: (8, 32, 32), B + 1: (3, 1, 2731), 2 * B + 7: (37, 1, 443),
+         4 * B - 1: (7, 31, 151), 4 * B: (2, 128, 128), 4 * B + 1: (9, 11, 331), 8 * B + 7: (1, 1, 8 * B + 7)}
 
 
 class TestBlockedKernel:
@@ -131,16 +125,17 @@ class TestBlockedKernel:
     def test_blocked_equals_one_block(self, n, channels, order):
         rng = np.random.default_rng(n)
         data = np.asarray(rng.standard_normal((9, 10, 11) + channels), order=order)
-        pts = rng.uniform(-2.0, 12.0, size=(n, 3))
-        got = warp._trilinear(data, pts)
+        rows, _ = on_grid(rng.uniform(-2.0, 12.0, size=(n, 3)), GRIDS[n])
+        got = warp._trilinear(data, rows, GRIDS[n])
         assert got.shape == (n,) + channels
-        assert np.array_equal(got, one_block(data, pts))
+        assert np.array_equal(got, one_block(data, rows, GRIDS[n]))
 
     @pytest.mark.parametrize("channels", [(), (3,)])
     def test_matches_whole_array_lerps(self, rng, channels):
         data = rng.standard_normal((9, 10, 11) + channels)
-        pts = rng.uniform(-2.0, 12.0, size=(2 * B + 7, 3))
-        assert np.array_equal(warp._trilinear(data, pts), whole_array_lerps(data, pts))
+        grid = GRIDS[2 * B + 7]
+        rows, pts = on_grid(rng.uniform(-2.0, 12.0, size=(2 * B + 7, 3)), grid)
+        assert np.array_equal(warp._trilinear(data, rows, grid), whole_array_lerps(data, pts))
 
     def test_warp_with_grad_value_matches_whole_array_lerps(self, rng):
         u = rng.standard_normal((40, 41, 42, 3)) * 3.0
@@ -167,20 +162,22 @@ class TestBlockedKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        pts=arrays(
+        u=arrays(
             np.float64,
-            st.tuples(st.integers(1, 50), st.just(3)),
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.just(3)),
             elements=st.floats(-4.0, 12.0, allow_nan=False),
         ),
         block=st.integers(1, 9),
     )
-    def test_any_split_is_bitwise_equal(self, pts, block):
+    def test_any_split_is_bitwise_equal(self, u, block):
         # in-grid and out-of-grid points of a 6x7x8 grid, split into tiny blocks
+        # that start anywhere in planes of 1 to 16 voxels
         data = np.random.default_rng(3).standard_normal((6, 7, 8, 3))
-        want = one_block(data, pts)
+        grid, rows = u.shape[:3], u.reshape(-1, 3)
+        want = one_block(data, rows, grid)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(warp, "_BLOCK", block)
-            got = warp._trilinear(data, pts)
+            got = warp._trilinear(data, rows, grid)
         assert got.tobytes() == want.tobytes()
 
 
@@ -249,24 +246,24 @@ class TestKernelEdges:
     @pytest.mark.parametrize("channels", [(), (3,)])
     def test_axes_of_length_one_and_two(self, rng, shape, channels):
         data = rng.standard_normal(shape + channels)
-        pts = rng.uniform(-2.0, 8.0, size=(500, 3))
-        assert np.array_equal(warp._trilinear(data, pts), whole_array_lerps(data, pts))
+        rows, pts = on_grid(rng.uniform(-2.0, 8.0, size=(500, 3)), (5, 10, 10))
+        assert np.array_equal(warp._trilinear(data, rows, (5, 10, 10)), whole_array_lerps(data, pts))
 
     def test_points_on_and_beyond_the_upper_edge(self, rng):
         data = rng.standard_normal((5, 6, 7, 3))
         top = np.array(data.shape[:3], dtype=np.float64) - 1.0
-        grid = np.stack(np.meshgrid(*[np.arange(n, dtype=np.float64) for n in data.shape[:3]],
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
-        pts = np.concatenate([
+        voxels = identity_grid(data.shape[:3]).reshape(-1, 3)
+        rows, pts = on_grid(np.concatenate([
             np.tile(top, (1, 1)),  # the last voxel itself
-            np.where(rng.random((400, 3)) < 0.5, top, grid[rng.integers(0, len(grid), 400)]),
+            np.where(rng.random((400, 3)) < 0.5, top, voxels[rng.integers(0, len(voxels), 400)]),
             top + rng.uniform(0.0, 3.0, size=(200, 3)),  # beyond, on all axes
             np.where(rng.random((200, 3)) < 0.5, top + 1.5, rng.uniform(0, 4, (200, 3))),
             np.nextafter(top, 0.0) + np.zeros((1, 3)),  # just below the edge
-        ])
-        got = warp._trilinear(data, pts)
+        ]), (2, 1, 401))
+        got = warp._trilinear(data, rows, (2, 1, 401))
         assert np.array_equal(got, whole_array_lerps(data, pts))
         on_edge = np.all(pts == top, axis=1)
+        assert on_edge.sum() > 1
         assert np.array_equal(got[on_edge], np.broadcast_to(data[-1, -1, -1], (on_edge.sum(), 3)))
 
     @pytest.mark.parametrize("layout", ["F", "slice", "transposed"])
@@ -280,9 +277,9 @@ class TestKernelEdges:
         else:
             data = np.swapaxes(base, 0, 2)
         assert not data.flags.c_contiguous
-        pts = rng.uniform(-2.0, 15.0, size=(B + 9, 3))
+        rows, pts = on_grid(rng.uniform(-2.0, 15.0, size=(B + 9, 3)), (59, 1, 139))  # blocks start mid-plane
         want = whole_array_lerps(np.ascontiguousarray(data), pts)
-        assert np.array_equal(warp._trilinear(data, pts), want)
+        assert np.array_equal(warp._trilinear(data, rows, (59, 1, 139)), want)
         assert np.array_equal(whole_array_lerps(data, pts), want)
 
     def test_warp_with_grad_on_thin_and_fortran_images(self, rng):
@@ -473,7 +470,7 @@ class TestBlockedLabelWarp:
 
 class TestCornerSampling:
     """sample_trilinear reads only each point's 8 corners; it must equal the
-    padded bulk kernel bit for bit."""
+    padded bulk kernel bit for bit at a grid's voxels plus their rows."""
 
     @pytest.mark.parametrize("shape", [(9, 10, 11), (1, 5, 2), (2, 1, 1), (1, 1, 1)])
     @pytest.mark.parametrize("channels", [(), (3,)])
@@ -481,12 +478,12 @@ class TestCornerSampling:
     def test_equals_the_padded_kernel(self, rng, shape, channels, order):
         data = np.asarray(rng.standard_normal(shape + channels), order=order)
         top = np.array(shape, dtype=np.float64) - 1.0
-        pts = np.concatenate([
+        rows, pts = on_grid(np.concatenate([
             rng.uniform(-3.0, top + 3.0, size=(300, 3)),  # inside and outside the grid
             np.where(rng.random((100, 3)) < 0.5, top, rng.uniform(0.0, top, (100, 3))),  # upper faces
             top[None], np.zeros((1, 3)), np.nextafter(top, 0.0)[None],
-        ])
-        want = warp._trilinear(data, pts)
+        ]), (1, 13, 31))
+        want = warp._trilinear(data, rows, (1, 13, 31))
         got = sample_trilinear(data, pts)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
