@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BadParams, DimMismatch, DivergedLoss, NonFiniteData, UnsupportedLayout
 from .metrics import _LnccTerms, _check_window
 from .volio import DisplacementField, Volume
-from .warp import _SLAB, _check_squarings, _exp, _trilinear, _warp, _warp_with_grad
+from .warp import _SLAB, _check_squarings, _exp, _trilinear, _warp, _warp_with_grad, _Workspace
 
 DISPLACEMENT = "displacement"
 SVF = "svf"
@@ -181,8 +181,8 @@ def _pyramid(data: np.ndarray, levels: int) -> list[np.ndarray]:
 
 def _upsample_state(state: np.ndarray, fine_dims) -> np.ndarray:
     """Upsample a field/velocity to the next finer grid, doubling values; voxel x reads (x - 1/2) / 2."""
-    shift = np.broadcast_to(-0.25, (int(np.prod(fine_dims)), 3))
-    up = _trilinear(state, shift, fine_dims, 0.5).reshape(tuple(fine_dims) + (3,))
+    shift, ws = np.broadcast_to(-0.25, (int(np.prod(fine_dims)), 3)), _Workspace(state.shape[:3], 3, fine_dims, 0.5)
+    up = _trilinear(state, shift, fine_dims, ws=ws).reshape(tuple(fine_dims) + (3,))
     return np.multiply(up, 2.0, out=up)
 
 

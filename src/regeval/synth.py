@@ -302,10 +302,12 @@ def make_cohort(
     Layout: images/, labels/, landmarks/, fields/ plus manifest.json with
     per-case seeds and analytic facts, and manifest.csv listing evaluation
     jobs for the truth fields and the ZeroDisplacement baseline.  Negative
-    ``cases`` raise BadParams before anything is written.
+    ``cases`` or ``seed`` raise BadParams before anything is written.
     """
     if cases < 0:
         raise BadParams(f"cases must not be negative, got {cases}")
+    if seed < 0:
+        raise BadParams(f"seed must be non-negative, got {seed}")
     out = Path(out_dir)
     suffix = ".nii.gz" if gzip_files else ".nii"
 

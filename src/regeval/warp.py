@@ -80,10 +80,8 @@ class _Workspace:
         sx, sy = (dims[1] + 1) * (dims[2] + 1), dims[2] + 1
         self.offsets = [(c & 1) * sx + (c >> 1 & 1) * sy + (c >> 2 & 1) for c in range(8)]
         m = min(int(np.prod(grid, dtype=np.int64)), _BLOCK)
-        self.p = np.empty((3, m))
-        self.idx = np.empty(m, dtype=np.intp)
-        self.floor = np.empty(m, dtype=np.intp)
-        self.v = np.empty((8, m))
+        self.p, self.v = np.empty((3, m)), np.empty((8, m))
+        self.idx, self.floor = np.empty((2, m), dtype=np.intp)
         self.plane, self.scale = grid[1] * grid[2], scale
         # a block that starts on plane 0's last row ends on this plane
         last = (self.plane - 1 + m - 1) // self.plane
@@ -163,17 +161,17 @@ def _blend(v: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     _lerp(v[0], v[4], f[2], out)
 
 
-def _trilinear(data: np.ndarray, rows: np.ndarray, grid, scale: float = 1.0, ws=None, add_to=None) -> np.ndarray:
+def _trilinear(data: np.ndarray, rows: np.ndarray, grid, ws=None, add_to=None) -> np.ndarray:
     """Trilinear interpolation of ``data`` (dims or dims + (c,)) at
     scale * x + u(x) for each voxel x of ``grid``, u(x) being its row of the
-    (n, 3) ``rows``.  Returns the (n,) or (n, c) samples; with ``add_to``
-    ((n, c)) each block's samples are added into its rows instead.  Every
-    output element sees the same float operations for any block split
-    (``_blocks``).  ``ws``, made for this grid and scale, is a fresh
-    workspace unless one is passed."""
+    (n, 3) ``rows`` and the scale that of ``ws``, a workspace made for this
+    data and grid: a fresh one of scale 1 unless one is passed.  Returns the
+    (n,) or (n, c) samples; with ``add_to`` ((n, c)) each block's samples are
+    added into its rows instead.  Every output element sees the same float
+    operations for any block split (``_blocks``)."""
     dims = data.shape[:3]
     if ws is None:
-        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), grid, scale)
+        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), grid)
     _pad(data, ws.padded)
     planes = ws.padded.reshape(len(ws.padded), -1)
     out = np.empty((len(rows), len(planes))) if add_to is None else add_to

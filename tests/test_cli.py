@@ -1261,12 +1261,13 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: cases must not be negative, got -1\n"
         assert not out.exists()
 
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        # checked before numpy's generator sees it, which raises a plain ValueError
+    @pytest.mark.parametrize("cases", ["0", "1"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, cases):
+        # checked before numpy's generator sees it, which raises a plain
+        # ValueError, and before a case's seed is derived from it
         out = tmp_path / "c"
-        assert cli.main(["--seed", "-1", "--out", str(out), "synth", "--cases", "1", "--dims", "8", "8", "8"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "seed" in err and err.count("\n") == 1
+        assert cli.main(["--seed", "-1", "--out", str(out), "synth", "--cases", cases, "--dims", "8", "8", "8"]) == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("labels", ["32768", "40000"])

@@ -226,6 +226,12 @@ class TestMakeCohort:
             make_cohort(tmp_path / "c", cases=-2)
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_is_a_library_error_before_any_write(self, tmp_path):
+        # with no cases, no per-case seed reaches numpy's generator
+        with pytest.raises(errors.BadParams, match="seed must be non-negative, got -1"):
+            make_cohort(tmp_path / "c", cases=0, seed=-1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_landmarks_round_trip_through_cohort(self, tmp_path):
         make_cohort(tmp_path / "c", cases=1, dims=(20, 20, 20), seed=1)
         lm = read_landmarks(tmp_path / "c" / "landmarks" / "case000_fixed.csv")

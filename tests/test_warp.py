@@ -253,13 +253,16 @@ class TestKernelEdges:
         data = rng.standard_normal((5, 6, 7, 3))
         top = np.array(data.shape[:3], dtype=np.float64) - 1.0
         voxels = identity_grid(data.shape[:3]).reshape(-1, 3)
+        # just below the edge and the last voxel itself, at voxels 0 and 1
+        # of the grid, where identity_grid + u gives them back exactly
+        edge = np.stack([np.nextafter(top, 0.0), top])
         rows, pts = on_grid(np.concatenate([
-            np.tile(top, (1, 1)),  # the last voxel itself
+            edge,
             np.where(rng.random((400, 3)) < 0.5, top, voxels[rng.integers(0, len(voxels), 400)]),
             top + rng.uniform(0.0, 3.0, size=(200, 3)),  # beyond, on all axes
             np.where(rng.random((200, 3)) < 0.5, top + 1.5, rng.uniform(0, 4, (200, 3))),
-            np.nextafter(top, 0.0) + np.zeros((1, 3)),  # just below the edge
         ]), (2, 1, 401))
+        assert pts[:2].tobytes() == edge.tobytes()
         got = warp._trilinear(data, rows, (2, 1, 401))
         assert np.array_equal(got, whole_array_lerps(data, pts))
         on_edge = np.all(pts == top, axis=1)
@@ -478,11 +481,14 @@ class TestCornerSampling:
     def test_equals_the_padded_kernel(self, rng, shape, channels, order):
         data = np.asarray(rng.standard_normal(shape + channels), order=order)
         top = np.array(shape, dtype=np.float64) - 1.0
+        # at voxels 0 to 2 of the grid, where identity_grid + u gives them back exactly
+        edge = np.stack([np.nextafter(top, 0.0), top, np.zeros(3)])
         rows, pts = on_grid(np.concatenate([
+            edge,
             rng.uniform(-3.0, top + 3.0, size=(300, 3)),  # inside and outside the grid
             np.where(rng.random((100, 3)) < 0.5, top, rng.uniform(0.0, top, (100, 3))),  # upper faces
-            top[None], np.zeros((1, 3)), np.nextafter(top, 0.0)[None],
         ]), (1, 13, 31))
+        assert pts[:3].tobytes() == edge.tobytes()
         want = warp._trilinear(data, rows, (1, 13, 31))
         got = sample_trilinear(data, pts)
         assert got.shape == want.shape
