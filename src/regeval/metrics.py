@@ -38,6 +38,7 @@ from .errors import (
     DimMismatch,
     EmptyLabelList,
     EmptyMask,
+    InvalidLabelData,
     NonFiniteData,
     OutOfBoundsLandmark,
     UnpairedLandmarks,
@@ -113,23 +114,27 @@ def dsc(fixed_labels: Volume, warped_labels: Volume, labels: Sequence[int]):
     mean; a label present in exactly one is 0.
     """
     _check_same_dims(fixed_labels, warped_labels)
-    labels = list(labels)
+    labels = [int(lab) for lab in labels]
     if not labels:
         raise EmptyLabelList("dsc needs at least one label")
+    if min(labels) < 0:  # an index from the end of the counts would be another label's
+        raise BadParams(f"label ids must be non-negative, got {min(labels)}")
     # the counts do not depend on the order: no copy when both are F-ordered
     order = "F" if fixed_labels.data.flags.f_contiguous and warped_labels.data.flags.f_contiguous else "C"
     fl = fixed_labels.data.ravel(order)
     wl = warped_labels.data.ravel(order)
-    top = max(int(fl.max()), int(wl.max()), max(int(l) for l in labels))
-    n_fixed = np.bincount(fl, minlength=top + 1)
-    n_warped = np.bincount(wl, minlength=top + 1)
+    try:  # np.bincount itself rejects negative and non-integer values
+        top = max(int(fl.max()), int(wl.max()), max(labels))
+        n_fixed = np.bincount(fl, minlength=top + 1)
+        n_warped = np.bincount(wl, minlength=top + 1)
+    except (ValueError, TypeError) as exc:
+        raise InvalidLabelData(f"label volumes must hold non-negative integers: {exc}") from None
     eq = fl == wl
     n_both = np.bincount(fl[eq], minlength=top + 1)
 
     per_label: dict[int, float | None] = {}
     present: list[float] = []
     for lab in labels:
-        lab = int(lab)
         a, b, inter = int(n_fixed[lab]), int(n_warped[lab]), int(n_both[lab])
         if a == 0 and b == 0:
             per_label[lab] = None

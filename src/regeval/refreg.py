@@ -43,7 +43,8 @@ class RegConfig:
     ``iters_per_level`` runs coarsest first and has one entry, >= 0, per
     pyramid level.  ``step_size`` is the initial update magnitude in voxels
     (the raw gradient is rescaled once per level so the first step moves at
-    most this far).  ``update_smoothing_sigma`` Gaussian-smooths each update.
+    most this far).  ``update_smoothing_sigma`` Gaussian-smooths each update;
+    ``register`` refuses one above 10 times the images' largest axis.
     """
 
     iters_per_level: tuple[int, ...] = (100, 100, 50)
@@ -181,8 +182,8 @@ def _pyramid(data: np.ndarray, levels: int) -> list[np.ndarray]:
 
 def _upsample_state(state: np.ndarray, fine_dims) -> np.ndarray:
     """Upsample a field/velocity to the next finer grid, doubling values; voxel x reads (x - 1/2) / 2."""
-    shift, ws = np.broadcast_to(-0.25, (int(np.prod(fine_dims)), 3)), _Workspace(state.shape[:3], 3, fine_dims, 0.5)
-    up = _trilinear(state, shift, fine_dims, ws=ws).reshape(tuple(fine_dims) + (3,))
+    shift = np.broadcast_to(-0.25, (int(np.prod(fine_dims)), 3))
+    up = _trilinear(state, shift, _Workspace(state.shape, fine_dims, 0.5)).reshape(tuple(fine_dims) + (3,))
     return np.multiply(up, 2.0, out=up)
 
 
@@ -291,6 +292,11 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=N
     zero field, first-order otherwise).
     """
     fdata, mdata = _prepare(fixed, moving, init)
+    bound = 10 * max(fixed.dims)  # the Gaussian allocates 8 sigma + 1 taps: keep sigma near the grid
+    if cfg.update_smoothing_sigma > bound:
+        raise BadParams(
+            f"update_smoothing_sigma {cfg.update_smoothing_sigma} exceeds {bound}, 10 times the largest axis"
+        )
     schedule = cfg.iters_per_level if init is None else cfg.iters_per_level[-1:]
     f_pyr = _pyramid(fdata, len(schedule))
     m_pyr = _pyramid(mdata, len(schedule))
@@ -298,10 +304,12 @@ def register(fixed: Volume, moving: Volume, cfg: RegConfig = RegConfig(), init=N
     trace: list[list[float]] = []
     for level, iters in enumerate(schedule):
         u = None  # the coarser level's field is not read again
-        # a level's start goes in unnamed, so its first accepted step frees it
-        state, losses, u = _optimize_level(
-            f_pyr[level], m_pyr[level], _level_start(coarser.pop(), init, f_pyr[level].shape), iters, cfg
-        )
+        # a level's start goes in unnamed, so its first accepted step frees it (a
+        # decorator's *args would hold it); a rejected trial may overflow quietly
+        with np.errstate(over="ignore", invalid="ignore"):
+            state, losses, u = _optimize_level(
+                f_pyr[level], m_pyr[level], _level_start(coarser.pop(), init, f_pyr[level].shape), iters, cfg
+            )
         coarser.append(state)
         del state
         trace.append(losses)

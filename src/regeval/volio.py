@@ -341,7 +341,19 @@ def read_nifti(path):
     is nonzero.  Non-finite values anywhere in the payload are a hard error,
     never silently zeroed: one poisoned voxel would corrupt every downstream
     metric.  The payload lands once, in the returned array's own memory.
+    Every error's message starts with ``path: `` (an IoFailure's reads
+    ``could not read path: ...``).
     """
+    try:
+        return _read_nifti(path)
+    except IoFailure:
+        raise
+    except RegEvalError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+def _read_nifti(path):
     try:
         with open(path, "rb") as f:
             src = _FileBytes(f)
@@ -391,21 +403,21 @@ def read_nifti(path):
     if is_field:
         shaped = np.reshape(data, spatial + (3,), order="F")
         if not np.all(np.isfinite(shaped)):
-            raise NonFiniteData(f"{path}: displacement field contains non-finite values")
+            raise NonFiniteData("displacement field contains non-finite values")
         return DisplacementField(header=header, data=shaped)
 
     shaped = np.reshape(data, spatial, order="F")
     if is_float:
         if not np.all(np.isfinite(shaped)):
-            raise NonFiniteData(f"{path}: scalar volume contains non-finite values")
+            raise NonFiniteData("scalar volume contains non-finite values")
         return Volume(header=header, kind="scalar", data=shaped)
     if shaped.dtype.kind == "f":  # integer file with nontrivial scaling
         shaped = np.rint(shaped)
         if not np.all(np.abs(shaped) <= np.iinfo(np.int32).max):  # NaN fails too
-            raise InvalidLabelData(f"{path}: scaled label values do not fit int32")
+            raise InvalidLabelData("scaled label values do not fit int32")
         shaped = shaped.astype(np.int32)
     if shaped.min() < 0:
-        raise InvalidLabelData(f"{path}: label volume contains negative values")
+        raise InvalidLabelData("label volume contains negative values")
     return Volume(header=header, kind="label", data=shaped)
 
 

@@ -68,16 +68,20 @@ def _blocks(n: int, fn) -> None:
 
 
 class _Workspace:
-    """Buffers of the kernel for the voxels of ``grid`` (dims) sampled from
-    dims + (channels,) data: the channel planes, each padded by one
-    replicated edge voxel at the top of every axis; one block's coordinates,
+    """The one owner of the kernel's inputs but the rows: the ``shape`` of
+    the sampled data (dims or dims + (c,)), the ``grid`` (dims) sampled and
+    the scale.  Holds the channel planes, each padded by one replicated edge
+    voxel at the top of every axis (``load``); one block's coordinates,
     corner index and corner values, which every block reuses; and the
     template, scale * x over as many of the grid's first planes as one block
     reaches (``_coords``).  ``_exp`` keeps one workspace for all squarings."""
 
-    def __init__(self, dims, channels: int, grid, scale: float = 1.0):
-        self.padded = np.empty((channels,) + tuple(d + 1 for d in dims))
-        sx, sy = (dims[1] + 1) * (dims[2] + 1), dims[2] + 1
+    def __init__(self, shape, grid, scale: float = 1.0):
+        self.shape, self.dims = tuple(shape), tuple(shape[:3])
+        channels = int(np.prod(self.shape[3:], dtype=np.int64))
+        self.padded = np.empty((channels,) + tuple(d + 1 for d in self.dims))
+        self.top = np.asarray(self.dims, dtype=np.float64)[:, None] - 1.0
+        sx, sy = (self.dims[1] + 1) * (self.dims[2] + 1), self.dims[2] + 1
         self.offsets = [(c & 1) * sx + (c >> 1 & 1) * sy + (c >> 2 & 1) for c in range(8)]
         m = min(int(np.prod(grid, dtype=np.int64)), _BLOCK)
         self.p, self.v = np.empty((3, m)), np.empty((8, m))
@@ -90,15 +94,18 @@ class _Workspace:
             t[axis] = _axis_coords(k, axis) * scale
         self.rows = t.reshape(3, -1)
 
-
-def _pad(data: np.ndarray, padded: np.ndarray) -> None:
-    """Copy ``data`` (dims or dims + (c,)) into the (c,) + (dims + 1) planes
-    of ``padded``, repeating the last voxel of every axis once more."""
-    nx, ny, nz = data.shape[:3]
-    padded[:, :nx, :ny, :nz] = np.moveaxis(data.reshape((nx, ny, nz, -1)), 3, 0)
-    padded[:, :nx, :ny, nz] = padded[:, :nx, :ny, nz - 1]
-    padded[:, :nx, ny] = padded[:, :nx, ny - 1]
-    padded[:, nx] = padded[:, nx - 1]
+    def load(self, data: np.ndarray) -> np.ndarray:
+        """Copy ``data`` into the padded planes, repeating the last voxel of
+        every axis once more, and return them flat, (c, voxels); data of any
+        shape but the workspace's is DimMismatch."""
+        if data.shape != self.shape:
+            raise DimMismatch(f"data shape {data.shape} does not match the workspace's {self.shape}")
+        (nx, ny, nz), padded = self.dims, self.padded
+        padded[:, :nx, :ny, :nz] = np.moveaxis(data.reshape((nx, ny, nz, -1)), 3, 0)
+        padded[:, :nx, :ny, nz] = padded[:, :nx, :ny, nz - 1]
+        padded[:, :nx, ny] = padded[:, :nx, ny - 1]
+        padded[:, nx] = padded[:, nx - 1]
+        return padded.reshape(len(padded), -1)
 
 
 def _coords(ws: _Workspace, rows, lo: int, hi: int) -> np.ndarray:
@@ -116,14 +123,14 @@ def _coords(ws: _Workspace, rows, lo: int, hi: int) -> np.ndarray:
     return p
 
 
-def _corners(ws: _Workspace, p: np.ndarray, dims) -> np.ndarray:
+def _corners(ws: _Workspace, p: np.ndarray) -> np.ndarray:
     """Clamp the coordinates ``p`` (from ``_coords``) to the grid and return
     the flat index of each point's v000 corner in the padded planes; ``p``
     is left holding the fractional weight per axis.  With the padding, the
     other corners sit at the fixed ``ws.offsets`` from v000, also at the
     upper edge, where the weight is 0.  Works one axis at a time: numpy
     loops slowly over a trailing axis of 3."""
-    m = p.shape[1]
+    m, dims = p.shape[1], ws.dims
     idx, floor = ws.idx[:m], ws.floor[:m]
     for axis in range(3):
         np.clip(p[axis], 0, dims[axis] - 1, out=p[axis])
@@ -161,24 +168,19 @@ def _blend(v: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
     _lerp(v[0], v[4], f[2], out)
 
 
-def _trilinear(data: np.ndarray, rows: np.ndarray, grid, ws=None, add_to=None) -> np.ndarray:
-    """Trilinear interpolation of ``data`` (dims or dims + (c,)) at
-    scale * x + u(x) for each voxel x of ``grid``, u(x) being its row of the
-    (n, 3) ``rows`` and the scale that of ``ws``, a workspace made for this
-    data and grid: a fresh one of scale 1 unless one is passed.  Returns the
-    (n,) or (n, c) samples; with ``add_to`` ((n, c)) each block's samples are
-    added into its rows instead.  Every output element sees the same float
-    operations for any block split (``_blocks``)."""
-    dims = data.shape[:3]
-    if ws is None:
-        ws = _Workspace(dims, int(np.prod(data.shape[3:], dtype=np.int64)), grid)
-    _pad(data, ws.padded)
-    planes = ws.padded.reshape(len(ws.padded), -1)
+def _trilinear(data: np.ndarray, rows: np.ndarray, ws: _Workspace, add_to=None) -> np.ndarray:
+    """Trilinear interpolation of ``data``, of the shape of ``ws``, at
+    scale * x + u(x) for each voxel x of the workspace's grid, u(x) being its
+    row of the (n, 3) ``rows`` and the scale that of ``ws``.
+    Returns the (n,) or (n, c) samples; with ``add_to`` ((n, c)) each block's
+    samples are added into its rows instead.  Every output element sees the
+    same float operations for any block split (``_blocks``)."""
+    planes = ws.load(data)
     out = np.empty((len(rows), len(planes))) if add_to is None else add_to
 
     def block(lo, hi):
         p = _coords(ws, rows, lo, hi)
-        idx = _corners(ws, p, dims)
+        idx = _corners(ws, p)
         for c, plane in enumerate(planes):
             v = _gather(ws, plane, idx)
             if add_to is None:
@@ -216,10 +218,8 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
     dims = u.shape[:3]
     shift = u.reshape(-1, 3)
     n = len(shift)
-    ws = _Workspace(mdata.shape, 1, dims)
-    _pad(mdata, ws.padded)
-    plane = ws.padded.reshape(-1)
-    top = np.asarray(mdata.shape, dtype=np.float64)[:, None] - 1.0
+    ws = _Workspace(mdata.shape, dims)
+    (plane,) = ws.load(mdata)
     m = ws.p.shape[1]
     g, t, scratch = np.empty((3, m)), np.empty((3, m)), np.empty(m)
     inside, upper = np.empty((3, m), dtype=bool), np.empty((3, m), dtype=bool)
@@ -229,9 +229,9 @@ def _warp_with_grad(mdata: np.ndarray, u: np.ndarray):
         k = hi - lo
         p = _coords(ws, shift, lo, hi)
         np.greater_equal(p, 0.0, out=inside[:, :k])
-        np.less_equal(p, top, out=upper[:, :k])
+        np.less_equal(p, ws.top, out=upper[:, :k])
         np.logical_and(inside[:, :k], upper[:, :k], out=inside[:, :k])
-        idx = _corners(ws, p, mdata.shape)
+        idx = _corners(ws, p)
         v = _gather(ws, plane, idx)
         np.subtract(1, p, out=g[:, :k])
         for axis in range(3):
@@ -265,7 +265,7 @@ def sample_trilinear(obj, points):
     if not np.all(np.isfinite(pts)):
         raise NonFiniteCoordinate("sample coordinates must be finite")
     # only each point's 8 corners are read: the lower one and the fraction as in
-    # ``_corners``, the upper one min(i + 1, n - 1), which ``_pad`` repeats there
+    # ``_corners``, the upper one min(i + 1, n - 1), which ``load`` repeats there
     data = np.asarray(data)
     top = np.array(data.shape[:3])[:, None] - 1
     f = np.clip(pts.T, 0, top)
@@ -283,7 +283,7 @@ def sample_trilinear(obj, points):
 def _warp(data: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Sample ``data`` (dims or dims + (c,)) at x + u(x) over u's grid."""
     dims = u.shape[:3]
-    return _trilinear(data, u.reshape(-1, 3), dims).reshape(dims + data.shape[3:])
+    return _trilinear(data, u.reshape(-1, 3), _Workspace(data.shape, dims)).reshape(dims + data.shape[3:])
 
 
 def _check_squarings(squarings: int) -> None:
@@ -299,9 +299,9 @@ def _exp(v: np.ndarray, squarings: int) -> np.ndarray:
     copy taken before the squaring.  All squarings share one workspace."""
     u = np.divide(v, float(2**squarings), order="C")
     rows = u.reshape(-1, 3)
-    ws = _Workspace(u.shape[:3], 3, u.shape[:3])
+    ws = _Workspace(u.shape, u.shape[:3])
     for _ in range(squarings):
-        _trilinear(u, rows, u.shape[:3], ws=ws, add_to=rows)
+        _trilinear(u, rows, ws, add_to=rows)
     return u
 
 

@@ -632,6 +632,16 @@ class TestUnreadableInputs:
         assert cli.main(["ic", str(bad), str(good)]) == 2
         assert f"could not read {bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["register", "ic"])
+    def test_a_bad_header_names_its_file(self, tmp_path, capsys, command):
+        good = self.field_file(tmp_path / "good.nii")
+        bad = tmp_path / "bad.nii"
+        bad.write_bytes(b"\0" * 100)
+        args = ["--out", str(tmp_path / "f.nii"), "register", str(bad), str(good)] if command == "register" else [
+            "ic", str(good), str(bad)]
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == f"error: {bad}: file shorter than the 348-byte header\n"
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert cli.main(["--out", str(tmp_path / "r"), "eval", str(missing)]) == 2
@@ -1394,6 +1404,43 @@ class TestRegisterCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
+
+    @staticmethod
+    def pair_files(tmp_path):
+        """A 12^3 synthetic image pair, written as fixed.nii and moving.nii."""
+        from regeval.synth import PhantomSpec, Svf, make_pair, make_phantom, make_velocity
+
+        dims = (12, 12, 12)
+        pair = make_pair(make_phantom(PhantomSpec(dims=dims, label_count=2, seed=4)),
+                         make_velocity(Svf(seed=5, amplitude=1.0), dims))
+        write_nifti(pair.fixed_image, tmp_path / "fixed.nii")
+        write_nifti(pair.moving_image, tmp_path / "moving.nii")
+        return [str(tmp_path / "fixed.nii"), str(tmp_path / "moving.nii")]
+
+    @pytest.mark.parametrize("sigma", ["121", "1e6", "1e300"])
+    def test_sigma_past_ten_times_the_largest_axis_exits_2(self, tmp_path, capsys, sigma):
+        # the Gaussian allocates 8 sigma + 1 taps: 1e300 overflowed scipy's
+        # size check, 1e6 ran 8,000,001 taps
+        out = tmp_path / "field.nii"
+        args = ["--out", str(out), "register", *self.pair_files(tmp_path), "--iters", "1", "--sigma", sigma]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: update_smoothing_sigma {float(sigma)} exceeds 120, 10 times the largest axis\n"
+        assert not out.exists()
+
+    def test_rejected_trials_print_no_warning(self, tmp_path, capsys):
+        # every trial of a 1e300-voxel step overflows the diffusion term and
+        # is rejected, so the field stays zero
+        from regeval.volio import read_field
+
+        out = tmp_path / "field.nii"
+        args = ["--out", str(out), "register", *self.pair_files(tmp_path), "--iters", "2,2", "--window", "5",
+                "--step-size", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args) == 0
+        assert capsys.readouterr().err == ""
+        assert not np.any(read_field(out).data)
 
     def test_defaults_are_reg_config_defaults(self):
         from regeval.refreg import RegConfig

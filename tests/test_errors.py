@@ -5,13 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regeval import errors
+from regeval import errors, warp
 from regeval.metrics import lncc
-from regeval.ranking import MetricMatrix
+from regeval.ranking import MetricMatrix, aggregate
 from regeval.refreg import RegConfig
-from regeval.synth import PhantomSpec, Svf, make_phantom, make_velocity
-from regeval.volio import AffineHeader, DisplacementField, Volume, scale_field_units
-from regeval.warp import VelocityField, exp_svf, ic_residual, sample_trilinear
+from regeval.stats import mean_std, pearson_fit
+from regeval.synth import PhantomSpec, Svf, make_field, make_phantom, make_velocity
+from regeval.volio import AffineHeader, DisplacementField, LandmarkSet, Volume, scale_field_units
+from regeval.warp import VelocityField, exp_svf, ic_residual, sample_trilinear, warp_image, warp_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regeval"
 
@@ -91,6 +92,37 @@ def _matrix(**changes):
         pytest.param(lambda: _matrix(pairing="matched"), errors.BadParams, id="MetricMatrix-pairing"),
         pytest.param(lambda: _matrix(values=np.ones((2, 2))), errors.BadParams, id="MetricMatrix-shape"),
         pytest.param(lambda: _matrix(methods=("a", "a")), errors.BadParams, id="MetricMatrix-methods"),
+        pytest.param(lambda: AffineHeader((4, 0, 4), (1.0, 1.0, 1.0), np.eye(4)), errors.UnsupportedLayout,
+                     id="AffineHeader-dims"),
+        pytest.param(lambda: AffineHeader((4, 4, 4), (1.0, -1.0, 1.0), np.eye(4)), errors.UnsupportedLayout,
+                     id="AffineHeader-spacing"),
+        pytest.param(lambda: Volume(HEADER, "scalar", np.zeros((4, 4, 5))), errors.UnsupportedLayout,
+                     id="Volume-shape"),
+        pytest.param(lambda: DisplacementField(HEADER, np.zeros((4, 4, 4))), errors.UnsupportedLayout,
+                     id="DisplacementField-shape"),
+        pytest.param(lambda: VelocityField(HEADER, np.zeros((4, 4, 4, 2))), errors.UnsupportedLayout,
+                     id="VelocityField-shape"),
+        pytest.param(lambda: LandmarkSet(("a", "b"), np.zeros((1, 3))), errors.MalformedRow, id="LandmarkSet-shape"),
+        pytest.param(lambda: LandmarkSet(("a", "a"), np.zeros((2, 3))), errors.DuplicateName, id="LandmarkSet-names"),
+        pytest.param(lambda: LandmarkSet(("a",), [[0.0, np.inf, 1.0]]), errors.NonFiniteCoordinate,
+                     id="LandmarkSet-points"),
+        pytest.param(lambda: sample_trilinear(_scalar("label"), [0.0, 0.0, 0.0]), errors.UnsupportedLayout,
+                     id="sample_trilinear-label"),
+        pytest.param(lambda: ic_residual(_field(), _field(), mask=np.ones((3, 4, 4))), errors.DimMismatch,
+                     id="ic_residual-mask"),
+        pytest.param(lambda: warp_image(_scalar("label"), _field()), errors.UnsupportedLayout, id="warp_image-kind"),
+        pytest.param(lambda: warp_labels(_scalar(), _field()), errors.UnsupportedLayout, id="warp_labels-kind"),
+        pytest.param(lambda: warp._Workspace((8, 8, 8), (8, 8, 8)).load(np.zeros((4, 4, 4))), errors.DimMismatch,
+                     id="Workspace-load"),
+        pytest.param(lambda: aggregate({"dsc": {"a": 1.0}}, ["dsc", "hd95"]), errors.InconsistentMethodSets,
+                     id="aggregate-missing"),
+        pytest.param(lambda: aggregate({"dsc": {"a": 1.0}}, []), errors.InconsistentMethodSets, id="aggregate-empty"),
+        pytest.param(lambda: mean_std([]), errors.EmptyInput, id="mean_std-empty"),
+        pytest.param(lambda: pearson_fit([1.0, 2.0], [1.0, 2.0, 3.0]), errors.LengthMismatch, id="pearson_fit-lengths"),
+        pytest.param(lambda: pearson_fit([1.0], [2.0]), errors.EmptyInput, id="pearson_fit-one-point"),
+        pytest.param(lambda: make_phantom(PhantomSpec(dims=(8, 8, 8), label_count=3, semi_axes=((3.0, 3.0, 3.0),))),
+                     errors.SpecInvalid, id="PhantomSpec-semi_axes"),
+        pytest.param(lambda: make_field(object(), (4, 4, 4)), errors.BadParams, id="make_field-kind"),
     ],
 )
 def test_bad_input_raises_a_regeval_error(call, error):

@@ -185,6 +185,23 @@ class TestDsc:
         with pytest.raises(errors.DimMismatch):
             dsc(label_volume(np.zeros((3, 3, 3))), label_volume(np.zeros((4, 3, 3))), [1])
 
+    def test_negative_label_id_is_bad_params(self):
+        # counts[-2] would read from the end of the counts: the background's Dice
+        seg = label_volume(np.zeros((3, 3, 3)))
+        with pytest.raises(errors.BadParams, match="label ids must be non-negative, got -2"):
+            dsc(seg, seg, [1, -2])
+        with pytest.raises(errors.BadParams):
+            evaluate_pair(metrics.FixedSide(seg, labels=[-2]), seg, constant_field((3, 3, 3), (0.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("value, dtype", [(-1, np.int16), (1.5, np.float64), (np.nan, np.float64)])
+    def test_values_bincount_refuses_are_invalid_label_data(self, value, dtype):
+        data = np.ones((3, 3, 3), dtype=dtype)
+        data[1, 2, 0] = value
+        bad, good = Volume(header=AffineHeader.isotropic((3, 3, 3)), kind="label", data=data), label_volume(data == 1)
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(errors.InvalidLabelData, match="label volumes must hold non-negative integers"):
+                dsc(a, b, [1])
+
 
 # --- HD95 --------------------------------------------------------------------
 

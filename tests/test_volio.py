@@ -267,6 +267,52 @@ class TestReadErrors:
             write_and_read(tmp_path, blob)
 
 
+def _singular_sform(raw: bytearray) -> bytes:
+    struct.pack_into("<4f", raw, 280, 1.0, 0.0, 0.0, 0.0)  # rows 2 and 3 stay zero
+    return bytes(raw)
+
+
+_F3 = (3, 2, 2, 2, 1, 1, 1, 1)
+
+
+class TestReadErrorsNameTheFile:
+    """Every read_nifti error but an IoFailure starts with the file's path,
+    once; the rest of its message is the check's own."""
+
+    @pytest.mark.parametrize("blob, error, message", [
+        (b"\0" * 100, errors.BadMagic, "file shorter than the 348-byte header"),
+        (craft_nifti(np.zeros(16), 16, (4, 2, 2, 2, 2, 1, 1, 1)), errors.UnsupportedLayout,
+         "unsupported dim layout (4, 2, 2, 2, 2)"),
+        (craft_nifti(np.zeros(8), 32, _F3), errors.UnsupportedDatatype, "datatype code 32 not in (2, 4, 8, 16, 64)"),
+        (craft_nifti(np.zeros(8), 16, _F3, truncate=8), errors.TruncatedPayload,
+         "payload holds 6 values, header implies 8"),
+        (craft_nifti(np.zeros(8), 16, _F3, spacing=(1.0, 0.0, 1.0)), errors.BadMagic,
+         "pixdim spacing (1.0, 0.0, 1.0) is not positive and finite"),
+        (_singular_sform(bytearray(craft_nifti(np.zeros(8), 16, _F3))), errors.UnsupportedLayout,
+         "voxel-to-world matrix must be 4x4 and finite with nonzero 3x3 determinant"),
+        (craft_nifti(np.full(8, np.nan), 16, _F3), errors.NonFiniteData, "scalar volume contains non-finite values"),
+        (craft_nifti(np.full(24, np.inf), 16, (4, 2, 2, 2, 3, 1, 1, 1)), errors.NonFiniteData,
+         "displacement field contains non-finite values"),
+        (craft_nifti(np.ones(8), 4, _F3, scl=(1e30, 0.0)), errors.InvalidLabelData,
+         "scaled label values do not fit int32"),
+        (craft_nifti(-np.ones(8), 4, _F3), errors.InvalidLabelData, "label volume contains negative values"),
+    ], ids=["header", "layout", "datatype", "payload", "pixdim", "sform", "scalar-non-finite", "field-non-finite",
+            "label-scaling", "label-negative"])
+    def test_message_is_the_path_and_the_check(self, tmp_path, blob, error, message):
+        with pytest.raises(error) as info:
+            write_and_read(tmp_path, blob)
+        assert str(info.value) == f"{tmp_path / 'file.nii'}: {message}"
+
+    def test_io_failure_is_not_prefixed_again(self, tmp_path):
+        path = tmp_path / "cut.nii.gz"
+        blob = gzip.compress(craft_nifti(np.zeros(8), 16, _F3))
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(errors.IoFailure) as info:
+            volio.read_nifti(path)
+        assert str(info.value).startswith(f"could not read {path}: ")
+        assert str(info.value).count(str(path)) == 1
+
+
 class TestHeaderValues:
     def base(self):
         data = np.full((2, 2, 2), 3, dtype=np.int16)

@@ -92,11 +92,16 @@ class TestSampleTrilinear:
 B = warp._BLOCK
 
 
+def trilinear(data, rows, grid):
+    """The kernel at the voxels of ``grid``, in a workspace made for them."""
+    return warp._trilinear(data, rows, warp._Workspace(data.shape, grid))
+
+
 def one_block(data, rows, grid):
     """The kernel with every voxel of ``grid`` in a single inline block."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(warp, "_BLOCK", len(rows) + 1)
-        return warp._trilinear(data, rows, grid)
+        return trilinear(data, rows, grid)
 
 
 def on_grid(pts, grid):
@@ -126,7 +131,7 @@ class TestBlockedKernel:
         rng = np.random.default_rng(n)
         data = np.asarray(rng.standard_normal((9, 10, 11) + channels), order=order)
         rows, _ = on_grid(rng.uniform(-2.0, 12.0, size=(n, 3)), GRIDS[n])
-        got = warp._trilinear(data, rows, GRIDS[n])
+        got = trilinear(data, rows, GRIDS[n])
         assert got.shape == (n,) + channels
         assert np.array_equal(got, one_block(data, rows, GRIDS[n]))
 
@@ -135,7 +140,7 @@ class TestBlockedKernel:
         data = rng.standard_normal((9, 10, 11) + channels)
         grid = GRIDS[2 * B + 7]
         rows, pts = on_grid(rng.uniform(-2.0, 12.0, size=(2 * B + 7, 3)), grid)
-        assert np.array_equal(warp._trilinear(data, rows, grid), whole_array_lerps(data, pts))
+        assert np.array_equal(trilinear(data, rows, grid), whole_array_lerps(data, pts))
 
     def test_warp_with_grad_value_matches_whole_array_lerps(self, rng):
         u = rng.standard_normal((40, 41, 42, 3)) * 3.0
@@ -177,7 +182,7 @@ class TestBlockedKernel:
         want = one_block(data, rows, grid)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(warp, "_BLOCK", block)
-            got = warp._trilinear(data, rows, grid)
+            got = trilinear(data, rows, grid)
         assert got.tobytes() == want.tobytes()
 
 
@@ -247,7 +252,7 @@ class TestKernelEdges:
     def test_axes_of_length_one_and_two(self, rng, shape, channels):
         data = rng.standard_normal(shape + channels)
         rows, pts = on_grid(rng.uniform(-2.0, 8.0, size=(500, 3)), (5, 10, 10))
-        assert np.array_equal(warp._trilinear(data, rows, (5, 10, 10)), whole_array_lerps(data, pts))
+        assert np.array_equal(trilinear(data, rows, (5, 10, 10)), whole_array_lerps(data, pts))
 
     def test_points_on_and_beyond_the_upper_edge(self, rng):
         data = rng.standard_normal((5, 6, 7, 3))
@@ -263,7 +268,7 @@ class TestKernelEdges:
             np.where(rng.random((200, 3)) < 0.5, top + 1.5, rng.uniform(0, 4, (200, 3))),
         ]), (2, 1, 401))
         assert pts[:2].tobytes() == edge.tobytes()
-        got = warp._trilinear(data, rows, (2, 1, 401))
+        got = trilinear(data, rows, (2, 1, 401))
         assert np.array_equal(got, whole_array_lerps(data, pts))
         on_edge = np.all(pts == top, axis=1)
         assert on_edge.sum() > 1
@@ -282,7 +287,7 @@ class TestKernelEdges:
         assert not data.flags.c_contiguous
         rows, pts = on_grid(rng.uniform(-2.0, 15.0, size=(B + 9, 3)), (59, 1, 139))  # blocks start mid-plane
         want = whole_array_lerps(np.ascontiguousarray(data), pts)
-        assert np.array_equal(warp._trilinear(data, rows, (59, 1, 139)), want)
+        assert np.array_equal(trilinear(data, rows, (59, 1, 139)), want)
         assert np.array_equal(whole_array_lerps(data, pts), want)
 
     def test_warp_with_grad_on_thin_and_fortran_images(self, rng):
@@ -302,6 +307,34 @@ class TestKernelEdges:
         for axis in range(3):
             want = np.diff(img, axis=axis, append=np.take(img, [-1], axis=axis))
             assert np.array_equal(grad[..., axis], want)
+
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_load_fills_every_padded_voxel(self, rng, channels):
+        # the planes start as NaN, so an edge copy that load skips leaves NaN
+        # in a weight-0 corner of the points on that upper face
+        data = rng.standard_normal((5, 6, 7) + channels)
+        top = np.array(data.shape[:3], dtype=np.float64) - 1.0
+        rows, pts = on_grid(np.where(rng.random((400, 3)) < 0.5, top + rng.uniform(0.0, 2.0, (400, 3)),
+                                     rng.uniform(0.0, top, (400, 3))), (4, 10, 10))
+        ws = warp._Workspace(data.shape, (4, 10, 10))
+        ws.padded.fill(np.nan)
+        got = warp._trilinear(data, rows, ws)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, whole_array_lerps(data, pts))
+
+    @pytest.mark.parametrize("channels", [(), (3,)])
+    def test_points_past_the_x_edge_read_the_last_x_plane(self, rng, channels):
+        # clamped to x = nx - 1, a point at y = z = 0 reads voxels (nx - 1, 0..1, 0..1);
+        # clamped to nx, its x + 1 corners run past the planes, where take's clip
+        # reads the last padded voxel: the NaN put in the data's last voxel
+        data = rng.standard_normal((5, 6, 7) + channels)
+        data[-1, -1, -1] = np.nan
+        pts = np.zeros((50, 3))
+        pts[:, 0] = 4.0 + rng.uniform(0.0, 3.0, 50)
+        rows, at = on_grid(pts, (1, 1, 50))
+        assert np.array_equal(at, pts)
+        got = trilinear(data, rows, (1, 1, 50))
+        assert np.array_equal(got, np.broadcast_to(data[-1, 0, 0], got.shape))
 
 
 class TestCompose:
@@ -489,7 +522,7 @@ class TestCornerSampling:
             np.where(rng.random((100, 3)) < 0.5, top, rng.uniform(0.0, top, (100, 3))),  # upper faces
         ]), (1, 13, 31))
         assert pts[:3].tobytes() == edge.tobytes()
-        want = warp._trilinear(data, rows, (1, 13, 31))
+        want = trilinear(data, rows, (1, 13, 31))
         got = sample_trilinear(data, pts)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
